@@ -22,7 +22,7 @@ from .grids import (
     read_path_csv,
     write_path_csv,
 )
-from .integration import convergence_order_fit, rough_integral_path, young_integral
+from .integration import convergence_order_fit, rough_integral_path
 from .modelled import ControlledPath, builtin_descriptor
 from .reconstruction import (
     reconstruct,
@@ -230,10 +230,9 @@ def _cmd_integrate(args) -> dict:
     certificate = None
     if args.route == "young":
         cp = _load_controlled(args, path)
-        y_path = SampledPath(path.grid, cp.y[:, 0])
+        # left-point Riemann-Stieltjes sums, all windows [0, t_k] at once
         vals = np.zeros((path.grid.num_nodes, path.dim))
-        for k in range(1, path.grid.num_nodes):
-            vals[k] = young_integral(y_path, path, 0, k)
+        vals[1:] = np.cumsum(cp.y[:-1, :1] * path.increments(), axis=0)
         integral = SampledPath(path.grid, vals)
     else:
         rp = _make_lift(args, path, args.lift_mode, trunc_level=args.trunc_level)

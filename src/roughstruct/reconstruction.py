@@ -2,18 +2,24 @@
 integral and the rough-path lift.
 
 The truncated reconstruction anchors the local model at the dyadic points
-of one fine level,
+of one fine level J,
 
-    ``R^J f = sum_k <Pi_x f(x), phi^J_k> phi^J_k,   x = k / 2^J``,
+    ``R^J f = sum_k <Pi_{x_k} f(x_k), phi^J_k> phi^J_k``,
 
-which is the convergent sequence behind the reconstruction theorem.  The
-multiscale picture (base-level scaling row plus mother-wavelet corrections
-up to level J) is recovered from the level-J coefficients by exact
-discrete wavelet analysis; summing that series is the same function, and
-its termwise primitives give the antiderivative.  Re-anchoring the
-coefficient of every mother wavelet independently does not converge to
-the right limit once the target regularity is negative, so the single
-anchored level is the load-bearing construction here.
+which is the convergent sequence behind the reconstruction theorem
+(re-anchoring every mother-wavelet coefficient independently does not
+converge to the right limit once the target regularity is negative).  The
+anchor x_k is the grid node nearest the center of mass of phi^J_k.
+
+The model axiom ``Pi_s Gamma_{s,t} = Pi_t`` re-expands every anchored jet
+at one base point, ``Pi_{x_k} f(x_k) = Pi_0(Gamma_{0,x_k} f(x_k))``: the
+jets at all anchors are transported once, batched over k, and each
+transported symbol tau is realized once as ``Pi_0 tau``.  A coefficient
+is then a sum over symbols of an anchor-dependent scalar times the pairing
+of one grid array with phi^J_k, and all those pairings are one stencil
+correlation (``wavelets.analyse``).  The antiderivative and the partial-sum
+density are the transposed operation (``wavelets.synthesise``) with the
+node-to-node integral and midpoint stencils.
 
 All wavelet bookkeeping runs in unit time ``u = t/T`` (Stieltjes pairings
 are invariant under the rescaling), so the dyadic index sets are exactly
@@ -27,10 +33,8 @@ holds by construction and only the size bound is at stake.
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,118 +42,54 @@ from .grids import SampledPath, TestFunction, holder_seminorm
 from .integration import three_point_defect
 from .modelled import ControlledPath, ModelledDistribution, multiply_by_Wdot, to_modelled
 from .roughpath import RoughPath, SecondOrderProcess, rough_path_distance
-from .structure import ReducedModel, RoughModel, Wdot
-from .wavelets import StieltjesMeasure, WaveletBasis, cascade_evaluate, daubechies_basis, wavelet_coefficients
-
-
-def thread_count() -> int:
-    """Worker cap for parallel component reconstructions (ROUGHSTRUCT_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("ROUGHSTRUCT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-# ---------------------------------------------------------------------------
-# pairings of anchored local models against basis functions (unit time)
-
-
-def _support_mid_slice(basis: WaveletBasis, j: int, k: int, num_mids: int) -> slice:
-    c = basis.support_radius
-    lo = (k - c) / (1 << j)
-    hi = (k + c) / (1 << j)
-    m0 = max(0, int(math.ceil(lo * num_mids - 0.5)))
-    m1 = min(num_mids, int(math.floor(hi * num_mids - 0.5)) + 1)
-    return slice(m0, max(m0, m1))
-
-
-def _measure_base_pairings(
-    f: ModelledDistribution, model, basis: WaveletBasis, which: str, j: int, k: int,
-    u_mid: np.ndarray, anchor: int, window: slice,
-) -> float:
-    """<Pi_anchor(f(anchor)), basis_{j,k}> for measure-kind support."""
-    vals = cascade_evaluate(basis, which, j, k, u_mid[window])
-    total = 0.0
-    for sym, coeff in f.coeffs.items():
-        meas = model.pi_measure(anchor, sym)[window]
-        total += float(coeff[anchor]) * float(np.dot(vals, meas))
-    return total
-
-
-def _function_base_pairings(
-    f: ModelledDistribution, model, basis: WaveletBasis, which: str, j: int, k: int,
-    u_mid: np.ndarray, anchor: int, window: slice, du: float,
-) -> float:
-    """Same for function-kind support, with the constant extension outside
-    [0, 1] picked up through the cumulative basis tables.
-
-    The value at the anchor is paired exactly (cumulative tables); only the
-    deviation from it goes through the midpoint rule, so constants are
-    reproduced to table precision.
-    """
-    vals = cascade_evaluate(basis, which, j, k, u_mid[window])
-    scale = 2.0 ** (-j / 2.0)
-    # integrals of the basis function over (-inf, 0], [0, 1] and [1, +inf)
-    at0 = basis.integral(which, float(-k))
-    at1 = basis.integral(which, float((1 << j) - k))
-    total_int = {"father": 1.0, "mother": 0.0}[which]
-    int_left = scale * at0
-    int_mid = scale * (at1 - at0)
-    int_right = scale * (total_int - at1)
-    total = 0.0
-    for sym, coeff in f.coeffs.items():
-        g = model.pi_function(anchor, sym)
-        g0 = g[anchor]
-        gm = 0.5 * (g[:-1] + g[1:])[window] - g0
-        inner = float(np.dot(vals, gm)) * du
-        total += float(coeff[anchor]) * (
-            g0 * (int_left + int_mid + int_right)
-            + inner + (g[0] - g0) * int_left + (g[-1] - g0) * int_right
-        )
-    return total
+from .structure import ModelSpaceVector, ReducedModel, RoughModel, Wdot, gamma_apply
+from .wavelets import (
+    StieltjesMeasure,
+    WaveletBasis,
+    analyse,
+    daubechies_basis,
+    stencil,
+    synthesise,
+    wavelet_coefficients,
+)
 
 
 @dataclass
 class ReconstructionResult:
-    """Truncated reconstruction: coefficient tables, a pairing surface, and
+    """Truncated reconstruction: scaling coefficients, a pairing surface, and
     the antiderivative path.
 
-    ``phi_coeffs``/``psi_coeffs`` are the multiscale tables of ``R^J f``
-    (scaling row at the base level, mother corrections up to level J - 1),
-    obtained from the anchored level-J coefficients by discrete wavelet
-    analysis.  ``pair`` integrates the partial-sum density against a
-    callable on the unit interval.  The antiderivative is reported in real
-    time; for function-kind targets the unit-time series is rescaled by
-    the horizon.
+    ``scaling_coeffs`` holds the anchored level-``max_level`` coefficients,
+    one per index of ``basis.index_set(max_level)``.  ``pair`` integrates
+    the partial-sum density against a callable on the unit interval.  The
+    antiderivative is reported in real time; for function-kind targets the
+    unit-time series is rescaled by the horizon.
     """
 
     base_level: int
     max_level: int
     gamma: float
     basis: WaveletBasis
-    phi_coeffs: dict[int, float]
-    psi_coeffs: dict[tuple[int, int], float]
-    scaling_coeffs: dict[int, float]
+    scaling_coeffs: np.ndarray
     antiderivative: SampledPath
     kind: str  # "measure" or "function" support
-    _fine_mids: np.ndarray
-    _density: np.ndarray
     _model: object
     _source: ModelledDistribution
 
-    @property
-    def as_measure(self) -> "ReconstructionResult":
-        """The measure-like pairing surface (pair the result directly)."""
-        return self
-
-    @property
-    def levels_used(self) -> tuple[int, int]:
-        return (self.base_level, self.max_level)
+    @cached_property
+    def _density(self) -> np.ndarray:
+        """Partial-sum density at the midpoints of a fine uniform grid."""
+        j = self.max_level
+        # 2^15..2^17 midpoints, 16 per level-j cell where the cap allows;
+        # never coarser than level j itself, which the stencil needs
+        fine_level = max(j, min(max(j + 4, 15), 17))
+        return synthesise(self.scaling_coeffs, stencil(self.basis, "father", j, fine_level))
 
     def pair(self, fn) -> float:
         """``<R^J f, fn>`` on the unit interval (midpoint rule on the fine grid)."""
-        vals = np.asarray(fn(self._fine_mids), dtype=float)
-        return float(np.dot(vals, self._density) / self._fine_mids.size)
+        n = self._density.size
+        vals = np.asarray(fn((np.arange(n) + 0.5) / n), dtype=float)
+        return float(np.dot(vals, self._density) / n)
 
     def pi_pair_unit(self, s_node: int, fn) -> float:
         """``<Pi_s f(s), fn>`` with the same unit-time quadrature conventions."""
@@ -195,7 +135,6 @@ def reconstruct(
     model,
     basis: WaveletBasis | None = None,
     trunc_level: int | None = None,
-    fine_level: int | None = None,
 ) -> ReconstructionResult:
     """Partial-sum reconstruction of a modelled distribution.
 
@@ -231,55 +170,49 @@ def reconstruct(
     kind = kinds.pop()
 
     num = grid.num_intervals
-    u_mid = (np.arange(num) + 0.5) / num
-    du = 1.0 / num
+    ks = basis.index_set(trunc_level)
+    # anchor at the basis function's center of mass (k/2^J is its lattice
+    # point; the offset kills the first-moment error term)
     com = _father_center_of_mass(basis)
+    anchors = np.clip(np.rint((ks + com) * num / (1 << trunc_level)).astype(int), 0, num)
+    jets = ModelSpaceVector({sym: np.asarray(c)[anchors] for sym, c in f.coeffs.items()})
+    moved = gamma_apply(model.gamma_of(0, anchors), jets, model.structure).coeffs
+    table = stencil(basis, "father", trunc_level, grid.level)
 
-    def anchor_node(j: int, k: int) -> int:
-        # anchor at the basis function's center of mass (k/2^j is its
-        # lattice point; the offset kills the first-moment error term)
-        return min(max(int(round((k + com) * num / (1 << j))), 0), num)
+    coeffs = np.zeros(ks.size)
+    if kind == "measure":
+        for sym, c in moved.items():
+            coeffs += c * analyse(model.pi_measure(0, sym), table)
+    else:
+        # the midpoint rule pairs only the deviation from the value at the
+        # anchor, which is paired exactly through the cumulative table (so
+        # constants are reproduced to table precision); outside [0, 1] the
+        # jet is extended by its boundary values
+        du = 1.0 / num
+        scale = 2.0 ** (-trunc_level / 2.0)
+        at0 = basis.integral("father", -ks.astype(float))
+        at1 = basis.integral("father", float(1 << trunc_level) - ks)
+        int_left = scale * at0
+        int_right = scale * (1.0 - at1)
+        exact = scale * (at1 - at0) - analyse(np.ones(num), table) * du
+        for sym, c in moved.items():
+            g = model.pi_function(0, sym)
+            mid = analyse(0.5 * (g[:-1] + g[1:]), table) * du
+            coeffs += c * (mid + g[0] * int_left + g[-1] * int_right + g[anchors] * exact)
 
-    def coefficient(which: str, j: int, k: int) -> float:
-        window = _support_mid_slice(basis, j, k, num)
-        anchor = anchor_node(j, k)
-        if kind == "measure":
-            if window.start >= window.stop:
-                return 0.0
-            return _measure_base_pairings(f, model, basis, which, j, k, u_mid, anchor, window)
-        return _function_base_pairings(f, model, basis, which, j, k, u_mid, anchor, window, du)
-
-    # the anchored partial-sum operator lives at one fine level
-    scaling_coeffs = {
-        int(k): coefficient("father", trunc_level, int(k))
-        for k in basis.index_set(trunc_level)
-    }
-    phi_coeffs, psi_coeffs = _wavelet_analysis(basis, scaling_coeffs, trunc_level, base_level)
-
-    # partial-sum density on a fine uniform grid (for probe pairings)
-    if fine_level is None:
-        fine_level = min(max(trunc_level + 4, 15), 17)
-    fine_n = 1 << fine_level
-    fine_mids = (np.arange(fine_n) + 0.5) / fine_n
-    density = np.zeros(fine_n)
-    _synthesize(density, fine_mids, basis, "father", trunc_level, scaling_coeffs)
-
-    z_unit = _antiderivative_series(
-        grid.nodes / grid.horizon, basis, trunc_level, scaling_coeffs, {}
-    )
-    z = z_unit * (grid.horizon if kind == "function" else 1.0)
+    primitive = stencil(basis, "father", trunc_level, grid.level, cumulative=True)
+    z = np.zeros(grid.num_nodes)
+    z[1:] = np.cumsum(synthesise(coeffs, primitive))
+    if kind == "function":
+        z *= grid.horizon
     return ReconstructionResult(
         base_level=base_level,
         max_level=trunc_level,
         gamma=f.gamma,
         basis=basis,
-        phi_coeffs=phi_coeffs,
-        psi_coeffs=psi_coeffs,
-        scaling_coeffs=scaling_coeffs,
+        scaling_coeffs=coeffs,
         antiderivative=SampledPath(grid, z),
         kind=kind,
-        _fine_mids=fine_mids,
-        _density=density,
         _model=model,
         _source=f,
     )
@@ -297,82 +230,6 @@ def _father_center_of_mass(basis: WaveletBasis) -> float:
         vals = basis.evaluate("father", t)
         _COM_CACHE[key] = float(np.trapezoid(vals * t, t))
     return _COM_CACHE[key]
-
-
-def _wavelet_analysis(
-    basis: WaveletBasis, scaling: dict[int, float], top_level: int, base_level: int
-) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
-    """Exact multiscale split of a level-``top_level`` scaling expansion:
-    returns the base-level scaling row and the mother rows for
-    ``base_level <= j < top_level`` (coefficients outside the unit-interval
-    index windows are dropped)."""
-    h = basis.scaling_filter
-    taps = basis.taps
-    g = np.array([(-1) ** q * h[taps - 1 - q] for q in range(taps)])
-    s0 = basis.center_shift
-    c = dict(scaling)
-    psi: dict[tuple[int, int], float] = {}
-    for j in range(top_level, base_level, -1):
-        new_c: dict[int, float] = {}
-        for k in basis.index_set(j - 1):
-            acc_c = 0.0
-            acc_d = 0.0
-            for q in range(taps):
-                m = q + 2 * int(k) - s0
-                cm = c.get(m)
-                if cm is not None:
-                    acc_c += h[q] * cm
-                    acc_d += g[q] * cm
-            new_c[int(k)] = acc_c
-            psi[(j - 1, int(k))] = acc_d
-        c = new_c
-    return c, psi
-
-
-def _synthesize(
-    density: np.ndarray, fine_mids: np.ndarray, basis: WaveletBasis,
-    which: str, j: int, coeffs: dict[int, float],
-) -> None:
-    n = fine_mids.size
-    for k, c in coeffs.items():
-        if c == 0.0:
-            continue
-        window = _support_mid_slice(basis, j, k, n)
-        if window.start >= window.stop:
-            continue
-        density[window] += c * cascade_evaluate(basis, which, j, k, fine_mids[window])
-
-
-def _antiderivative_series(
-    u_nodes: np.ndarray,
-    basis: WaveletBasis,
-    base_level: int,
-    phi_coeffs: dict[int, float],
-    psi_coeffs: dict[tuple[int, int], float],
-) -> np.ndarray:
-    """``z(u) = sum c <int_0^u basis>`` evaluated at the grid nodes."""
-    z = np.zeros_like(u_nodes)
-    c = basis.support_radius
-
-    def add(which: str, j: int, k: int, coeff: float, total_integral: float) -> None:
-        if coeff == 0.0:
-            return
-        scale = 2.0 ** (-j / 2.0)
-        at0 = basis.integral(which, float(-k))
-        lo = (k - c) / (1 << j)
-        hi = (k + c) / (1 << j)
-        i0, i1 = np.searchsorted(u_nodes, [lo, hi])
-        inside = slice(i0, i1)
-        x = (1 << j) * u_nodes[inside] - k
-        z[inside] += coeff * scale * (basis.integral(which, x) - at0)
-        # after the support the cumulative integral is constant
-        z[i1:] += coeff * scale * (total_integral - at0)
-
-    for k, coeff in phi_coeffs.items():
-        add("father", base_level, k, coeff, 1.0)
-    for (j, k), coeff in psi_coeffs.items():
-        add("mother", j, k, coeff, 0.0)
-    return z
 
 
 def antiderivative_from_distribution(
@@ -395,10 +252,15 @@ def antiderivative_from_distribution(
         basis = daubechies_basis(4)
     table = wavelet_coefficients(xi, basis, base_level, max_level)
     grid = xi.integrator.grid
-    z = _antiderivative_series(
-        grid.nodes / grid.horizon, basis, table.base_level, table.phi, table.psi
-    )
-    return SampledPath(grid, z)
+
+    def increments(which: str, j: int, row: list[float]) -> np.ndarray:
+        return synthesise(np.array(row), stencil(basis, which, j, grid.level, cumulative=True))
+
+    base = table.base_level
+    dz = increments("father", base, [table.phi[k] for k in basis.index_set(base).tolist()])
+    for j in range(base, table.max_level + 1):
+        dz += increments("mother", j, [table.psi[(j, k)] for k in basis.index_set(j).tolist()])
+    return SampledPath(grid, np.concatenate([[0.0], np.cumsum(dz)]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +290,7 @@ def wavelet_rough_integral(
         rr = reconstruct(multiply_by_Wdot(f, j), model, basis, trunc_level)
         return rr.antiderivative.values[:, 0]
 
-    if n > 1 and thread_count() > 1:
-        with ThreadPoolExecutor(max_workers=min(thread_count(), n)) as pool:
-            cols = list(pool.map(column, range(n)))
-    else:
-        cols = [column(j) for j in range(n)]
-    integral = SampledPath(rp.path.grid, np.stack(cols, axis=1))
+    integral = SampledPath(rp.path.grid, np.stack([column(j) for j in range(n)], axis=1))
     certificate = three_point_defect(integral.values, cp, rp)
     return integral, certificate
 
@@ -456,26 +313,16 @@ def wavelet_lift(
     dw = w.increments()
     z = np.zeros((grid.num_nodes, n, n))
 
-    def lift_pair(ij: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-        i, j = ij
-        f = ModelledDistribution(
-            gamma=2 * alpha - 1.0,
-            coeffs={Wdot(j): w.values[:, i].copy()},
-            grid=grid,
-            structure=model.structure,
-            reference=w,
-        )
-        rr = reconstruct(f, model, basis, trunc_level)
-        return i, j, rr.antiderivative.values[:, 0]
-
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    if len(pairs) > 1 and thread_count() > 1:
-        with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-            results = list(pool.map(lift_pair, pairs))
-    else:
-        results = [lift_pair(p) for p in pairs]
-    for i, j, col in results:
-        z[:, i, j] = col
+    for i in range(n):
+        for j in range(n):
+            f = ModelledDistribution(
+                gamma=2 * alpha - 1.0,
+                coeffs={Wdot(j): w.values[:, i].copy()},
+                grid=grid,
+                structure=model.structure,
+                reference=w,
+            )
+            z[:, i, j] = reconstruct(f, model, basis, trunc_level).antiderivative.values[:, 0]
     increments = np.diff(z, axis=0) - np.einsum("ki,kj->kij", w.values[:-1], dw)
     return RoughPath(w, SecondOrderProcess(grid, increments, alpha), alpha)
 

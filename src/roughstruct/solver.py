@@ -33,8 +33,6 @@ class SolverConfig:
     max_picard_iters: int = 50
     fixed_point_tol: float = 1e-9
     integral_route: str = "riemann"
-    wavelet_moments: int = 4
-    trunc_margin: int = 2
 
     def __post_init__(self) -> None:
         if not 1 / 3 < self.alpha < self.beta <= 0.5:
@@ -77,15 +75,14 @@ def _integrate(g: np.ndarray, dg: np.ndarray, rp: RoughPath, cfg: SolverConfig) 
     from .structure import RoughModel
     from .wavelets import daubechies_basis
 
-    basis = daubechies_basis(cfg.wavelet_moments)
-    if grid.level < basis.min_base_level():
+    base_level = daubechies_basis().min_base_level()
+    if grid.level < base_level:
         raise SolverError(
             f"window of {grid.num_intervals} intervals is below the wavelet "
-            f"base level {basis.min_base_level()}; use the riemann route"
+            f"base level {base_level}; use the riemann route"
         )
     model = RoughModel(rp)
     structure = RoughStructure(rp.alpha, rp.dim)
-    trunc = min(grid.level, max(basis.min_base_level(), grid.level - cfg.trunc_margin))
     d = g.shape[1]
     n = rp.dim
     out = np.zeros((grid.num_nodes, d))
@@ -96,8 +93,7 @@ def _integrate(g: np.ndarray, dg: np.ndarray, rp: RoughPath, cfg: SolverConfig) 
             for i in range(n):
                 coeffs[WWdot(i, j)] = dg[:, m, j, i].copy()
         f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, grid, structure, rp.path)
-        rr = reconstruct(f, model, basis, trunc_level=trunc)
-        out[:, m] = rr.antiderivative.values[:, 0]
+        out[:, m] = reconstruct(f, model).antiderivative.values[:, 0]
     return out
 
 

@@ -103,7 +103,11 @@ def _coeff_norm(c) -> float:
 
 @dataclass(frozen=True)
 class StructureGroupElement:
-    """Shift parameter h in R^n; acts on symbols through the structure's rules."""
+    """Shift parameter h in R^n; acts on symbols through the structure's rules.
+
+    ``h`` of shape ``(n, K)`` is a batch of K shifts: the shifted
+    coefficients come out as length-K arrays.
+    """
 
     h: np.ndarray
 
@@ -159,10 +163,10 @@ class RoughStructure:
             )
         if sym.kind == "w":
             (i,) = sym.index
-            return ModelSpaceVector({sym: 1.0, ONE: float(h[i])})
+            return ModelSpaceVector({sym: 1.0, ONE: h[i]})
         if sym.kind == "wwdot":
             i, j = sym.index
-            return ModelSpaceVector({sym: 1.0, Wdot(j): float(h[i])})
+            return ModelSpaceVector({sym: 1.0, Wdot(j): h[i]})
         raise KeyError(f"{sym!r} not in this structure")
 
     def product(self, a: Symbol, b: Symbol) -> Symbol | None:
@@ -288,9 +292,10 @@ class RoughModel:
             return self.rough_path.second.increments[:, i, j] + rel * dw[:, j]
         raise KeyError(f"{sym!r} is not measure-valued")
 
-    def gamma_of(self, s_idx: int, t_idx: int) -> StructureGroupElement:
+    def gamma_of(self, s_idx: int, t_idx: int | np.ndarray) -> StructureGroupElement:
+        """``Gamma_{s,t}``; an index array for t gives the batch over t."""
         w = self.rough_path.path.values
-        return StructureGroupElement(w[s_idx] - w[t_idx])
+        return StructureGroupElement((w[s_idx] - w[t_idx]).T)
 
 
 class ReducedModel:
@@ -314,8 +319,8 @@ class ReducedModel:
             return self.path.increments()[:, sym.index[0]]
         raise KeyError(f"{sym!r} is not measure-valued in the reduced model")
 
-    def gamma_of(self, s_idx: int, t_idx: int) -> StructureGroupElement:
-        return StructureGroupElement(self.path.values[s_idx] - self.path.values[t_idx])
+    def gamma_of(self, s_idx: int, t_idx: int | np.ndarray) -> StructureGroupElement:
+        return StructureGroupElement((self.path.values[s_idx] - self.path.values[t_idx]).T)
 
 
 class PolynomialModel:
@@ -337,7 +342,7 @@ class PolynomialModel:
     def pi_measure(self, s_idx: int, sym: Symbol) -> np.ndarray:
         raise KeyError("polynomial model has no measure-valued symbols")
 
-    def gamma_of(self, s_idx: int, t_idx: int) -> StructureGroupElement:
+    def gamma_of(self, s_idx: int, t_idx: int | np.ndarray) -> StructureGroupElement:
         t = self.grid.nodes
         return StructureGroupElement(np.array([t[s_idx] - t[t_idx]]))
 

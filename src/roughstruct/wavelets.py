@@ -10,6 +10,13 @@ Pairings against ``dZ`` for a sampled path Z are midpoint
 Riemann-Stieltjes sums on the integrator grid; wavelet coefficients of a
 measure on ``[0, T]`` are taken in unit time ``u = t / T`` so the dyadic
 index sets match the unit-interval convention exactly.
+
+On a dyadic grid of level G, every level-j basis function is one fixed
+stencil shifted by ``k * 2**(G - j)`` nodes, so all pairings of grid arrays
+with a level's basis functions go through one engine: ``stencil`` tabulates
+the level-j function, ``analyse`` correlates a grid array with it (one
+coefficient per index of ``index_set(j)``) and ``synthesise`` is the
+transpose.  Both cost ``O(c N)``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -212,12 +219,14 @@ def _interp_table(table: np.ndarray, x: np.ndarray, clamp: bool = False) -> np.n
     return out.reshape(shape)
 
 
+@lru_cache(maxsize=None)
 def daubechies_basis(vanishing_moments: int = 4, table_level: int = 14) -> WaveletBasis:
     """Build a Daubechies basis with the given number of vanishing moments.
 
     Moments >= 2 give the two vanishing moments the coefficient-decay
     arguments need; >= 3 is C^1.  ``table_level`` controls the dyadic
-    evaluation resolution (>= 6 required downstream).
+    evaluation resolution (>= 6 required downstream).  Bases are memoised
+    and shared, so their tables are read-only.
     """
     if vanishing_moments not in DAUBECHIES_FILTERS:
         raise ValueError(
@@ -232,6 +241,8 @@ def daubechies_basis(vanishing_moments: int = 4, table_level: int = 14) -> Wavel
     step = 2.0 ** -table_level
     phi_cum = np.concatenate([[0.0], np.cumsum(0.5 * (phi[:-1] + phi[1:]) * step)])
     psi_cum = np.concatenate([[0.0], np.cumsum(0.5 * (psi[:-1] + psi[1:]) * step)])
+    for table in (h, phi, psi, phi_cum, psi_cum):
+        table.setflags(write=False)
     return WaveletBasis(
         family=f"db{vanishing_moments}",
         scaling_filter=h,
@@ -254,15 +265,53 @@ def cascade_evaluate(
     return scale * basis.evaluate(which, (1 << level) * t - shift)
 
 
-def basis_function_integral(
-    basis: WaveletBasis, which: str, level: int, shift: int, t: np.ndarray | float
-) -> np.ndarray | float:
-    """``int_0^t`` of the level-j shift-k basis function."""
-    scale = 2.0 ** (-level / 2.0)
-    t = np.asarray(t, dtype=float)
-    up = basis.integral(which, (1 << level) * t - shift)
-    at0 = basis.integral(which, float(-shift))
-    return scale * (up - at0)
+def stencil(
+    basis: WaveletBasis, which: str, level: int, grid_level: int, cumulative: bool = False
+) -> np.ndarray:
+    """The level-``level`` shift-0 basis function on the unit grid of level
+    ``grid_level``, as a ``(2c, s)`` table with ``s = 2**(grid_level - level)``.
+
+    Entry ``[q, i]`` belongs to grid interval ``r = (q - c) s + i``: the
+    midpoint sample ``cascade_evaluate(..., (r + 1/2) / 2**grid_level)``, or
+    with ``cumulative`` the integral of the function over the interval (from
+    the cumulative table, whose end is pinned to the exact total, 1 for phi
+    and 0 for psi).  Shifting by k moves the table by ``k s`` intervals.
+    """
+    c = int(basis.support_radius)
+    s = 1 << (grid_level - level)
+    if cumulative:
+        ends = basis.integral(which, np.arange(-c * s, c * s + 1) / s)
+        ends[-1] = 1.0 if which == "father" else 0.0
+        vals = 2.0 ** (-level / 2.0) * np.diff(ends)
+    else:
+        mids = (np.arange(-c * s, c * s) + 0.5) / (1 << grid_level)
+        vals = cascade_evaluate(basis, which, level, 0, mids)
+    return vals.reshape(2 * c, s)
+
+
+def analyse(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Pair a per-interval grid array with every shift of a stencil.
+
+    Returns ``sum_r table[r - k s] x[r]`` for ``k`` in ``index_set(level)``
+    (``-c .. 2**level + c``), where ``x`` has ``2**grid_level`` entries.
+    """
+    two_c, s = table.shape
+    blocks = x.reshape(-1, s) @ table.T  # blocks[b, q]: block b against stencil row q
+    n = blocks.shape[0]
+    out = np.zeros(n + two_c + 1)
+    for q in range(two_c):
+        out[two_c - q : two_c - q + n] += blocks[:, q]
+    return out
+
+
+def synthesise(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Transpose of ``analyse``: ``sum_k coeffs_k table[r - k s]`` per interval r."""
+    two_c, s = table.shape
+    n = coeffs.size - two_c - 1
+    out = np.zeros((n, s))
+    for q in range(two_c):
+        out += np.outer(coeffs[two_c - q : two_c - q + n], table[q])
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +415,14 @@ def wavelet_coefficients(
         raise ValueError(
             f"max_level {max_level} exceeds integrator grid resolution {grid.level}"
         )
-    u_mid = grid.midpoints() / grid.horizon
     dz = xi.integrator.increments()[:, 0]
-    phi_row = {
-        int(k): float(np.dot(cascade_evaluate(basis, "father", base_level, k, u_mid), dz))
-        for k in basis.index_set(base_level)
+
+    def row(which: str, j: int) -> zip:
+        coeffs = analyse(dz, stencil(basis, which, j, grid.level))
+        return zip(basis.index_set(j).tolist(), coeffs.tolist())
+
+    phi_row = dict(row("father", base_level))
+    psi = {
+        (j, k): v for j in range(base_level, max_level + 1) for k, v in row("mother", j)
     }
-    psi = {}
-    for j in range(base_level, max_level + 1):
-        for k in basis.index_set(j):
-            val = np.dot(cascade_evaluate(basis, "mother", j, k, u_mid), dz)
-            psi[(j, int(k))] = float(val)
     return CoefficientTable(base_level, max_level, grid.horizon, phi_row, psi)

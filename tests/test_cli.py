@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from roughstruct.cli import main
+from roughstruct.grids import read_path_csv
+from roughstruct.integration import young_integral
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -109,6 +111,11 @@ def test_young_integrate(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(text)["final"][0] == pytest.approx(2.0 / 3.0, abs=1e-3)
+    # every node is the left-point sum over its own window [0, t_k]
+    w_path, y_path = read_path_csv(str(w)), read_path_csv(str(y))
+    got = read_path_csv(str(out)).values[:, 0]
+    want = [young_integral(y_path, w_path, 0, k)[0] for k in range(w_path.grid.num_nodes)]
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_solve_exponential(tmp_path, capsys):

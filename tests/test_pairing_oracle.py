@@ -1,0 +1,216 @@
+"""The stencil engine against a direct per-coefficient quadrature.
+
+The reference pairs every basis function with the anchored local model one
+coefficient at a time: it samples ``phi^J_k`` with ``cascade_evaluate`` at
+the unit-time grid midpoints ``(m + 1/2) / N`` inside its support and dots
+the samples with ``Pi_anchor f(anchor)``, realized by the model at the
+anchor itself (no re-expansion through Gamma).  Antiderivatives are summed
+termwise from the cumulative tables.  Agreement is required to 1e-12
+relative to the largest entry, far below the reconstruction tolerances,
+so an offset of half a cell in a stencil cannot pass.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from roughstruct import (
+    ONE,
+    ControlledPath,
+    ModelledDistribution,
+    PolynomialModel,
+    ReducedModel,
+    RoughModel,
+    StieltjesMeasure,
+    Wdot,
+    X,
+    antiderivative_from_distribution,
+    cascade_evaluate,
+    daubechies_basis,
+    generate_path,
+    lift_piecewise_smooth,
+    make_dyadic_grid,
+    multiply_by_Wdot,
+    reconstruct,
+    to_modelled,
+    wavelet_coefficients,
+)
+
+ALPHA = 0.45
+GRID_LEVEL = 9
+TOL = 1e-12
+
+
+def _unit_mids(grid) -> np.ndarray:
+    return (np.arange(grid.num_intervals) + 0.5) / grid.num_intervals
+
+
+def _center_of_mass(basis) -> float:
+    t = np.arange(-basis.center_shift, basis.taps - 1 - basis.center_shift + 1e-9,
+                  basis.table_step)
+    return float(np.trapezoid(basis.evaluate("father", t) * t, t))
+
+
+def _reference_coeffs(f, model, basis, j: int) -> np.ndarray:
+    grid = f.grid
+    num = grid.num_intervals
+    u_mid = _unit_mids(grid)
+    du = 1.0 / num
+    c = basis.support_radius
+    com = _center_of_mass(basis)
+    scale = 2.0 ** (-j / 2.0)
+    out = []
+    for k in basis.index_set(j):
+        k = int(k)
+        anchor = min(max(int(round((k + com) * num / (1 << j))), 0), num)
+        inside = (u_mid >= (k - c) / (1 << j)) & (u_mid <= (k + c) / (1 << j))
+        vals = cascade_evaluate(basis, "father", j, k, u_mid[inside])
+        at0 = basis.integral("father", float(-k))
+        at1 = basis.integral("father", float((1 << j) - k))
+        total = 0.0
+        for sym, coeff in f.coeffs.items():
+            if model.pi_kind(sym) == "measure":
+                base = np.dot(vals, model.pi_measure(anchor, sym)[inside])
+            else:
+                g = model.pi_function(anchor, sym)
+                g0 = g[anchor]
+                inner = np.dot(vals, 0.5 * (g[:-1] + g[1:])[inside] - g0) * du
+                base = (g0 * scale * (at1 - at0) + inner
+                        + g[0] * scale * at0 + g[-1] * scale * (1.0 - at1))
+            total += float(coeff[anchor]) * float(base)
+        out.append(total)
+    return np.array(out)
+
+
+def _reference_primitive(basis, which: str, j: int, coeffs: np.ndarray, num: int) -> np.ndarray:
+    """``sum_k coeffs_k int_0^u`` of the level-j basis functions at the unit nodes;
+    beyond the support the exact total (1 for phi, 0 for psi) applies."""
+    ks = basis.index_set(j).astype(float)
+    x = (1 << j) * (np.arange(num + 1) / num)[None, :] - ks[:, None]
+    total = 1.0 if which == "father" else 0.0
+    cum = np.where(x >= basis.support_radius, total, basis.integral(which, x))
+    return 2.0 ** (-j / 2.0) * coeffs @ (cum - basis.integral(which, -ks)[:, None])
+
+
+def _close(got, want) -> None:
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= TOL * np.abs(want).max()
+
+
+def _rough_setup(horizon: float):
+    grid = make_dyadic_grid(horizon, GRID_LEVEL)
+    w = generate_path("fbm", grid, dim=2, hurst=ALPHA, seed=5)
+    rp = lift_piecewise_smooth(w, "linear", ALPHA)
+    wv = w.values[:, 0]
+    yp = np.zeros((grid.num_nodes, 1, 2))
+    yp[:, 0, 0] = np.cos(wv)
+    yp[:, 0, 1] = 0.7
+    return RoughModel(rp), ControlledPath(np.sin(wv), yp, w)
+
+
+def _case(name: str, horizon: float):
+    if name == "rough-measure":
+        model, cp = _rough_setup(horizon)
+        return multiply_by_Wdot(to_modelled(cp, ALPHA), 1), model
+    if name == "rough-function":
+        model, cp = _rough_setup(horizon)
+        return to_modelled(cp, ALPHA), model
+    grid = make_dyadic_grid(horizon, GRID_LEVEL)
+    if name == "reduced":
+        w = generate_path("fbm", grid, dim=2, hurst=ALPHA, seed=8)
+        model = ReducedModel(w, ALPHA)
+        coeffs = {Wdot(0): w.values[:, 1].copy()}
+        return ModelledDistribution(2 * ALPHA - 1, coeffs, grid, model.structure, w), model
+    model = PolynomialModel(grid)
+    t = grid.nodes
+    coeffs = {ONE: np.sin(3 * t) + t, X(1): 3 * np.cos(3 * t) + 1, X(2): -4.5 * np.sin(3 * t)}
+    return ModelledDistribution(3.0, coeffs, grid, model.structure, None), model
+
+
+@pytest.mark.parametrize("moments", [3, 4])
+@pytest.mark.parametrize("horizon", [1.0, 1.13])
+@pytest.mark.parametrize("name", ["rough-measure", "rough-function", "reduced", "polynomial"])
+def test_reconstruct_matches_per_coefficient_quadrature(name, horizon, moments):
+    basis = daubechies_basis(moments)
+    f, model = _case(name, horizon)
+    j = GRID_LEVEL - 2
+    rr = reconstruct(f, model, basis)
+    want = _reference_coeffs(f, model, basis, j)
+    # the full index set: both boundary shifts and every interior one
+    _close(rr.scaling_coeffs, want)
+    for pos in (0, 1, len(want) // 2, -2, -1):
+        assert abs(rr.scaling_coeffs[pos] - want[pos]) <= TOL * np.abs(want).max()
+    z = _reference_primitive(basis, "father", j, want, f.grid.num_intervals)
+    if rr.kind == "function":
+        z = z * horizon
+    _close(rr.antiderivative.values[:, 0], z)
+
+
+@pytest.mark.parametrize("moments", [3, 4])
+@pytest.mark.parametrize("horizon", [1.0, 1.13])
+def test_wavelet_tables_match_per_coefficient_quadrature(horizon, moments):
+    basis = daubechies_basis(moments)
+    grid = make_dyadic_grid(horizon, GRID_LEVEL)
+    xi = StieltjesMeasure(generate_path("fbm", grid, hurst=ALPHA, seed=13))
+    dz = xi.integrator.increments()[:, 0]
+    u_mid = _unit_mids(grid)
+    table = wavelet_coefficients(xi, basis)
+    levels = range(table.base_level, table.max_level + 1)
+
+    def row(which: str, j: int) -> np.ndarray:
+        return np.array([np.dot(cascade_evaluate(basis, which, j, int(k), u_mid), dz)
+                         for k in basis.index_set(j)])
+
+    phi = row("father", table.base_level)
+    _close([table.phi[int(k)] for k in basis.index_set(table.base_level)], phi)
+    z = _reference_primitive(basis, "father", table.base_level, phi, grid.num_intervals)
+    for j in levels:
+        psi = row("mother", j)
+        _close([table.psi[(j, int(k))] for k in basis.index_set(j)], psi)
+        z = z + _reference_primitive(basis, "mother", j, psi, grid.num_intervals)
+    assert len(table.psi) == sum(basis.index_set(j).size for j in levels)
+    _close(antiderivative_from_distribution(xi, basis).values[:, 0], z)
+
+
+def test_density_matches_direct_synthesis(basis):
+    f, model = _case("rough-measure", 1.0)
+    rr = reconstruct(f, model, basis)
+    j = rr.max_level
+    fine = (np.arange(1 << 15) + 0.5) / (1 << 15)
+    density = sum(c * cascade_evaluate(basis, "father", j, int(k), fine)
+                  for k, c in zip(basis.index_set(j), rr.scaling_coeffs))
+
+    def probe(u):
+        return np.exp(-((u - 0.4) / 0.1) ** 2)
+
+    assert rr.pair(probe) == pytest.approx(np.dot(probe(fine), density) / fine.size, rel=TOL)
+
+
+@pytest.mark.parametrize("name", ["rough-measure", "rough-function"])
+def test_reconstruct_realizes_each_symbol_once(name):
+    # the jet is re-expanded at one base point: one model realization per
+    # transported symbol, however many coefficients there are
+    grid_level = 12
+    grid = make_dyadic_grid(1.0, grid_level)
+    w = generate_path("sin_cos", grid, dim=2)
+    model = RoughModel(lift_piecewise_smooth(w, "sin_cos", ALPHA))
+    cp = ControlledPath(np.sin(w.values[:, 0]), np.ones((grid.num_nodes, 1, 2)), w)
+    f = to_modelled(cp, ALPHA)
+    if name == "rough-measure":
+        f = multiply_by_Wdot(f, 0)
+    calls = []
+    for method in ("pi_measure", "pi_function"):
+        bound = getattr(model, method)
+
+        def counted(s_idx, sym, bound=bound):
+            calls.append((s_idx, sym))
+            return bound(s_idx, sym)
+
+        setattr(model, method, counted)
+    reconstruct(f, model)
+    symbols = {sym for _, sym in calls}
+    assert len(calls) == len(symbols) == len(f.coeffs)
+    assert {s for s, _ in calls} == {0}

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from roughstruct import (
     ONE,
@@ -255,3 +257,58 @@ def test_zero_path_noise_contribution_vanishes():
     m = RoughModel(lift_piecewise_smooth(w, "linear", 0.45))
     pi_norm, _ = model_bound_estimate(m, gamma=0.9, symbols=[Wdot(0)])
     assert pi_norm == 0.0
+
+
+# ---------------------------------------------------------------------------
+# re-expansion at one base point: Pi_s tau = Pi_0 (Gamma_{0,s} tau)
+
+
+def _models_for_reexpansion():
+    grid = make_dyadic_grid(1.3, 7)
+    w = generate_path("fbm", grid, dim=2, hurst=0.45, seed=21)
+    rough = RoughModel(lift_piecewise_smooth(w, "linear", 0.45))
+    reduced = ReducedModel(w, 0.45)
+    poly = PolynomialModel(grid, max_degree=4)
+    return {"rough": rough, "reduced": reduced, "polynomial": poly}
+
+
+_REEXPANSION_MODELS = _models_for_reexpansion()
+
+
+def _realize(model, s_idx: int, sym) -> np.ndarray:
+    if model.pi_kind(sym) == "measure":
+        return model.pi_measure(s_idx, sym)
+    return model.pi_function(s_idx, sym)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=hst.sampled_from(sorted(_REEXPANSION_MODELS)),
+    s_idx=hst.integers(min_value=0, max_value=128),
+)
+def test_pi_s_is_pi_0_after_gamma(name, s_idx):
+    model = _REEXPANSION_MODELS[name]
+    for sym in model.structure.symbols():
+        moved = gamma_apply(model.gamma_of(0, s_idx), ModelSpaceVector({sym: 1.0}),
+                            model.structure)
+        rebuilt = sum(c * _realize(model, 0, tau) for tau, c in moved.coeffs.items())
+        direct = _realize(model, s_idx, sym)
+        assert np.abs(rebuilt - direct).max() <= 1e-12 * (1.0 + np.abs(direct).max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=hst.sampled_from(sorted(_REEXPANSION_MODELS)),
+    anchors=hst.lists(hst.integers(min_value=0, max_value=128), min_size=1, max_size=12),
+)
+def test_batched_gamma_matches_scalar_calls(name, anchors):
+    model = _REEXPANSION_MODELS[name]
+    anchors = np.array(anchors)
+    jets = {sym: np.linspace(-1.0, 2.0, anchors.size) for sym in model.structure.symbols()}
+    batched = gamma_apply(model.gamma_of(0, anchors), ModelSpaceVector(jets), model.structure)
+    for q, t_idx in enumerate(anchors):
+        one = ModelSpaceVector({sym: float(c[q]) for sym, c in jets.items()})
+        scalar = gamma_apply(model.gamma_of(0, int(t_idx)), one, model.structure)
+        assert batched.coeffs.keys() == scalar.coeffs.keys()
+        for sym, c in scalar.coeffs.items():
+            assert np.asarray(batched.coeffs[sym])[q] == pytest.approx(c, rel=1e-15, abs=1e-15)

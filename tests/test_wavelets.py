@@ -86,6 +86,14 @@ def test_table_level_guard():
         daubechies_basis(17)
 
 
+def test_basis_is_memoised_and_read_only():
+    basis = daubechies_basis(4)
+    assert daubechies_basis(4) is basis
+    for table in (basis.scaling_filter, basis._phi, basis._psi, basis._phi_cum, basis._psi_cum):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
 def test_min_base_level(basis):
     level = basis.min_base_level()
     assert 2.0**-level * basis.support_radius <= 1.0
