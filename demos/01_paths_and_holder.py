@@ -24,8 +24,8 @@ print(f"grid: {grid.num_intervals} intervals of width {grid.step:.2e} on [0, 1]"
 smooth = generate_path("sin_cos", grid, dim=2)
 sqrt_path = SampledPath(grid, np.sqrt(grid.nodes))
 
-# fractional Brownian motion by exact Cholesky of the covariance;
-# reproducible from the seed
+# fractional Brownian motion with the exact covariance, drawn by circulant
+# embedding of its increments in O(N log N); reproducible from the seed
 rough = generate_path("fbm", grid, hurst=0.4, seed=7)
 
 print("\nHölder seminorm estimates (max increment quotient over grid pairs):")

@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_GRID_LEVEL = 24
 
@@ -143,22 +144,38 @@ def holder_seminorm(path: SampledPath, alpha: float, dense: bool | None = None) 
     ``|Z_{s,t}| / |t-s|**alpha``.
 
     Exact over all pairs up to level 12; aligned dyadic pairs beyond
-    (pass ``dense=True`` to force the quadratic scan).
+    (pass ``dense=True`` to force the quadratic scan).  Both scan lag by lag
+    with one denominator ``(lag*h)**alpha``; the all-pairs scan takes blocks
+    of lags as strided views of the values, in O(N) memory.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if path.grid.num_nodes < 2:
         raise ValueError("path needs at least two nodes")
-    s_idx, t_idx = pair_indices(path.grid.num_nodes, dense)
+    n_int = path.grid.num_intervals
+    if dense is None:
+        dense = n_int <= (1 << DENSE_PAIR_LEVEL)
+    x = np.ascontiguousarray(path.values.T)
+    step = path.grid.step
     best = 0.0
-    nodes = path.grid.nodes
-    vals = path.values
-    for lo in range(0, len(s_idx), 1 << 21):
-        s = s_idx[lo : lo + (1 << 21)]
-        t = t_idx[lo : lo + (1 << 21)]
-        num = np.linalg.norm(vals[t] - vals[s], axis=1)
-        den = np.abs(nodes[t] - nodes[s]) ** alpha
-        best = max(best, float(np.max(num / den)))
+    if not dense:
+        for m in range(n_int.bit_length()):
+            inc = np.diff(x[:, :: 1 << m], axis=1)
+            num = np.sqrt(np.max(np.einsum("ik,ik->k", inc, inc)))
+            best = max(best, float(num / ((1 << m) * step) ** alpha))
+        return best
+    block = max(1, (1 << 18) // x.size)  # lags per block: ~2 MiB of increments
+    # edge padding credits x_N with a longer lag than it has, so a padded
+    # quotient never exceeds the true one of (s, N), scanned at its own lag
+    xpad = np.concatenate([x, np.repeat(x[:, -1:], block - 1, axis=1)], axis=1)
+    for lag in range(1, n_int + 1, block):
+        width = n_int + 1 - lag
+        # rows[:, b, s] = x_{s+lag+b}
+        rows = sliding_window_view(xpad[:, lag:], width, axis=1)[:, : min(block, width)]
+        inc = rows - x[:, None, :width]
+        sq = np.einsum("ibs,ibs->bs", inc, inc).max(axis=1)
+        lags = np.arange(lag, lag + len(sq))
+        best = max(best, float(np.max(np.sqrt(sq) / (lags * step) ** alpha)))
     return best
 
 
@@ -182,6 +199,32 @@ def fbm_covariance(times: np.ndarray, hurst: float) -> np.ndarray:
     return 0.5 * (np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(t - s) ** h2)
 
 
+def fgn_from_normals(z: np.ndarray, hurst: float, step: float) -> np.ndarray:
+    """Fractional Gaussian noise, shape ``(..., n)``, on steps of width
+    ``step`` from standard normals ``z`` of shape ``(..., 2n)``: Davies &
+    Harte (1987) circulant embedding of the noise autocovariance, exact and
+    O(n log n).  Linear in ``z``, so the identity yields the implied
+    covariance.  Raises ``ValueError`` on a negative embedding eigenvalue
+    beyond round-off (fGn has none: Dietrich & Newsam 1997).
+    """
+    n = z.shape[-1] // 2
+    h2 = 2.0 * hurst
+    k = np.arange(2, n + 1, dtype=float)
+    # (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2 via expm1/log1p: the plain second
+    # difference loses ~eps k^2 relative at large lags
+    far = 0.5 * k**h2 * (np.expm1(h2 * np.log1p(1 / k)) + np.expm1(h2 * np.log1p(-1 / k)))
+    acov = np.concatenate([[1.0, 2.0 ** (h2 - 1.0) - 1.0], far])
+    eig = np.fft.rfft(np.concatenate([acov, acov[-2:0:-1]])).real
+    if eig.min() < -1e-10 * eig.max():
+        raise ValueError("fbm circulant embedding is not positive semi-definite on this grid")
+    # the two real end modes carry twice the variance of each complex pair
+    scale = np.sqrt(np.maximum(eig, 0.0) / (4 * n))
+    scale[[0, n]] *= np.sqrt(2.0)
+    half = scale * z[..., : n + 1].astype(complex)
+    half[..., 1:n] += 1j * scale[1:n] * z[..., n + 1 :]
+    return np.fft.irfft(half, 2 * n, axis=-1)[..., :n] * (2 * n * step**hurst)
+
+
 def generate_path(
     kind: str,
     grid: TimeGrid,
@@ -197,11 +240,12 @@ def generate_path(
     kind:
         ``sin_cos``          components alternate sin/cos of increasing frequency
         ``polynomial``       ``coeffs[i]`` = ascending coefficients of component i
-        ``fbm``              exact-covariance Gaussian sample (Cholesky), W(0) = 0
+        ``fbm``              exact-covariance Gaussian sample, W(0) = 0
         ``piecewise_linear`` linear interpolation through ``knots`` [(t, value), ...]
 
-    fbm paths are reproducible from ``seed``; the covariance Cholesky factor
-    is O(N^3), fine at desk scale.
+    fbm paths are reproducible from ``seed``, in O(N log N) time and O(N)
+    memory (:func:`fgn_from_normals`); at ``hurst = 0.5`` the path is
+    ``sqrt(h) * cumsum(z)``, the Cholesky factor of ``h * min(i, j)`` on ``z``.
     """
     t = grid.nodes
     if kind == "sin_cos":
@@ -216,14 +260,14 @@ def generate_path(
         if not 0.0 < hurst < 1.0:
             raise ValueError(f"hurst must be in (0, 1), got {hurst}")
         rng = np.random.default_rng(seed)
-        cov = fbm_covariance(t[1:], hurst)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("fbm covariance not positive definite on this grid") from exc
+        n = grid.num_intervals
+        if hurst == 0.5:
+            walk = np.sqrt(grid.step) * np.cumsum(rng.standard_normal((dim, n)), axis=1)
+        else:
+            noise = fgn_from_normals(rng.standard_normal((dim, 2 * n)), hurst, grid.step)
+            walk = np.cumsum(noise, axis=1)
         vals = np.zeros((grid.num_nodes, dim))
-        for i in range(dim):
-            vals[1:, i] = chol @ rng.standard_normal(grid.num_nodes - 1)
+        vals[1:] = walk.T
         return SampledPath(grid, vals)
     if kind == "piecewise_linear":
         if not knots:
@@ -304,11 +348,6 @@ def profile_function(name: str) -> Callable[[np.ndarray], np.ndarray]:
             fn = _RAW_PROFILES[base]
             return lambda u, fn=fn, scale=scale: fn(u) / scale
     raise ValueError(f"unknown test-function profile {name!r}")
-
-
-def register_profile(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Register a custom profile (compact support in [-1, 1] expected)."""
-    _RAW_PROFILES[name] = fn
 
 
 @dataclass(frozen=True)

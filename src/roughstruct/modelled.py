@@ -327,20 +327,6 @@ class FunctionDescriptor:
                 f"[{np.min(y):.4g}, {np.max(y):.4g}] vs [{lo}, {hi}]"
             )
 
-    def sup_bounds(self, lo: float, hi: float, samples: int = 4097) -> dict[str, float]:
-        """Sampled sup norms of F and its derivatives on [lo, hi] (scalar
-        descriptors only); the C^k_b bounds the composition estimates use."""
-        if not self.scalar:
-            raise ValueError("sup_bounds is implemented for scalar descriptors")
-        y = np.linspace(lo, hi, samples)
-        out = {"f": float(np.abs(self.value(y)).max()),
-               "f1": float(np.abs(self.jacobian(y)).max())}
-        if self.second is not None:
-            out["f2"] = float(np.abs(np.asarray(self.second(y))).max())
-        if self.third is not None:
-            out["f3"] = float(np.abs(np.asarray(self.third(y))).max())
-        return out
-
 
 def scalar_descriptor(
     name: str,

@@ -5,9 +5,9 @@ every coarser ``WW_{s,t}`` is assembled through Chen's relation
 
     ``WW_{s,t} = WW_{s,u} + WW_{u,t} + W_{s,u} (x) W_{u,t}``
 
-so the relation holds by construction and the defect scan measures only
-round-off.  Query-level pair overrides exist to represent (and detect) a
-second-order process that is *not* Chen-consistent.
+so the relation holds by construction.  Query-level pair overrides exist to
+represent (and detect) a second-order process that is *not* Chen-consistent:
+``chen_defect`` scans every triple touching one, and probes the rest in O(N).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import SampledPath, TimeGrid, pair_indices, read_path_csv, write_path_csv
+from .grids import SampledPath, TimeGrid, holder_seminorm, pair_indices, read_path_csv, write_path_csv
 
-#: Full-triple defect scans and dense pair scans run up to this grid level.
+#: Rough-path seminorm scans cover all node pairs up to this grid level.
 DENSE_SCAN_LEVEL = 8
 
 
@@ -118,11 +118,8 @@ class RoughPath:
             - self._prefix[i_idx]
             - np.einsum("ki,kj->kij", w[i_idx] - w[0], w[j_idx] - w[i_idx])
         )
-        if self.second.pair_overrides:
-            for pos, (i, j) in enumerate(zip(i_idx, j_idx)):
-                ov = self.second.pair_overrides.get((int(i), int(j)))
-                if ov is not None:
-                    out[pos] = ov
+        for (i, j), ov in self.second.pair_overrides.items():
+            out[(i_idx == i) & (j_idx == j)] = ov
         return out
 
     def restrict(self, start: int, level: int) -> "RoughPath":
@@ -135,56 +132,40 @@ class RoughPath:
         return RoughPath(sub_path, sub_second, self.alpha)
 
 
-def _triple_defect_max(rp: RoughPath, node_idx: np.ndarray) -> float:
-    """Max Chen defect over all triples s < u < t drawn from ``node_idx``."""
-    m = len(node_idx)
-    n = rp.dim
-    ii, jj = np.meshgrid(node_idx, node_idx, indexing="ij")
-    q = rp.pairs(ii.ravel(), jj.ravel()).reshape(m, m, n, n)
-    w = rp.path.values[node_idx]
-    best = 0.0
-    for u in range(1, m - 1):
-        # defect[s, t] = q[s,t] - q[s,u] - q[u,t] - W_{s,u} (x) W_{u,t}
-        d = (
-            q[:u, u + 1 :]
-            - q[:u, u][:, None]
-            - q[u, u + 1 :][None, :]
-            - np.einsum("si,tj->stij", w[u] - w[:u], w[u + 1 :] - w[u])
-        )
-        norms2 = np.einsum("stij,stij->st", d, d)
-        best = max(best, float(norms2.max()))
-    return float(np.sqrt(best))
-
-
 def chen_defect(rp: RoughPath) -> float:
-    """Max over scanned triples of the Chen-relation defect (Frobenius norm).
+    """Max over scanned triples ``s < u < t`` of the Chen-relation defect
+    ``|WW_{s,t} - WW_{s,u} - WW_{u,t} - W_{s,u} (x) W_{u,t}|`` (Frobenius).
 
-    Full triples up to grid level 8; above that, all triples of the level-8
-    subgrid plus adjacent finest triples, plus any triple touching a pair
-    override.
+    Stored tensors satisfy Chen by construction, so only pair overrides can
+    break it: every triple touching an override ``(i, j)`` is scanned, in all
+    three roles, outer ``(i, u, j)``, left inner ``(i, j, t)`` and right inner
+    ``(s, i, j)``.  Round-off is probed on the aligned dyadic triples
+    ``(k 2^(m+1), k 2^(m+1) + 2^m, (k+1) 2^(m+1))`` of every scale m and the
+    adjacent ``(k, k+1, k+2)``: O((K + 1) N) triples for K overrides.
     """
-    grid = rp.path.grid
-    if grid.level <= DENSE_SCAN_LEVEL:
-        return _triple_defect_max(rp, np.arange(grid.num_nodes))
-    sub = np.arange(0, grid.num_nodes, 1 << (grid.level - DENSE_SCAN_LEVEL))
-    best = _triple_defect_max(rp, sub)
+    n_int = rp.path.grid.num_intervals
+    triples = []
+    for m in range(rp.path.grid.level):
+        s = np.arange(0, n_int, 2 << m)
+        triples.append((s, s + (1 << m), s + (2 << m)))
+    k = np.arange(n_int - 1)
+    triples.append((k, k + 1, k + 2))
+    for i, j in rp.second.pair_overrides:
+        if 0 <= i < j <= n_int:
+            triples += [
+                np.broadcast_arrays(i, np.arange(i + 1, j), j),
+                np.broadcast_arrays(i, j, np.arange(j + 1, n_int + 1)),
+                np.broadcast_arrays(np.arange(i), i, j),
+            ]
+    s, u, t = (np.concatenate(part) for part in zip(*triples))
     w = rp.path.values
-    # adjacent finest triples (k, k+1, k+2)
-    k = np.arange(grid.num_nodes - 2)
     d = (
-        rp.pairs(k, k + 2)
-        - rp.pairs(k, k + 1)
-        - rp.pairs(k + 1, k + 2)
-        - np.einsum("ki,kj->kij", w[k + 1] - w[k], w[k + 2] - w[k + 1])
+        rp.pairs(s, t)
+        - rp.pairs(s, u)
+        - rp.pairs(u, t)
+        - np.einsum("ki,kj->kij", w[u] - w[s], w[t] - w[u])
     )
-    best = max(best, float(np.sqrt(np.einsum("kij,kij->k", d, d)).max()))
-    for (i, j) in rp.second.pair_overrides:
-        for u in range(i + 1, j):
-            d = rp.pair(i, j) - rp.pair(i, u) - rp.pair(u, j) - np.outer(
-                w[u] - w[i], w[j] - w[u]
-            )
-            best = max(best, float(np.linalg.norm(d)))
-    return best
+    return float(np.sqrt(np.einsum("kij,kij->k", d, d).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +241,27 @@ def lift_piecewise_smooth(
     return RoughPath(w, SecondOrderProcess(w.grid, inc, alpha), alpha)
 
 
-def rough_path_seminorm(rp: RoughPath, dense: bool | None = None) -> tuple[float, float, float]:
-    """Grid maxima of the two Hölder quotients and their sum:
-    ``(|W|_alpha, |WW|_2alpha, total)``."""
-    grid = rp.path.grid
-    if dense is None:
-        dense = grid.level <= DENSE_SCAN_LEVEL
+def _second_order_quotient(pairs, grid: TimeGrid, exponent: float, dense: bool) -> float:
+    """Max over scanned node pairs of ``|pairs(s, t)| / (t_t - t_s)**exponent``."""
     s_idx, t_idx = pair_indices(grid.num_nodes, dense)
     nodes = grid.nodes
-    dt = nodes[t_idx] - nodes[s_idx]
-    dw = np.linalg.norm(rp.path.values[t_idx] - rp.path.values[s_idx], axis=1)
-    first = float(np.max(dw / dt**rp.alpha))
-    second = 0.0
+    best = 0.0
     for lo in range(0, len(s_idx), 1 << 18):
         s = s_idx[lo : lo + (1 << 18)]
         t = t_idx[lo : lo + (1 << 18)]
-        ww = rp.pairs(s, t)
+        ww = pairs(s, t)
         norms = np.sqrt(np.einsum("kij,kij->k", ww, ww))
-        second = max(second, float(np.max(norms / (nodes[t] - nodes[s]) ** (2 * rp.alpha))))
+        best = max(best, float(np.max(norms / (nodes[t] - nodes[s]) ** exponent)))
+    return best
+
+
+def rough_path_seminorm(rp: RoughPath, dense: bool | None = None) -> tuple[float, float, float]:
+    """Grid maxima of the two Hölder quotients and their sum:
+    ``(|W|_alpha, |WW|_2alpha, total)``."""
+    if dense is None:
+        dense = rp.path.grid.level <= DENSE_SCAN_LEVEL
+    first = holder_seminorm(rp.path, rp.alpha, dense)
+    second = _second_order_quotient(rp.pairs, rp.path.grid, 2 * rp.alpha, dense)
     return first, second, first + second
 
 
@@ -285,27 +269,15 @@ def rough_path_distance(a: RoughPath, b: RoughPath, dense: bool | None = None) -
     """Rough-path seminorm of the difference (same grid, same alpha)."""
     if a.path.grid.num_nodes != b.path.grid.num_nodes or a.dim != b.dim:
         raise ValueError("rough paths must share grid and dimension")
+    if dense is None:
+        dense = a.path.grid.level <= DENSE_SCAN_LEVEL
     diff_path = SampledPath(a.path.grid, a.path.values - b.path.values)
-    diff_second = SecondOrderProcess(
-        a.path.grid, a.second.increments - b.second.increments, a.alpha
-    )
     # the difference of two second-order processes is not itself one (the
     # cross terms differ), so assemble both sides and subtract per pair
-    grid = a.path.grid
-    if dense is None:
-        dense = grid.level <= DENSE_SCAN_LEVEL
-    s_idx, t_idx = pair_indices(grid.num_nodes, dense)
-    nodes = grid.nodes
-    dt = nodes[t_idx] - nodes[s_idx]
-    first = float(np.max(np.linalg.norm(diff_path.values[t_idx] - diff_path.values[s_idx], axis=1) / dt**a.alpha))
-    second = 0.0
-    for lo in range(0, len(s_idx), 1 << 18):
-        s = s_idx[lo : lo + (1 << 18)]
-        t = t_idx[lo : lo + (1 << 18)]
-        ww = a.pairs(s, t) - b.pairs(s, t)
-        norms = np.sqrt(np.einsum("kij,kij->k", ww, ww))
-        second = max(second, float(np.max(norms / (nodes[t] - nodes[s]) ** (2 * a.alpha))))
-    return first + second
+    second = _second_order_quotient(
+        lambda s, t: a.pairs(s, t) - b.pairs(s, t), a.path.grid, 2 * a.alpha, dense
+    )
+    return holder_seminorm(diff_path, a.alpha, dense) + second
 
 
 # ---------------------------------------------------------------------------

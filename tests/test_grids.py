@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from roughstruct import (
     read_path_csv,
     write_path_csv,
 )
-from roughstruct.grids import fbm_covariance, profile_c1_norm, profile_integral
+from roughstruct.grids import (
+    fbm_covariance,
+    fgn_from_normals,
+    pair_indices,
+    profile_c1_norm,
+    profile_integral,
+)
 
 
 def test_smallest_grid():
@@ -87,6 +94,42 @@ def test_holder_dominates_every_pair():
             assert inc <= c * (t[t_idx] - t[s_idx]) ** alpha + 1e-12
 
 
+def _all_pairs_holder(path, alpha, dense=None):
+    # exact lags (t - s) * h: differences of nodes off a dyadic horizon carry
+    # round-off up to N * eps relative at the shortest lags
+    s, t = pair_indices(path.grid.num_nodes, dense)
+    num = np.linalg.norm(path.values[t] - path.values[s], axis=1)
+    return float(np.max(num / ((t - s) * path.grid.step) ** alpha))
+
+
+@pytest.mark.parametrize("dense", [None, False])
+@pytest.mark.parametrize("alpha", [0.3, 0.45, 1.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_holder_lag_scan_matches_pair_list(dim, alpha, dense):
+    # J = 10 spans several lag blocks, the last one partial
+    grid = make_dyadic_grid(1.3, 10)
+    rng = np.random.default_rng(dim)
+    walk = SampledPath(grid, np.cumsum(rng.standard_normal((grid.num_nodes, dim)), axis=0))
+    expected = _all_pairs_holder(walk, alpha, dense)
+    assert holder_seminorm(walk, alpha, dense) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    flat = SampledPath(grid, np.full((grid.num_nodes, dim), -2.5))
+    assert holder_seminorm(flat, alpha, dense) == 0.0
+    line = SampledPath(grid, np.outer(grid.nodes, np.eye(dim)[0]))
+    assert holder_seminorm(line, 1.0, dense) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_holder_scan_memory_is_linear():
+    # the all-pairs index arrays alone were 134 MB at J = 12
+    path = generate_path("fbm", make_dyadic_grid(1.0, 12), dim=2, hurst=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        holder_seminorm(path, 0.45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_sin_cos_generator():
     grid = make_dyadic_grid(1.0, 3)
     path = generate_path("sin_cos", grid, dim=2)
@@ -118,6 +161,39 @@ def test_fbm_covariance_matches_min():
     t = np.array([0.25, 0.5, 0.75, 1.0])
     cov = fbm_covariance(t, 0.5)
     assert np.allclose(cov, np.minimum.outer(t, t))
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.45, 0.7])
+def test_circulant_embedding_covariance_is_exact(hurst):
+    # the draw is linear in the normals: feeding it the identity gives the
+    # factor whose Gram matrix is the implied fBm covariance
+    grid = make_dyadic_grid(1.3, 6)
+    n = grid.num_intervals
+    factor = np.cumsum(fgn_from_normals(np.eye(2 * n), hurst, grid.step), axis=1)
+    expected = fbm_covariance(grid.nodes[1:], hurst)
+    assert np.allclose(factor.T @ factor, expected, rtol=0.0, atol=1e-12)
+
+
+def test_brownian_draw_is_cholesky_of_min_covariance():
+    grid = make_dyadic_grid(1.0, 8)
+    path = generate_path("fbm", grid, dim=2, hurst=0.5, seed=5)
+    chol = np.linalg.cholesky(fbm_covariance(grid.nodes[1:], 0.5))
+    z = np.random.default_rng(5).standard_normal((2, grid.num_intervals))
+    assert np.all(path.values[0] == 0.0)
+    assert np.allclose(path.values[1:], (chol @ z.T), rtol=0.0, atol=1e-13)
+
+
+def test_fbm_draw_memory_is_linear():
+    # an N x N covariance would need about 34 GB at J = 16
+    grid = make_dyadic_grid(1.0, 16)
+    tracemalloc.start()
+    try:
+        path = generate_path("fbm", grid, dim=2, hurst=0.4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.values.shape == (grid.num_nodes, 2)
+    assert peak < 64 * 2**20
 
 
 def test_fbm_independent_increments_at_half():

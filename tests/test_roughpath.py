@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from roughstruct import (
+    RoughPath,
     SampledPath,
     chen_defect,
     chen_extend,
@@ -92,6 +95,79 @@ def test_defect_detects_single_interval_perturbation():
     from roughstruct import RoughPath
 
     assert chen_defect(RoughPath(path, broken, 0.45)) >= 1.0 - 1e-12
+
+
+def _with_overrides(rp, shifts):
+    second = rp.second
+    for (i, j), delta in shifts.items():
+        second = second.with_pair_override(i, j, rp.pair(i, j) + delta)
+    return RoughPath(rp.path, second, rp.alpha)
+
+
+def _all_triples_defect(rp):
+    w = rp.path.values
+    best = 0.0
+    for s, u, t in itertools.combinations(range(rp.path.grid.num_nodes), 3):
+        d = rp.pair(s, t) - rp.pair(s, u) - rp.pair(u, t) - np.outer(w[u] - w[s], w[t] - w[u])
+        best = max(best, float(np.linalg.norm(d)))
+    return best
+
+
+def test_pairs_match_pair_with_overrides():
+    path = generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.45, seed=2)
+    rng = np.random.default_rng(2)
+    keys = [(0, 1), (4, 30), (7, 8), (0, 32)]
+    rp = _with_overrides(
+        lift_piecewise_smooth(path, "linear", 0.45),
+        {key: rng.standard_normal((2, 2)) for key in keys},
+    )
+    s, t = np.triu_indices(path.grid.num_nodes)
+    s = np.concatenate([s, [4, 7, 4]])
+    t = np.concatenate([t, [30, 8, 30]])
+    got = rp.pairs(s, t)
+    assert np.array_equal(got, np.stack([rp.pair(int(i), int(j)) for i, j in zip(s, t)]))
+    assert all(np.array_equal(rp.pair(i, j), rp.second.pair_overrides[(i, j)]) for i, j in keys)
+
+
+# Overrides whose broken triples sit in given roles of the override pair:
+# (0, N) outer only, (0, 1) left inner only, (N-1, N) right inner only,
+# boundary-anchored long pairs in two roles, interior pairs in all three,
+# and pairs of overrides that meet in one triple.
+_N4 = 16
+
+
+@pytest.mark.parametrize("keys", [
+    [(0, _N4)], [(0, 1)], [(_N4 - 1, _N4)], [(0, 11)], [(5, _N4)],
+    [(7, 8)], [(3, 13)], [(2, 6), (6, 11)], [(2, 6), (2, 11)], [(2, 11), (6, 11)],
+])
+def test_defect_matches_all_triples_with_overrides(keys):
+    path = generate_path("fbm", make_dyadic_grid(1.0, 4), dim=2, hurst=0.45, seed=3)
+    rng = np.random.default_rng(len(keys) + keys[0][0])
+    rp = _with_overrides(
+        lift_piecewise_smooth(path, "linear", 0.45),
+        {key: rng.standard_normal((2, 2)) for key in keys},
+    )
+    assert chen_defect(rp) == pytest.approx(_all_triples_defect(rp), rel=1e-12)
+
+
+_N10 = 1024
+
+
+@pytest.mark.parametrize("shifts", [
+    {(0, _N10): 1.0, (0, _N10 // 2): 0.5},         # outer: (0, u, N), u != N/2
+    {(0, 1): 1.0, (0, 2): 0.5},                     # left inner: (0, 1, t), t > 2
+    {(_N10 - 1, _N10): 1.0, (_N10 - 2, _N10): 0.5},  # right inner: (s, N-1, N), s < N-2
+], ids=["outer", "left_inner", "right_inner"])
+def test_override_detected_in_each_role_at_j10(shifts):
+    # the full shift shows only in triples where the first override plays
+    # the named role; in the probed triples that hold it, the second
+    # override cancels half of it
+    path = generate_path("fbm", make_dyadic_grid(1.0, 10), dim=2, hurst=0.45, seed=4)
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
+    delta = np.array([[0.3, -0.2], [0.1, 0.4]])
+    broken = _with_overrides(rp, {key: scale * delta for key, scale in shifts.items()})
+    assert chen_defect(rp) <= 1e-12
+    assert chen_defect(broken) == pytest.approx(np.linalg.norm(delta), rel=1e-12)
 
 
 def test_defect_of_analytic_sincos_lift():
