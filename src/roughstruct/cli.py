@@ -42,6 +42,9 @@ from .wavelets import daubechies_basis
 from .modelled import multiply_by_Wdot, to_modelled
 
 
+LIFT_MODES = ("linear", "sin_cos", "polynomial", "wavelet")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -79,8 +82,7 @@ def _build_parser() -> _Parser:
 
     li = sub.add_parser("lift", help="lift a path CSV to a rough-path JSON")
     li.add_argument("path_csv")
-    li.add_argument("--mode", default="linear",
-                    choices=["linear", "sin_cos", "polynomial", "wavelet"])
+    li.add_argument("--mode", default="linear", choices=LIFT_MODES)
     li.add_argument("--coeffs", type=str, default=None)
     li.add_argument("--trunc-level", type=int, default=None)
 
@@ -96,16 +98,14 @@ def _build_parser() -> _Parser:
     it.add_argument("--y-csv", type=str, default=None,
                     help="integrand CSV (default: first driver component)")
     it.add_argument("--y-prime-csv", type=str, default=None)
-    it.add_argument("--lift-mode", default="linear",
-                    choices=["linear", "sin_cos", "polynomial", "wavelet"])
+    it.add_argument("--lift-mode", default="linear", choices=LIFT_MODES)
     it.add_argument("--trunc-level", type=int, default=None)
     it.add_argument("--certificate", type=str, default=None,
                     help="also write the (scale, error) three-point defect table")
 
     rc = sub.add_parser("reconstruct", help="reconstruction error-certificate CSV")
     rc.add_argument("path_csv")
-    rc.add_argument("--lift-mode", default="linear",
-                    choices=["linear", "sin_cos", "polynomial", "wavelet"])
+    rc.add_argument("--lift-mode", default="linear", choices=LIFT_MODES)
     rc.add_argument("--trunc-level", type=int, default=None)
 
     so = sub.add_parser("solve", help="solve dy = F(y) dW by windowed Picard")
@@ -114,8 +114,7 @@ def _build_parser() -> _Parser:
                     choices=["linear", "sin", "tanh"])
     so.add_argument("--xi", type=str, default="1")
     so.add_argument("--route", default="riemann", choices=["riemann", "wavelet"])
-    so.add_argument("--lift-mode", default="linear",
-                    choices=["linear", "sin_cos", "polynomial", "wavelet"])
+    so.add_argument("--lift-mode", default="linear", choices=LIFT_MODES)
     so.add_argument("--diagnostics", type=str, default=None,
                     help="diagnostics JSON file")
 

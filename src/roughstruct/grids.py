@@ -17,9 +17,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_GRID_LEVEL = 24
 
-#: Pair scans switch from all O(N^2) pairs to aligned dyadic pairs above
-#: this grid level.
-DENSE_PAIR_LEVEL = 12
+#: Seminorm scans visit all node pairs up to these grid levels, aligned
+#: dyadic pairs beyond (:func:`pair_scan`).  Path increments: until the
+#: lag-block scan of :func:`holder_seminorm` gets slow (60 ms at level 12).
+PATH_PAIR_LEVEL = 12
+#: Second-order tensors and jets gather a matrix per pair: all pairs would
+#: take seconds at level 12 (a rough-path seminorm: 2-3 s instead of 3 ms).
+JET_PAIR_LEVEL = 8
+PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -117,54 +122,63 @@ class SampledPath:
         return SampledPath(self.grid.subgrid(level), self.values[::stride])
 
 
-def pair_indices(num_nodes: int, dense: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Node-index pairs (s < t) used by seminorm scans.
+def euclidean_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each ``a[k]`` over all its trailing axes."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(np.einsum("ki,ki->k", flat, flat))
 
-    All pairs when the grid is small enough, otherwise the O(N) family
-    of aligned dyadic pairs ``(k*2**m, (k+1)*2**m)`` over every scale m.
+
+def pair_scan(grid: TimeGrid, all_pairs_level: int, norms: Callable, exponents) -> np.ndarray:
+    """Per exponent ``theta``, the max over node pairs ``s < t`` of
+    ``norms(s, t) / ((t - s) * h)**theta``, with exact lags.
+
+    Pairs: all of them up to grid level ``all_pairs_level``, else the
+    aligned dyadic ``(k 2**m, (k+1) 2**m)`` of every scale m.  ``norms`` gets
+    at most ``PAIR_CHUNK`` at once, returns ``(len(exponents), P)`` or ``(P,)``.
     """
-    n_int = num_nodes - 1
-    if dense is None:
-        dense = n_int <= (1 << DENSE_PAIR_LEVEL)
-    if dense:
-        s, t = np.triu_indices(num_nodes, k=1)
-        return s, t
-    ss, tt = [], []
-    stride = 1
-    while stride <= n_int:
-        starts = np.arange(0, n_int - stride + 1, stride)
-        ss.append(starts)
-        tt.append(starts + stride)
-        stride *= 2
-    return np.concatenate(ss), np.concatenate(tt)
+    n_int = grid.num_intervals
+    if grid.level <= all_pairs_level:
+        lags = np.arange(1, n_int + 1)
+        strides = np.ones_like(lags)
+    else:
+        lags = strides = 1 << np.arange(grid.level + 1)
+    # pair number k of the flat scan is start number k - first[r] of row r
+    first = np.concatenate([[0], np.cumsum((n_int - lags) // strides + 1)])
+    # one denominator per row, not per pair
+    den = np.array([[(lag * grid.step) ** float(th) for lag in lags.tolist()]
+                    for th in np.atleast_1d(exponents)])
+    best = np.zeros(len(den))
+    for lo in range(0, first[-1], PAIR_CHUNK):
+        k = np.arange(lo, min(lo + PAIR_CHUNK, first[-1]))
+        row = np.searchsorted(first, k, side="right") - 1
+        s = (k - first[row]) * strides[row]
+        q = norms(s, s + lags[row]) / den[:, row]
+        best = np.maximum(best, q.max(axis=1))
+    return best
 
 
-def holder_seminorm(path: SampledPath, alpha: float, dense: bool | None = None) -> float:
+def holder_seminorm(path: SampledPath, alpha: float) -> float:
     """Grid proxy for the alpha-Hölder seminorm: max over node pairs of
-    ``|Z_{s,t}| / |t-s|**alpha``.
+    ``|Z_{s,t}| / |t-s|**alpha``, with exact lags ``(t - s) * h``.
 
-    Exact over all pairs up to level 12; aligned dyadic pairs beyond
-    (pass ``dense=True`` to force the quadratic scan).  Both scan lag by lag
-    with one denominator ``(lag*h)**alpha``; the all-pairs scan takes blocks
-    of lags as strided views of the values, in O(N) memory.
+    Exact over all pairs up to ``PATH_PAIR_LEVEL``, scanned lag by lag with
+    one denominator per lag in blocks of lags taken as strided views of the
+    values, in O(N) memory; beyond it :func:`pair_scan`'s aligned dyadic
+    pairs.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if path.grid.num_nodes < 2:
         raise ValueError("path needs at least two nodes")
+    if path.grid.level > PATH_PAIR_LEVEL:
+        z = path.values
+        return float(pair_scan(path.grid, PATH_PAIR_LEVEL,
+                               lambda s, t: euclidean_norms(z[t] - z[s]), alpha)[0])
     n_int = path.grid.num_intervals
-    if dense is None:
-        dense = n_int <= (1 << DENSE_PAIR_LEVEL)
     x = np.ascontiguousarray(path.values.T)
     step = path.grid.step
     best = 0.0
-    if not dense:
-        for m in range(n_int.bit_length()):
-            inc = np.diff(x[:, :: 1 << m], axis=1)
-            num = np.sqrt(np.max(np.einsum("ik,ik->k", inc, inc)))
-            best = max(best, float(num / ((1 << m) * step) ** alpha))
-        return best
-    block = max(1, (1 << 18) // x.size)  # lags per block: ~2 MiB of increments
+    block = max(1, PAIR_CHUNK // x.size)  # lags per block: ~2 MiB of increments
     # edge padding credits x_N with a longer lag than it has, so a padded
     # quotient never exceeds the true one of (s, N), scanned at its own lag
     xpad = np.concatenate([x, np.repeat(x[:, -1:], block - 1, axis=1)], axis=1)
@@ -307,7 +321,7 @@ _NORMALIZATION_CACHE: dict[str, float] = {}
 
 
 def profile_c1_norm(name: str) -> float:
-    """Numerical ``sup|eta| + sup|eta'|`` of a raw profile (dense central differences)."""
+    """Numerical ``sup|eta| + sup|eta'|`` of a raw profile (central differences on a fine grid)."""
     if name not in _NORMALIZATION_CACHE:
         fn = _RAW_PROFILES[name]
         u = np.linspace(-1.0, 1.0, 200001)

@@ -13,13 +13,12 @@ the column sum of column Euclidean norms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grids import SampledPath, TimeGrid, pair_indices
+from .grids import JET_PAIR_LEVEL, SampledPath, TimeGrid, euclidean_norms, pair_scan
 from .structure import (
     ONE,
     ModelSpaceVector,
@@ -29,6 +28,7 @@ from .structure import (
     W,
     Wdot,
     WWdot,
+    gamma_apply,
 )
 
 
@@ -87,29 +87,18 @@ class ControlledPath:
         return self.y[t_idx] - self.y[s_idx] - np.einsum("pdn,pn->pd", self.y_prime[s_idx], dw)
 
 
-def column_sum_norm(mat_increments: np.ndarray) -> np.ndarray:
-    """Sum over the driver axis of Euclidean norms over the value axis.
+def controlled_seminorm(cp: ControlledPath, alpha: float) -> tuple[float, float, float]:
+    """``(|y'|_alpha, |R^y|_2alpha, their sum)`` over the pairs of
+    :func:`pair_scan` at ``JET_PAIR_LEVEL`` (the scan the graded seminorm
+    uses, so the two sides stay comparable)."""
 
-    This is the matrix norm matching the graded component norm (one symbol
-    per driver column, Euclidean norm per coefficient).
-    """
-    return np.sqrt(np.einsum("...dn,...dn->...n", mat_increments, mat_increments)).sum(axis=-1)
+    def norms(s, t):
+        dyp = cp.y_prime[t] - cp.y_prime[s]
+        # the graded norm of y': column sum of column Euclidean norms
+        yp = np.sqrt(np.einsum("pdn,pdn->pn", dyp, dyp)).sum(axis=1)
+        return np.stack([yp, euclidean_norms(cp.remainder(s, t))])
 
-
-def controlled_seminorm(cp: ControlledPath, alpha: float, dense: bool | None = None) -> tuple[float, float, float]:
-    """``(|y'|_alpha, |R^y|_2alpha, their sum)`` over the grid pair scan.
-
-    All pairs up to grid level 8, aligned dyadic pairs beyond (the same
-    scan the graded seminorm uses, so the two sides stay comparable).
-    """
-    if dense is None:
-        dense = cp.grid.level <= 8
-    s_idx, t_idx = pair_indices(cp.grid.num_nodes, dense)
-    dt = cp.grid.nodes[t_idx] - cp.grid.nodes[s_idx]
-    dyp = cp.y_prime[t_idx] - cp.y_prime[s_idx]
-    yp_norm = float(np.max(column_sum_norm(dyp) / dt**alpha))
-    rem = np.linalg.norm(cp.remainder(s_idx, t_idx), axis=1)
-    rem_norm = float(np.max(rem / dt ** (2 * alpha)))
+    yp_norm, rem_norm = map(float, pair_scan(cp.grid, JET_PAIR_LEVEL, norms, (alpha, 2 * alpha)))
     return yp_norm, rem_norm, yp_norm + rem_norm
 
 
@@ -127,7 +116,8 @@ class ModelledDistribution:
     structure: RoughStructure | PolynomialStructure
     reference: SampledPath | None = None
 
-    def at(self, node: int) -> ModelSpaceVector:
+    def at(self, node: int | np.ndarray) -> ModelSpaceVector:
+        """The jet at a node; an index array gives one leading row per node."""
         return ModelSpaceVector({s: c[node] for s, c in self.coeffs.items()})
 
     def support(self) -> set[Symbol]:
@@ -182,79 +172,33 @@ def from_modelled(f: ModelledDistribution) -> ControlledPath:
 # graded seminorm
 
 
-def _gamma_shifts(f: ModelledDistribution, model, s_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
-    """Per-pair shift of ``Gamma_{t,s}`` (re-expansion from s to t), shape (P, n)."""
-    if isinstance(f.structure, PolynomialStructure):
-        nodes = f.grid.nodes
-        return (nodes[t_idx] - nodes[s_idx])[:, None]
-    w = model.rough_path.path.values if hasattr(model, "rough_path") else model.path.values
-    return w[t_idx] - w[s_idx]
-
-
-def _pair_level_norms(
-    f: ModelledDistribution, h: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray
-) -> dict[float, np.ndarray]:
-    """Per-level norms of ``f(t) - Gamma_{t,s} f(s)`` for every pair."""
-    structure = f.structure
-    # transported coefficient = f(s)[sym] + lower-order contributions; the
-    # difference against f(t) is assembled symbol by symbol
-    diffs: dict[Symbol, np.ndarray] = {}
-    for sym, c in f.coeffs.items():
-        diffs[sym] = c[t_idx] - c[s_idx]
-    for sym, c in f.coeffs.items():
-        cs = c[s_idx]
-        if isinstance(structure, PolynomialStructure):
-            if sym.kind == "one":
-                continue
-            k = sum(sym.index)
-            for m in range(k):
-                weight = math.comb(k, m) * h[:, 0] ** (k - m)
-                target = ONE if m == 0 else Symbol("x", (m,))
-                contrib = -weight * cs if cs.ndim == 1 else -weight[:, None] * cs
-                diffs[target] = diffs.get(target, 0.0) + contrib
-        elif not structure.reduced:
-            if sym.kind == "w":
-                (i,) = sym.index
-                contrib = -h[:, i] * cs if cs.ndim == 1 else -h[:, i][..., None] * cs
-                diffs[ONE] = diffs.get(ONE, 0.0) + contrib
-            elif sym.kind == "wwdot":
-                i, j = sym.index
-                contrib = -h[:, i] * cs if cs.ndim == 1 else -h[:, i][..., None] * cs
-                tgt = Wdot(j)
-                diffs[tgt] = diffs.get(tgt, 0.0) + contrib
-    out: dict[float, np.ndarray] = {}
-    for sym, d in diffs.items():
-        d = np.asarray(d, dtype=float)
-        norm = np.abs(d) if d.ndim == 1 else np.sqrt(np.sum(d.reshape(d.shape[0], -1) ** 2, axis=1))
-        level = structure.homogeneity(sym)
-        out[level] = out.get(level, 0.0) + norm
-    return out
-
-
-def md_seminorm(f: ModelledDistribution, model, dense: bool | None = None) -> float:
+def md_seminorm(f: ModelledDistribution, model) -> float:
     """Grid max over pairs and grades of
     ``|f(t) - Gamma_{t,s} f(s)|_beta / |t-s|**(gamma-beta)``.
 
-    All pairs up to grid level 8, aligned dyadic pairs beyond.
+    ``Gamma_{t,s}`` is the model's own ``gamma_of(t, s)`` over index arrays,
+    applied by :func:`gamma_apply`; pairs from :func:`pair_scan` at ``JET_PAIR_LEVEL``.
     """
-    if dense is None:
-        dense = f.grid.level <= 8
-    s_idx, t_idx = pair_indices(f.grid.num_nodes, dense)
-    dt = f.grid.nodes[t_idx] - f.grid.nodes[s_idx]
-    h = _gamma_shifts(f, model, s_idx, t_idx)
-    best = 0.0
-    for level, norms in _pair_level_norms(f, h, s_idx, t_idx).items():
-        if level >= f.gamma - 1e-12:
-            continue
-        best = max(best, float(np.max(norms / dt ** (f.gamma - level))))
-    return best
+    st = f.structure
+    # Gamma's image has the same symbols at every shift
+    levels = gamma_apply(model.gamma_of(0, 0), f.at(0), st).levels(st)
+    levels = [lv for lv in levels if lv < f.gamma - 1e-12]
+    if not levels:
+        return 0.0
+
+    def norms(s_idx, t_idx):
+        diff = f.at(t_idx) - gamma_apply(model.gamma_of(t_idx, s_idx), f.at(s_idx), st)
+        return np.array([sum(euclidean_norms(d) for sym, d in diff.coeffs.items()
+                             if st.homogeneity(sym) == lv) for lv in levels])
+
+    return float(pair_scan(f.grid, JET_PAIR_LEVEL, norms, [f.gamma - lv for lv in levels]).max())
 
 
-def md_norm_star(f: ModelledDistribution, model, dense: bool | None = None) -> float:
+def md_norm_star(f: ModelledDistribution, model) -> float:
     """Seminorm plus the largest graded component norm at time zero."""
     at0 = f.at(0)
     comp = max((at0.level_norm(f.structure, lv) for lv in f.levels()), default=0.0)
-    return comp + md_seminorm(f, model, dense)
+    return comp + md_seminorm(f, model)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import SampledPath, TestFunction, holder_seminorm
+from .grids import SampledPath, TestFunction
 from .integration import three_point_defect
 from .modelled import ControlledPath, ModelledDistribution, multiply_by_Wdot, to_modelled
 from .roughpath import RoughPath, SecondOrderProcess, rough_path_distance
@@ -324,7 +324,7 @@ def wavelet_lift(
             )
             z[:, i, j] = reconstruct(f, model, basis, trunc_level).antiderivative.values[:, 0]
     increments = np.diff(z, axis=0) - np.einsum("ki,kj->kij", w.values[:-1], dw)
-    return RoughPath(w, SecondOrderProcess(grid, increments, alpha), alpha)
+    return RoughPath(w, SecondOrderProcess(grid, increments), alpha)
 
 
 def lift_continuity_gap(
@@ -334,15 +334,14 @@ def lift_continuity_gap(
     basis: WaveletBasis | None = None,
     trunc_level: int | None = None,
 ) -> float:
-    """``|lift(W) - lift(W~)|_alpha / |W - W~|_alpha`` on a shared grid."""
+    """``|lift(W) - lift(W~)|_alpha / |W - W~|_alpha`` on a shared grid; the
+    denominator is the first level of :func:`rough_path_distance`'s scan."""
     if w.grid.num_nodes != w_tilde.grid.num_nodes or w.dim != w_tilde.dim:
         raise ValueError("paths must share grid and dimension")
-    diff = SampledPath(w.grid, w.values - w_tilde.values)
-    denom = holder_seminorm(diff, alpha)
-    if denom == 0.0:
-        raise ValueError("paths are identical: Hölder distance is zero")
-    num = rough_path_distance(
+    first, _, total = rough_path_distance(
         wavelet_lift(w, alpha, basis, trunc_level),
         wavelet_lift(w_tilde, alpha, basis, trunc_level),
     )
-    return num / denom
+    if first == 0.0:
+        raise ValueError("paths are identical: Hölder distance is zero")
+    return total / first

@@ -19,10 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import SampledPath, TimeGrid, holder_seminorm, pair_indices, read_path_csv, write_path_csv
-
-#: Rough-path seminorm scans cover all node pairs up to this grid level.
-DENSE_SCAN_LEVEL = 8
+from .grids import JET_PAIR_LEVEL, SampledPath, TimeGrid, euclidean_norms, pair_scan
+from .grids import read_path_csv, write_path_csv
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,6 @@ class SecondOrderProcess:
 
     grid: TimeGrid
     increments: np.ndarray  # (num_intervals, n, n)
-    alpha: float
     pair_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -49,7 +46,7 @@ class SecondOrderProcess:
         keep their Chen-assembled values, so Chen's relation genuinely breaks)."""
         overrides = dict(self.pair_overrides)
         overrides[(int(i), int(j))] = np.asarray(tensor, dtype=float)
-        return SecondOrderProcess(self.grid, self.increments, self.alpha, overrides)
+        return SecondOrderProcess(self.grid, self.increments, overrides)
 
 
 def chen_extend(proc: SecondOrderProcess, w: SampledPath, s: int, t: int) -> np.ndarray:
@@ -126,9 +123,7 @@ class RoughPath:
         """Rough path on a dyadic window of ``2**level`` intervals from node ``start``."""
         sub_path = self.path.restrict(start, level)
         n = 1 << level
-        sub_second = SecondOrderProcess(
-            sub_path.grid, self.second.increments[start : start + n], self.second.alpha
-        )
+        sub_second = SecondOrderProcess(sub_path.grid, self.second.increments[start : start + n])
         return RoughPath(sub_path, sub_second, self.alpha)
 
 
@@ -238,46 +233,38 @@ def lift_piecewise_smooth(
             raise ValueError("coeffs dimension does not match the path")
     else:
         raise ValueError(f"unknown lift mode {mode!r}")
-    return RoughPath(w, SecondOrderProcess(w.grid, inc, alpha), alpha)
+    return RoughPath(w, SecondOrderProcess(w.grid, inc), alpha)
 
 
-def _second_order_quotient(pairs, grid: TimeGrid, exponent: float, dense: bool) -> float:
-    """Max over scanned node pairs of ``|pairs(s, t)| / (t_t - t_s)**exponent``."""
-    s_idx, t_idx = pair_indices(grid.num_nodes, dense)
-    nodes = grid.nodes
-    best = 0.0
-    for lo in range(0, len(s_idx), 1 << 18):
-        s = s_idx[lo : lo + (1 << 18)]
-        t = t_idx[lo : lo + (1 << 18)]
-        ww = pairs(s, t)
-        norms = np.sqrt(np.einsum("kij,kij->k", ww, ww))
-        best = max(best, float(np.max(norms / (nodes[t] - nodes[s]) ** exponent)))
-    return best
+def _two_level_quotients(values, pairs, grid: TimeGrid, alpha: float) -> tuple[float, float, float]:
+    """``(|W|_alpha, |WW|_2alpha, total)`` of path values and a pair map
+    ``WW_{s,t}`` over one :func:`pair_scan` at ``JET_PAIR_LEVEL``."""
 
+    def norms(s, t):
+        return np.stack([euclidean_norms(values[t] - values[s]), euclidean_norms(pairs(s, t))])
 
-def rough_path_seminorm(rp: RoughPath, dense: bool | None = None) -> tuple[float, float, float]:
-    """Grid maxima of the two Hölder quotients and their sum:
-    ``(|W|_alpha, |WW|_2alpha, total)``."""
-    if dense is None:
-        dense = rp.path.grid.level <= DENSE_SCAN_LEVEL
-    first = holder_seminorm(rp.path, rp.alpha, dense)
-    second = _second_order_quotient(rp.pairs, rp.path.grid, 2 * rp.alpha, dense)
+    first, second = map(float, pair_scan(grid, JET_PAIR_LEVEL, norms, (alpha, 2 * alpha)))
     return first, second, first + second
 
 
-def rough_path_distance(a: RoughPath, b: RoughPath, dense: bool | None = None) -> float:
-    """Rough-path seminorm of the difference (same grid, same alpha)."""
+def rough_path_seminorm(rp: RoughPath) -> tuple[float, float, float]:
+    """Grid maxima of the two Hölder quotients and their sum:
+    ``(|W|_alpha, |WW|_2alpha, total)``, both over the same node pairs."""
+    return _two_level_quotients(rp.path.values, rp.pairs, rp.path.grid, rp.alpha)
+
+
+def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float]:
+    """Rough-path seminorm of the difference (same grid, same alpha):
+    ``(|W - W~|_alpha, |WW - WW~|_2alpha, total)``, both over the same node
+    pairs."""
     if a.path.grid.num_nodes != b.path.grid.num_nodes or a.dim != b.dim:
         raise ValueError("rough paths must share grid and dimension")
-    if dense is None:
-        dense = a.path.grid.level <= DENSE_SCAN_LEVEL
-    diff_path = SampledPath(a.path.grid, a.path.values - b.path.values)
     # the difference of two second-order processes is not itself one (the
     # cross terms differ), so assemble both sides and subtract per pair
-    second = _second_order_quotient(
-        lambda s, t: a.pairs(s, t) - b.pairs(s, t), a.path.grid, 2 * a.alpha, dense
+    return _two_level_quotients(
+        a.path.values - b.path.values, lambda s, t: a.pairs(s, t) - b.pairs(s, t),
+        a.path.grid, a.alpha,
     )
-    return holder_seminorm(diff_path, a.alpha, dense) + second
 
 
 # ---------------------------------------------------------------------------
@@ -312,4 +299,4 @@ def read_rough_path_json(json_file: str) -> RoughPath:
     for k, flat in payload["second_order"]:
         inc[int(k)] = np.asarray(flat, dtype=float).reshape(n, n)
     alpha = float(payload["alpha"])
-    return RoughPath(path, SecondOrderProcess(path.grid, inc, alpha), alpha)
+    return RoughPath(path, SecondOrderProcess(path.grid, inc), alpha)

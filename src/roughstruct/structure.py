@@ -233,13 +233,17 @@ class PolynomialStructure:
 
 
 def gamma_apply(g: StructureGroupElement, v: ModelSpaceVector, structure) -> ModelSpaceVector:
-    """Linear extension of the symbol shift rules."""
+    """Linear extension of the symbol shift rules; with a batch of K shifts
+    each coefficient has K leading rows, ``(K,)``, ``(K, d)`` or ``(K, d, n)``."""
     out = ModelSpaceVector()
     for sym, c in v.coeffs.items():
         shifted = structure.gamma_symbol(sym, g.h)
         for tgt, w_ in shifted.coeffs.items():
             cur = out.coeffs.get(tgt)
-            add = c * w_ if np.isscalar(c) else np.asarray(c) * w_
+            if np.ndim(w_) and np.ndim(c) > np.ndim(w_):
+                # a batch of K weights scales the leading axis of (K, ...) coefficients
+                w_ = np.reshape(w_, np.shape(w_) + (1,) * (np.ndim(c) - np.ndim(w_)))
+            add = c * w_
             out.coeffs[tgt] = add if cur is None else cur + add
     return out
 
@@ -292,8 +296,9 @@ class RoughModel:
             return self.rough_path.second.increments[:, i, j] + rel * dw[:, j]
         raise KeyError(f"{sym!r} is not measure-valued")
 
-    def gamma_of(self, s_idx: int, t_idx: int | np.ndarray) -> StructureGroupElement:
-        """``Gamma_{s,t}``; an index array for t gives the batch over t."""
+    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> StructureGroupElement:
+        """``Gamma_{s,t}``; index arrays for s, t or both (of one shape)
+        give the batch over them."""
         w = self.rough_path.path.values
         return StructureGroupElement((w[s_idx] - w[t_idx]).T)
 
@@ -319,7 +324,8 @@ class ReducedModel:
             return self.path.increments()[:, sym.index[0]]
         raise KeyError(f"{sym!r} is not measure-valued in the reduced model")
 
-    def gamma_of(self, s_idx: int, t_idx: int | np.ndarray) -> StructureGroupElement:
+    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> StructureGroupElement:
+        """Shift ``W_s - W_t``; both arguments may be index arrays."""
         return StructureGroupElement((self.path.values[s_idx] - self.path.values[t_idx]).T)
 
 
@@ -342,7 +348,8 @@ class PolynomialModel:
     def pi_measure(self, s_idx: int, sym: Symbol) -> np.ndarray:
         raise KeyError("polynomial model has no measure-valued symbols")
 
-    def gamma_of(self, s_idx: int, t_idx: int | np.ndarray) -> StructureGroupElement:
+    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> StructureGroupElement:
+        """Shift ``t_s - t_t``; both arguments may be index arrays."""
         t = self.grid.nodes
         return StructureGroupElement(np.array([t[s_idx] - t[t_idx]]))
 

@@ -44,6 +44,17 @@ def test_usage_error_exits_one(capsys):
     assert main(["gen", "--kind", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("lift", "--mode"),
+    ("integrate", "--lift-mode"),
+    ("reconstruct", "--lift-mode"),
+    ("solve", "--lift-mode"),
+])
+def test_unknown_lift_mode_exits_one(capsys, command, flag):
+    assert main([command, "w.csv", flag, "spline"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_holder_report(tmp_path, capsys):
     w = tmp_path / "w.csv"
     _run(capsys, "--grid-level", "8", "--out", str(w),

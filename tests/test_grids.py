@@ -20,7 +20,6 @@ from roughstruct import (
 from roughstruct.grids import (
     fbm_covariance,
     fgn_from_normals,
-    pair_indices,
     profile_c1_norm,
     profile_integral,
 )
@@ -96,8 +95,15 @@ def test_holder_dominates_every_pair():
 
 def _all_pairs_holder(path, alpha, dense=None):
     # exact lags (t - s) * h: differences of nodes off a dyadic horizon carry
-    # round-off up to N * eps relative at the shortest lags
-    s, t = pair_indices(path.grid.num_nodes, dense)
+    # round-off up to N * eps relative at the shortest lags.  dense=None:
+    # every pair up to grid level 12, aligned dyadic pairs beyond; False:
+    # aligned dyadic pairs
+    n_int = path.grid.num_intervals
+    if dense is None and path.grid.level <= 12:
+        s, t = np.triu_indices(n_int + 1, k=1)
+    else:
+        s = np.concatenate([np.arange(0, n_int, 1 << m) for m in range(path.grid.level + 1)])
+        t = s + np.concatenate([np.full(n_int >> m, 1 << m) for m in range(path.grid.level + 1)])
     num = np.linalg.norm(path.values[t] - path.values[s], axis=1)
     return float(np.max(num / ((t - s) * path.grid.step) ** alpha))
 
@@ -106,16 +112,18 @@ def _all_pairs_holder(path, alpha, dense=None):
 @pytest.mark.parametrize("alpha", [0.3, 0.45, 1.0])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_holder_lag_scan_matches_pair_list(dim, alpha, dense):
-    # J = 10 spans several lag blocks, the last one partial
-    grid = make_dyadic_grid(1.3, 10)
+    # dense selects the oracle's pair family and the level where
+    # holder_seminorm scans it: all pairs at J = 10 (several lag blocks, the
+    # last one partial), aligned dyadic pairs at J = 13
+    grid = make_dyadic_grid(1.3, 10 if dense is None else 13)
     rng = np.random.default_rng(dim)
     walk = SampledPath(grid, np.cumsum(rng.standard_normal((grid.num_nodes, dim)), axis=0))
     expected = _all_pairs_holder(walk, alpha, dense)
-    assert holder_seminorm(walk, alpha, dense) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert holder_seminorm(walk, alpha) == pytest.approx(expected, rel=1e-15, abs=0.0)
     flat = SampledPath(grid, np.full((grid.num_nodes, dim), -2.5))
-    assert holder_seminorm(flat, alpha, dense) == 0.0
+    assert holder_seminorm(flat, alpha) == 0.0
     line = SampledPath(grid, np.outer(grid.nodes, np.eye(dim)[0]))
-    assert holder_seminorm(line, 1.0, dense) == pytest.approx(1.0, rel=1e-15)
+    assert holder_seminorm(line, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_holder_scan_memory_is_linear():

@@ -23,6 +23,7 @@ from roughstruct import (
     multiply_by_Wdot,
     reconstruct,
     rough_integral_path,
+    rough_path_distance,
     rough_path_seminorm,
     to_modelled,
     wavelet_lift,
@@ -309,6 +310,20 @@ def test_lift_continuity_gap_stable(basis):
         w_tilde = SampledPath(grid, w.values + eps * direction)
         ratios.append(lift_continuity_gap(w, w_tilde, ALPHA, basis, trunc_level=7))
     assert max(ratios) <= 3.0 * min(ratios)
+
+
+def test_lift_continuity_gap_divides_by_its_own_first_level(basis):
+    # above grid level 8 the distance scans aligned dyadic pairs; the
+    # denominator |W - W~|_alpha must come from the same pairs
+    grid = make_dyadic_grid(1.0, 10)
+    w = generate_path("sin_cos", grid, dim=2)
+    bump = TestFunction("bump", 0.5, 0.4)
+    w_tilde = SampledPath(grid, w.values + 1e-3 * np.outer(bump(grid.nodes), [1.0, 0.0]))
+    first, _, total = rough_path_distance(
+        wavelet_lift(w, ALPHA, basis, trunc_level=7),
+        wavelet_lift(w_tilde, ALPHA, basis, trunc_level=7),
+    )
+    assert lift_continuity_gap(w, w_tilde, ALPHA, basis, trunc_level=7) == total / first
 
 
 def test_lift_continuity_gap_identical_paths(basis):

@@ -187,7 +187,7 @@ def test_perturbation_closure_with_smooth_bump():
     pert = rp.second.increments + np.diff(f_vals)[:, None, None] * np.ones((2, 2))
     from roughstruct import RoughPath, SecondOrderProcess
 
-    rp2 = RoughPath(path, SecondOrderProcess(path.grid, pert, 0.45), 0.45)
+    rp2 = RoughPath(path, SecondOrderProcess(path.grid, pert), 0.45)
     assert chen_defect(rp2) <= 1e-10
 
 

@@ -312,3 +312,27 @@ def test_batched_gamma_matches_scalar_calls(name, anchors):
         assert batched.coeffs.keys() == scalar.coeffs.keys()
         for sym, c in scalar.coeffs.items():
             assert np.asarray(batched.coeffs[sym])[q] == pytest.approx(c, rel=1e-15, abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=hst.sampled_from(sorted(_REEXPANSION_MODELS)),
+    value_shape=hst.sampled_from([(), (3,), (3, 2)]),
+    pairs=hst.lists(hst.tuples(hst.integers(0, 128), hst.integers(0, 128)), min_size=1, max_size=8),
+)
+def test_batched_gamma_of_index_pairs_on_vector_jets(name, value_shape, pairs):
+    # gamma_of(t, s) over two index arrays, applied to scalar, (d,) and
+    # (d, n) coefficients with one leading row per pair
+    model = _REEXPANSION_MODELS[name]
+    t_idx, s_idx = (np.array(v) for v in zip(*pairs))
+    rng = np.random.default_rng(len(pairs))
+    jets = {sym: rng.standard_normal((len(pairs), *value_shape))
+            for sym in model.structure.symbols()}
+    batched = gamma_apply(model.gamma_of(t_idx, s_idx), ModelSpaceVector(jets), model.structure)
+    for q, (t, s) in enumerate(pairs):
+        one = ModelSpaceVector({sym: c[q] for sym, c in jets.items()})
+        scalar = gamma_apply(model.gamma_of(t, s), one, model.structure)
+        assert batched.coeffs.keys() == scalar.coeffs.keys()
+        for sym, c in scalar.coeffs.items():
+            assert np.shape(batched.coeffs[sym]) == (len(pairs), *value_shape)
+            np.testing.assert_allclose(batched.coeffs[sym][q], c, rtol=1e-15, atol=1e-15)
