@@ -414,6 +414,8 @@ def write_path_csv(path: SampledPath, filename: str) -> None:
 def read_path_csv(filename: str) -> SampledPath:
     data = np.genfromtxt(filename, delimiter=",", skip_header=1, dtype=float)
     data = np.atleast_2d(data)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{filename}: non-finite or unparsable value")
     t = data[:, 0]
     n_int = len(t) - 1
     level = int(round(np.log2(n_int))) if n_int > 0 else 0

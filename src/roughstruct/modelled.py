@@ -120,9 +120,6 @@ class ModelledDistribution:
         """The jet at a node; an index array gives one leading row per node."""
         return ModelSpaceVector({s: c[node] for s, c in self.coeffs.items()})
 
-    def support(self) -> set[Symbol]:
-        return set(self.coeffs)
-
     def levels(self) -> list[float]:
         return sorted({self.structure.homogeneity(s) for s in self.coeffs})
 
@@ -248,18 +245,15 @@ class FunctionDescriptor:
 
     In scalar mode all callables map arrays elementwise.  Otherwise
     ``value`` maps ``(..., d) -> (..., d, n)`` and ``jacobian`` maps
-    ``(..., d) -> (..., d, n, d)``; ``second`` is optional and only used
-    for diagnostics/bounds.  ``box`` declares where the bounds are valid.
+    ``(..., d) -> (..., d, n, d)``.  ``box`` declares where the values are
+    valid (checked by :meth:`check_box`).
     """
 
     name: str
     value: Callable
     jacobian: Callable
-    second: Callable | None = None
-    third: Callable | None = None
     scalar: bool = False
     box: tuple[np.ndarray, np.ndarray] | None = None
-    smoothness: int = 2
 
     def check_box(self, y: np.ndarray) -> None:
         if self.box is None:
@@ -276,15 +270,10 @@ def scalar_descriptor(
     name: str,
     value: Callable,
     derivative: Callable,
-    second: Callable | None = None,
-    third: Callable | None = None,
     box: tuple[float, float] | None = None,
 ) -> FunctionDescriptor:
     b = None if box is None else (np.asarray([box[0]]), np.asarray([box[1]]))
-    return FunctionDescriptor(
-        name, value, derivative, second, third,
-        scalar=True, box=b, smoothness=3 if third is not None else 2,
-    )
+    return FunctionDescriptor(name, value, derivative, scalar=True, box=b)
 
 
 def linear_descriptor(matrix: np.ndarray) -> FunctionDescriptor:
@@ -301,28 +290,19 @@ def linear_descriptor(matrix: np.ndarray) -> FunctionDescriptor:
         out[...] = a[:, None, :]
         return out
 
-    return FunctionDescriptor(f"linear({d}x{a.shape[1]})", value, jacobian,
-                              second=lambda y: 0.0, third=lambda y: 0.0, smoothness=3)
+    return FunctionDescriptor(f"linear({d}x{a.shape[1]})", value, jacobian)
 
 
 def builtin_descriptor(name: str, dim: int = 1) -> FunctionDescriptor:
     """CLI-facing registry: linear, sin, tanh (scalar driver)."""
     if name == "linear":
         if dim == 1:
-            return scalar_descriptor(
-                "linear", lambda y: y, lambda y: np.ones_like(y),
-                lambda y: np.zeros_like(y), lambda y: np.zeros_like(y),
-            )
+            return scalar_descriptor("linear", lambda y: y, lambda y: np.ones_like(y))
         return linear_descriptor(np.eye(dim))
     if name == "sin":
-        return scalar_descriptor("sin", np.sin, np.cos, lambda y: -np.sin(y), lambda y: -np.cos(y))
+        return scalar_descriptor("sin", np.sin, np.cos)
     if name == "tanh":
-        return scalar_descriptor(
-            "tanh", np.tanh,
-            lambda y: 1.0 / np.cosh(y) ** 2,
-            lambda y: -2.0 * np.tanh(y) / np.cosh(y) ** 2,
-            lambda y: (4.0 * np.tanh(y) ** 2 - 2.0 / np.cosh(y) ** 2) / np.cosh(y) ** 2,
-        )
+        return scalar_descriptor("tanh", np.tanh, lambda y: 1.0 / np.cosh(y) ** 2)
     if name == "rotation":
         j = np.array([[0.0, -1.0], [1.0, 0.0]])
         return linear_descriptor(j)

@@ -19,7 +19,8 @@ is then a sum over symbols of an anchor-dependent scalar times the pairing
 of one grid array with phi^J_k, and all those pairings are one stencil
 correlation (``wavelets.analyse``).  The antiderivative and the partial-sum
 density are the transposed operation (``wavelets.synthesise``) with the
-node-to-node integral and midpoint stencils.
+node-to-node integral and midpoint stencils.  The error certificate pairs
+``Pi_s f(s)`` with its probes the same way (``structure.pi_pairings``).
 
 All wavelet bookkeeping runs in unit time ``u = t/T`` (Stieltjes pairings
 are invariant under the rescaling), so the dyadic index sets are exactly
@@ -42,7 +43,7 @@ from .grids import SampledPath, TestFunction
 from .integration import three_point_defect
 from .modelled import ControlledPath, ModelledDistribution, multiply_by_Wdot, to_modelled
 from .roughpath import RoughPath, SecondOrderProcess, rough_path_distance
-from .structure import ModelSpaceVector, ReducedModel, RoughModel, Wdot, gamma_apply
+from .structure import ModelSpaceVector, ReducedModel, RoughModel, Wdot, gamma_apply, pi_pairings
 from .wavelets import (
     StieltjesMeasure,
     WaveletBasis,
@@ -52,6 +53,12 @@ from .wavelets import (
     synthesise,
     wavelet_coefficients,
 )
+
+
+#: The unit-time probe battery of :meth:`ReconstructionResult.error_certificate`
+CERTIFICATE_LAMBDAS = tuple(2.0**-m for m in range(1, 7))
+CERTIFICATE_CENTERS = tuple(np.linspace(0.1, 0.9, 9).tolist())
+CERTIFICATE_PROFILE = "bump"
 
 
 @dataclass
@@ -91,43 +98,21 @@ class ReconstructionResult:
         vals = np.asarray(fn((np.arange(n) + 0.5) / n), dtype=float)
         return float(np.dot(vals, self._density) / n)
 
-    def pi_pair_unit(self, s_node: int, fn) -> float:
-        """``<Pi_s f(s), fn>`` with the same unit-time quadrature conventions."""
-        grid = self._source.grid
-        u_mid = (np.arange(grid.num_intervals) + 0.5) / grid.num_intervals
-        fm = np.asarray(fn(u_mid), dtype=float)
-        du = 1.0 / grid.num_intervals
-        total = 0.0
-        for sym, coeff in self._source.coeffs.items():
-            if self._model.pi_kind(sym) == "measure":
-                base = float(np.dot(fm, self._model.pi_measure(s_node, sym)))
-            else:
-                g = self._model.pi_function(s_node, sym)
-                base = float(np.dot(fm, 0.5 * (g[:-1] + g[1:]))) * du
-            total += float(coeff[s_node]) * base
-        return total
-
-    def error_certificate(
-        self,
-        lambdas: tuple[float, ...] = tuple(2.0**-m for m in range(1, 7)),
-        centers: np.ndarray | None = None,
-        profile: str = "bump",
-    ) -> list[tuple[float, float, float]]:
+    def error_certificate(self) -> list[tuple[float, float, float]]:
         """Rows ``(lambda, s, |<R f - Pi_s f(s), eta_s^lam>| / lam^gamma)`` over
-        the probe battery (interior centers, dyadic scales)."""
-        grid = self._source.grid
-        if centers is None:
-            centers = np.linspace(0.1, 0.9, 9)
-        rows = []
-        for lam in lambdas:
-            for s_u in centers:
-                if s_u - lam < 0.0 or s_u + lam > 1.0:
-                    continue
-                s_node = int(round(s_u * grid.num_intervals))
-                probe = TestFunction(profile, float(s_u), float(lam))
-                defect = self.pair(probe) - self.pi_pair_unit(s_node, probe)
-                rows.append((lam, float(s_u), abs(defect) / lam**self.gamma))
-        return rows
+        the probes of the ``CERTIFICATE_*`` battery inside the unit interval,
+        with s rounded to a node and ``Pi_s f(s)`` paired in unit time by
+        :func:`pi_pairings` (one batched ``Gamma`` for all centers)."""
+        num = self._source.grid.num_intervals
+        battery = [(lam, s_u) for lam in CERTIFICATE_LAMBDAS for s_u in CERTIFICATE_CENTERS
+                   if s_u - lam >= 0.0 and s_u + lam <= 1.0]
+        probes = [TestFunction(CERTIFICATE_PROFILE, s_u, lam) for lam, s_u in battery]
+        nodes = np.rint(np.array([s_u for _, s_u in battery]) * num).astype(int)
+        u_mid = (np.arange(num) + 0.5) / num
+        local = pi_pairings(self._model, nodes, self._source.at(nodes),
+                            (probe(u_mid) for probe in probes), 1.0 / num)
+        return [(lam, s_u, abs(self.pair(probe) - float(loc)) / lam**self.gamma)
+                for (lam, s_u), probe, loc in zip(battery, probes, local)]
 
 
 def reconstruct(

@@ -120,11 +120,15 @@ class RoughPath:
         return out
 
     def restrict(self, start: int, level: int) -> "RoughPath":
-        """Rough path on a dyadic window of ``2**level`` intervals from node ``start``."""
+        """Rough path on a dyadic window of ``2**level`` intervals from node
+        ``start``; pair overrides inside the window move with it, re-keyed
+        to window nodes, and those straddling its ends are dropped."""
         sub_path = self.path.restrict(start, level)
         n = 1 << level
-        sub_second = SecondOrderProcess(sub_path.grid, self.second.increments[start : start + n])
-        return RoughPath(sub_path, sub_second, self.alpha)
+        inside = {(i - start, j - start): ov for (i, j), ov in self.second.pair_overrides.items()
+                  if start <= i < j <= start + n}
+        second = SecondOrderProcess(sub_path.grid, self.second.increments[start : start + n], inside)
+        return RoughPath(sub_path, second, self.alpha)
 
 
 def chen_defect(rp: RoughPath) -> float:
@@ -286,17 +290,30 @@ def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> None:
 
 
 def read_rough_path_json(json_file: str) -> RoughPath:
+    """Inverse of :func:`write_rough_path_json`; raises ``ValueError`` naming
+    the file unless it holds alpha, path_csv and, for each grid interval
+    0..N-1 exactly once, n*n finite floats."""
     with open(json_file) as fh:
         payload = json.load(fh)
-    csv_name = payload["path_csv"]
+    if not isinstance(payload, dict) or not {"alpha", "path_csv", "second_order"} <= set(payload):
+        raise ValueError(f"{json_file}: needs the keys alpha, path_csv and second_order")
+    csv_name = str(payload["path_csv"])
     if not os.path.exists(csv_name):
         candidate = os.path.join(os.path.dirname(os.path.abspath(json_file)), os.path.basename(csv_name))
         if os.path.exists(candidate):
             csv_name = candidate
     path = read_path_csv(csv_name)
-    n = path.dim
-    inc = np.zeros((path.grid.num_intervals, n, n))
-    for k, flat in payload["second_order"]:
-        inc[int(k)] = np.asarray(flat, dtype=float).reshape(n, n)
-    alpha = float(payload["alpha"])
+    n, n_int = path.dim, path.grid.num_intervals
+    try:
+        alpha = float(payload["alpha"])
+        keys = np.array([k for k, _ in payload["second_order"]])
+        flat = np.array([v for _, v in payload["second_order"]], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{json_file}: malformed alpha or second_order ({exc})") from None
+    if keys.dtype.kind not in "iu" or not np.array_equal(np.sort(keys), np.arange(n_int)):
+        raise ValueError(f"{json_file}: second_order must list each interval 0..{n_int - 1} once")
+    if flat.shape != (n_int, n * n) or not np.isfinite(flat).all():
+        raise ValueError(f"{json_file}: each interval needs {n * n} finite floats")
+    inc = np.empty((n_int, n, n))
+    inc[keys] = flat.reshape(n_int, n, n)
     return RoughPath(path, SecondOrderProcess(path.grid, inc), alpha)

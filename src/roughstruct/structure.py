@@ -12,7 +12,9 @@ has the four-level grading
 and the shift ``Gamma_h`` lowers ``W`` onto ``One`` and ``WWdot`` onto
 ``Wdot`` with weight ``h^i``.  A model realizes symbols either as grid
 functions (nonnegative homogeneity) or as Stieltjes-type measures
-(negative homogeneity); pairings are midpoint sums on the path grid.
+(negative homogeneity).  Every pairing of ``Pi_s`` with probes is a
+midpoint sum on the path grid taken as ``Pi_0 Gamma_{0,s}``
+(:func:`pi_pairings`), so each symbol is realized once, at node 0.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SampledPath, TestFunction, TimeGrid
+from .grids import SampledPath, TestFunction, TimeGrid, pair_scan
 from .roughpath import RoughPath
 
 
@@ -192,10 +194,9 @@ class PolynomialStructure:
         self.dim = dim
         self.max_degree = max_degree
 
-    def symbols(self, up_to: int | None = None) -> list[Symbol]:
-        top = self.max_degree if up_to is None else up_to
+    def symbols(self) -> list[Symbol]:
         out = []
-        for deg in range(top + 1):
+        for deg in range(self.max_degree + 1):
             for k in itertools.product(range(deg + 1), repeat=self.dim):
                 if sum(k) == deg:
                     out.append(X(k) if deg > 0 else ONE)
@@ -354,80 +355,93 @@ class PolynomialModel:
         return StructureGroupElement(np.array([t[s_idx] - t[t_idx]]))
 
 
-def pi_pair(model, s_idx: int, v: ModelSpaceVector, f) -> float | np.ndarray:
-    """``Pi_s(v)`` paired with a test function.
+def pi_pairings(model, s_idx, v: ModelSpaceVector, samples, cell: float) -> np.ndarray:
+    """``Pi_s(v)`` paired with each probe, as ``Pi_0 Gamma_{0,s} v``: shape
+    ``(probes, *value_shape)``.
 
-    Function symbols integrate ``f * Pi_s(sym)`` by the midpoint rule on the
-    grid; measure symbols sum ``f(midpoint) * increment``.  Vector-valued
-    coefficients pass through linearly.
-    """
-    grid = model.grid
-    mid = grid.midpoints()
-    fm = np.asarray(f(mid), dtype=float)
-    out = None
-    for sym, c in v.coeffs.items():
+    ``samples`` yields each probe's values at the grid's interval midpoints
+    in the caller's time convention, ``cell`` the interval width in it
+    (midpoint rule for function symbols; measures pair with increments).
+    ``s_idx`` is one node, or one per probe with a leading probe axis on
+    every coefficient.  One batched Gamma moves the jets to node 0, each
+    image symbol is realized once, probes are paired one at a time."""
+    moved = gamma_apply(model.gamma_of(0, s_idx), v, model.structure).coeffs
+    realized = np.empty((len(moved), model.grid.num_intervals))
+    for row, sym in zip(realized, moved):
         if model.pi_kind(sym) == "function":
-            g = model.pi_function(s_idx, sym)
-            base = float(np.sum(fm * 0.5 * (g[:-1] + g[1:]) * grid.step))
+            g = model.pi_function(0, sym)
+            row[:] = 0.5 * (g[:-1] + g[1:]) * cell
         else:
-            base = float(np.sum(fm * model.pi_measure(s_idx, sym)))
-        term = np.asarray(c, dtype=float) * base
-        out = term if out is None else out + term
-    if out is None:
-        return 0.0
+            row[:] = model.pi_measure(0, sym)
+    paired = np.array([realized @ np.asarray(fm, dtype=float) for fm in samples])
+    out = 0.0
+    for col, c in zip(paired.T, moved.values()):
+        out = out + col.reshape(col.shape + (1,) * (np.ndim(c) - np.ndim(s_idx))) * c
+    return out
+
+
+def pi_pair(model, s_idx: int, v: ModelSpaceVector, f) -> float | np.ndarray:
+    """``Pi_s(v)`` paired with a test function in real time (:func:`pi_pairings`);
+    vector-valued coefficients pass through linearly."""
+    out = np.asarray(pi_pairings(model, s_idx, v, [f(model.grid.midpoints())], model.grid.step))
+    out = out[0] if out.ndim else out
     return float(out) if out.ndim == 0 else out
+
+
+#: Probe battery of :func:`model_bound_estimate`: dyadic scales, unit C^1 ball bumps
+BOUND_LAMBDAS = tuple(2.0**-k for k in range(1, 8))
+BOUND_PROFILES = ("bump_b1", "odd_bump_b1")
 
 
 def model_bound_estimate(
     model,
     gamma: float,
-    lambdas: tuple[float, ...] = tuple(2.0**-k for k in range(1, 8)),
-    base_points: np.ndarray | None = None,
-    profiles: tuple[str, ...] = ("bump_b1", "odd_bump_b1"),
+    base_level: int | None = None,
     symbols: list[Symbol] | None = None,
 ) -> tuple[float, float]:
-    """Empirical model norms over a probe battery.
-
-    Returns ``(pi_norm, gamma_norm)``: maxima of
+    """Empirical model norms ``(pi_norm, gamma_norm)``: maxima of
     ``|Pi_s(tau)(phi_s^lambda)| / lambda^|tau|`` and
-    ``|Gamma_{s,t} tau|_beta / |t-s|^(|tau|-beta)`` over unit basis symbols
-    with homogeneity below ``gamma``, interior base points, dyadic scales
-    and both even and odd bumps from the unit C^1 ball.
-    """
-    grid = model.grid
-    structure = model.structure
-    if base_points is None:
-        coarse = max(0, grid.level - 4)
-        base_points = np.arange(0, grid.num_nodes, 1 << (grid.level - coarse))
-    if symbols is None:
-        symbols = structure.symbols()
-    syms = [s for s in symbols if structure.homogeneity(s) < gamma]
+    ``|Gamma_{s,t} tau|_beta / |t-s|^(|tau|-beta)`` over unit symbols below
+    ``gamma`` and nodes s, t of the level-``base_level`` subgrid (default
+    grid level - 4).  Probes: ``BOUND_PROFILES`` at ``BOUND_LAMBDAS`` inside
+    ``[0, T]``, by :func:`pi_pairings`.  The Gamma-norm is one ``pair_scan``
+    over all pairs s < t with exact lags: each beta-coefficient of
+    ``Gamma_h tau`` is one monomial in h, so ``Gamma_{t,s}`` has its norm."""
+    grid, structure = model.grid, model.structure
+    if base_level is None:
+        base_level = max(0, grid.level - 4)
+    stride = 1 << (grid.level - base_level)
+    syms = [s for s in (structure.symbols() if symbols is None else symbols)
+            if structure.homogeneity(s) < gamma]
+    homs = np.array([structure.homogeneity(s) for s in syms])
+
+    nodes, mids = grid.nodes, grid.midpoints()
+    battery = [(lam, s, prof) for lam in BOUND_LAMBDAS for s in range(0, grid.num_nodes, stride)
+               if nodes[s] - lam >= 0 and nodes[s] + lam <= grid.horizon for prof in BOUND_PROFILES]
     pi_norm = 0.0
-    for lam in lambdas:
-        for s_idx in base_points:
-            s_time = grid.nodes[s_idx]
-            if s_time - lam < 0 or s_time + lam > grid.horizon:
-                continue
-            for prof in profiles:
-                probe = TestFunction(prof, s_time, lam)
-                for sym in syms:
-                    val = pi_pair(model, int(s_idx), ModelSpaceVector({sym: 1.0}), probe)
-                    hom = structure.homogeneity(sym)
-                    pi_norm = max(pi_norm, abs(float(val)) / lam**hom)
-    gamma_norm = 0.0
-    nodes = grid.nodes
-    for s_idx in base_points:
-        for t_idx in base_points:
-            if s_idx == t_idx:
-                continue
-            g = model.gamma_of(int(s_idx), int(t_idx))
-            dt = abs(nodes[t_idx] - nodes[s_idx])
-            for sym in syms:
-                hom = structure.homogeneity(sym)
-                moved = gamma_apply(g, ModelSpaceVector({sym: 1.0}), structure)
-                for level in moved.levels(structure):
-                    if level >= hom - 1e-12:
-                        continue
-                    num = moved.level_norm(structure, level)
-                    gamma_norm = max(gamma_norm, num / dt ** (hom - level))
-    return pi_norm, gamma_norm
+    if battery and syms:
+        lams, s_nodes, _ = map(np.array, zip(*battery))
+        # unit symbol k as the k-th basis vector: one pairing per probe and symbol
+        unit = {sym: np.broadcast_to(e, (len(battery), len(syms)))
+                for sym, e in zip(syms, np.eye(len(syms)))}
+        samples = (TestFunction(prof, nodes[s], lam)(mids) for lam, s, prof in battery)
+        vals = pi_pairings(model, s_nodes, ModelSpaceVector(unit), samples, grid.step)
+        pi_norm = float(np.max(np.abs(vals) / lams[:, None] ** homs))
+
+    def image(g, sym):
+        return gamma_apply(g, ModelSpaceVector({sym: 1.0}), structure)
+
+    # (symbol, lower level) rows of Gamma's image: the same at every shift
+    rows = [(sym, lv) for sym, hom in zip(syms, homs)
+            for lv in image(model.gamma_of(0, 0), sym).levels(structure) if lv < hom - 1e-12]
+    if not rows:
+        return pi_norm, 0.0
+
+    def norms(s, t):
+        g = model.gamma_of(s * stride, t * stride)
+        moved = {sym: image(g, sym).coeffs for sym in syms}
+        return np.array([sum(np.abs(c) for tgt, c in moved[sym].items()
+                             if structure.homogeneity(tgt) == lv) for sym, lv in rows])
+
+    exponents = [structure.homogeneity(sym) - lv for sym, lv in rows]
+    return pi_norm, float(pair_scan(grid.subgrid(base_level), base_level, norms, exponents).max())

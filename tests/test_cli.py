@@ -92,6 +92,59 @@ def test_chen_violation_exits_two(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+def _set_index(k, value):
+    return lambda payload: payload["second_order"][k].__setitem__(0, value)
+
+
+def _set_tensor(k, value):
+    return lambda payload: payload["second_order"][k].__setitem__(1, value)
+
+
+# each corruption of a J = 4 rough-path file (16 intervals, dim 2)
+_JSON_DEFECTS = {
+    "missing-alpha": lambda payload: payload.pop("alpha"),
+    "missing-path_csv": lambda payload: payload.pop("path_csv"),
+    "missing-second_order": lambda payload: payload.pop("second_order"),
+    "index-99": _set_index(3, 99),
+    "index-negative": _set_index(3, -1),
+    "index-not-integer": _set_index(3, 2.5),
+    "interval-duplicated": _set_index(3, 2),
+    "intervals-missing": lambda payload: payload.__setitem__(
+        "second_order", payload["second_order"][:3]),
+    "tensor-short": _set_tensor(5, [0.0, 0.0, 0.0]),
+    "tensor-nan": _set_tensor(5, [0.0, float("nan"), 0.0, 0.0]),
+    "tensor-text": _set_tensor(5, ["a", 0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("defect", list(_JSON_DEFECTS))
+def test_malformed_rough_path_json_exits_one(tmp_path, capsys, defect):
+    w = tmp_path / "w.csv"
+    rp = tmp_path / "rp.json"
+    _run(capsys, "--grid-level", "4", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
+    _run(capsys, "--out", str(rp), "lift", str(w), "--mode", "linear")
+    code, _ = _run(capsys, "--json", "chen", str(rp))
+    assert code == 0
+    payload = json.loads(rp.read_text())
+    _JSON_DEFECTS[defect](payload)
+    rp.write_text(json.dumps(payload))
+    code, out = _run(capsys, "--json", "chen", str(rp))
+    assert code == 1
+    assert str(rp) in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+def test_non_finite_csv_value_exits_one(tmp_path, capsys, cell):
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "4", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
+    lines = w.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:2] + [cell])
+    w.write_text("\n".join(lines) + "\n")
+    code, out = _run(capsys, "--json", "--alpha", "0.5", "holder", str(w))
+    assert code == 1
+    assert str(w) in json.loads(out)["error"]
+
+
 def test_integrate_routes_agree(tmp_path, capsys):
     w = tmp_path / "w.csv"
     _run(capsys, "--grid-level", "10", "--out", str(w),

@@ -8,6 +8,9 @@ anchor itself (no re-expansion through Gamma).  Antiderivatives are summed
 termwise from the cumulative tables.  Agreement is required to 1e-12
 relative to the largest entry, far below the reconstruction tolerances,
 so an offset of half a cell in a stencil cannot pass.
+
+The reconstruction certificate is checked the same way: its reference
+realizes ``Pi_s f(s)`` at every probe center s itself.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from roughstruct import (
     ReducedModel,
     RoughModel,
     StieltjesMeasure,
+    TestFunction,
     Wdot,
     X,
     antiderivative_from_distribution,
@@ -213,4 +217,74 @@ def test_reconstruct_realizes_each_symbol_once(name):
     reconstruct(f, model)
     symbols = {sym for _, sym in calls}
     assert len(calls) == len(symbols) == len(f.coeffs)
+    assert {s for s, _ in calls} == {0}
+
+
+def _certificate_case(level: int, horizon: float, kind: str):
+    grid = make_dyadic_grid(horizon, level)
+    w = generate_path("fbm", grid, dim=2, hurst=ALPHA, seed=4)
+    model = RoughModel(lift_piecewise_smooth(w, "linear", ALPHA))
+    wv = w.values[:, 0]
+    yp = np.zeros((grid.num_nodes, 1, 2))
+    yp[:, 0, 0] = np.cos(wv)
+    yp[:, 0, 1] = 0.3
+    f = to_modelled(ControlledPath(np.sin(wv), yp, w), ALPHA)
+    return (multiply_by_Wdot(f, 0) if kind == "measure" else f), model
+
+
+def _reference_certificate(rr, f, model) -> list[tuple[float, float, float]]:
+    """Per probe: ``Pi_s f(s)`` realized at the center node s, unit-time midpoint rule."""
+    num = f.grid.num_intervals
+    u_mid = _unit_mids(f.grid)
+    rows = []
+    for lam in (2.0**-m for m in range(1, 7)):
+        for s_u in np.linspace(0.1, 0.9, 9):
+            if s_u - lam < 0.0 or s_u + lam > 1.0:
+                continue
+            s_node = int(round(s_u * num))
+            probe = TestFunction("bump", float(s_u), float(lam))
+            fm = probe(u_mid)
+            local = 0.0
+            for sym, coeff in f.coeffs.items():
+                if model.pi_kind(sym) == "measure":
+                    base = np.dot(fm, model.pi_measure(s_node, sym))
+                else:
+                    g = model.pi_function(s_node, sym)
+                    base = np.dot(fm, 0.5 * (g[:-1] + g[1:])) / num
+                local += float(coeff[s_node]) * float(base)
+            rows.append((lam, float(s_u), abs(rr.pair(probe) - local) / lam**rr.gamma))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["measure", "function"])
+@pytest.mark.parametrize("horizon", [1.0, 1.13])
+@pytest.mark.parametrize("level", [12, 13])
+def test_certificate_matches_per_probe_realization(level, horizon, kind):
+    # the certificate defect is a difference of O(1) pairings, so moving
+    # every jet through Gamma shows as a relative drift above eps
+    f, model = _certificate_case(level, horizon, kind)
+    rr = reconstruct(f, model)
+    got = rr.error_certificate()
+    want = _reference_certificate(rr, f, model)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-9)
+
+
+def test_certificate_realizes_each_symbol_once():
+    f, model = _certificate_case(12, 1.0, "measure")
+    rr = reconstruct(f, model)
+    calls = []
+    for method in ("pi_measure", "pi_function"):
+        bound = getattr(model, method)
+
+        def counted(s_idx, sym, bound=bound):
+            calls.append((s_idx, sym))
+            return bound(s_idx, sym)
+
+        setattr(model, method, counted)
+    rows = rr.error_certificate()
+    assert len(rows) == 40
+    # Wdot(0), WWdot(0, 0) and WWdot(1, 0), each realized once at node 0
+    assert sorted(map(repr, (sym for _, sym in calls))) == sorted(map(repr, f.coeffs))
     assert {s for s, _ in calls} == {0}

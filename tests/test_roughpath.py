@@ -170,6 +170,23 @@ def test_override_detected_in_each_role_at_j10(shifts):
     assert chen_defect(broken) == pytest.approx(np.linalg.norm(delta), rel=1e-12)
 
 
+def test_restrict_keeps_overrides_inside_the_window():
+    path = generate_path("fbm", make_dyadic_grid(1.0, 6), dim=2, hurst=0.5, seed=0)
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
+    delta = np.array([[0.3, -0.2], [0.1, 0.4]])
+    broken = _with_overrides(rp, {(0, 8): delta})
+    window = broken.restrict(0, 4)
+    assert chen_defect(window) == pytest.approx(chen_defect(broken), rel=1e-12)
+    assert chen_defect(window) == pytest.approx(np.linalg.norm(delta), rel=1e-12)
+    # re-keyed to window nodes, the ends included; straddling ones dropped
+    shifted = _with_overrides(rp, {(18, 24): delta, (16, 32): delta, (14, 20): delta,
+                                   (30, 40): delta})
+    sub = shifted.restrict(16, 4)
+    assert set(sub.second.pair_overrides) == {(2, 8), (0, 16)}
+    assert np.array_equal(sub.pair(2, 8), shifted.pair(18, 24))
+    assert chen_defect(_with_overrides(rp, {(2, 20): delta}).restrict(0, 4)) <= 1e-12
+
+
 def test_defect_of_analytic_sincos_lift():
     grid = make_dyadic_grid(np.pi / 2, 8)
     w = generate_path("sin_cos", grid, dim=2)

@@ -246,7 +246,7 @@ def test_rough_gamma_quotient_equals_holder_seminorm():
     w = generate_path("fbm", grid, hurst=0.5, seed=1)
     m = RoughModel(lift_piecewise_smooth(w, "linear", 0.45))
     _, gamma_norm = model_bound_estimate(
-        m, gamma=0.9, base_points=np.arange(grid.num_nodes), symbols=[W(0)]
+        m, gamma=0.9, base_level=grid.level, symbols=[W(0)]
     )
     assert gamma_norm == pytest.approx(holder_seminorm(w, 0.45), rel=1e-12)
 
@@ -263,8 +263,8 @@ def test_zero_path_noise_contribution_vanishes():
 # re-expansion at one base point: Pi_s tau = Pi_0 (Gamma_{0,s} tau)
 
 
-def _models_for_reexpansion():
-    grid = make_dyadic_grid(1.3, 7)
+def _models_for_reexpansion(horizon: float = 1.3):
+    grid = make_dyadic_grid(horizon, 7)
     w = generate_path("fbm", grid, dim=2, hurst=0.45, seed=21)
     rough = RoughModel(lift_piecewise_smooth(w, "linear", 0.45))
     reduced = ReducedModel(w, 0.45)
@@ -336,3 +336,100 @@ def test_batched_gamma_of_index_pairs_on_vector_jets(name, value_shape, pairs):
         for sym, c in scalar.coeffs.items():
             assert np.shape(batched.coeffs[sym]) == (len(pairs), *value_shape)
             np.testing.assert_allclose(batched.coeffs[sym][q], c, rtol=1e-15, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one pairing for every diagnostic: the direct realization at s as oracle
+
+
+def _direct_pair(model, s_idx: int, sym, probe) -> float:
+    """``<Pi_s sym, probe>`` realized at s itself, midpoint rule in real time."""
+    grid = model.grid
+    fm = probe(grid.midpoints())
+    if model.pi_kind(sym) == "measure":
+        return float(np.sum(fm * model.pi_measure(s_idx, sym)))
+    g = model.pi_function(s_idx, sym)
+    return float(np.sum(fm * 0.5 * (g[:-1] + g[1:]) * grid.step))
+
+
+@pytest.mark.parametrize("name", ["rough", "reduced", "polynomial"])
+def test_pi_pair_matches_direct_realization(name):
+    model = _REEXPANSION_MODELS[name]
+    for s_idx, lam in [(0, 0.5), (37, 0.25), (64, 0.125), (128, 1.0)]:
+        probe = TestFunction("bump", model.grid.nodes[s_idx], lam)
+        for sym in model.structure.symbols():
+            want = _direct_pair(model, s_idx, sym, probe)
+            got = pi_pair(model, s_idx, ModelSpaceVector({sym: 1.0}), probe)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("value_shape", [(3,), (3, 2)])
+def test_pi_pair_vector_coefficients_match_scalar_calls(value_shape):
+    # vector-valued coefficients pass through linearly: each component of
+    # the pairing is the pairing of that component's scalar jet
+    model = _REEXPANSION_MODELS["rough"]
+    rng = np.random.default_rng(3)
+    jet = {sym: rng.standard_normal(value_shape) for sym in model.structure.symbols()}
+    probe = TestFunction("odd_bump", 0.6, 0.3)
+    got = pi_pair(model, 50, ModelSpaceVector(jet), probe)
+    assert np.shape(got) == value_shape
+    for pos in np.ndindex(*value_shape):
+        one = ModelSpaceVector({sym: float(c[pos]) for sym, c in jet.items()})
+        assert got[pos] == pytest.approx(pi_pair(model, 50, one, probe), rel=1e-13, abs=1e-15)
+
+
+def _reference_model_bounds(model, gamma: float, base_points: np.ndarray) -> tuple[float, float]:
+    """The probe battery by direct realization at each base point, and the
+    Gamma-norm as a double loop over ordered base-point pairs with exact lags."""
+    grid = model.grid
+    st = model.structure
+    syms = [s for s in st.symbols() if st.homogeneity(s) < gamma]
+    pi_norm = 0.0
+    for lam in (2.0**-k for k in range(1, 8)):
+        for s_idx in base_points:
+            s_time = grid.nodes[s_idx]
+            if s_time - lam < 0 or s_time + lam > grid.horizon:
+                continue
+            for prof in ("bump_b1", "odd_bump_b1"):
+                probe = TestFunction(prof, s_time, lam)
+                for sym in syms:
+                    val = _direct_pair(model, int(s_idx), sym, probe)
+                    pi_norm = max(pi_norm, abs(val) / lam ** st.homogeneity(sym))
+    gamma_norm = 0.0
+    for s_idx in base_points:
+        for t_idx in base_points:
+            if s_idx == t_idx:
+                continue
+            g = model.gamma_of(int(s_idx), int(t_idx))
+            lag = abs(int(t_idx) - int(s_idx)) * grid.step
+            for sym in syms:
+                hom = st.homogeneity(sym)
+                moved = gamma_apply(g, ModelSpaceVector({sym: 1.0}), st)
+                for level in moved.levels(st):
+                    if level < hom - 1e-12:
+                        gamma_norm = max(gamma_norm, moved.level_norm(st, level) / lag ** (hom - level))
+    return pi_norm, gamma_norm
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1.3])
+@pytest.mark.parametrize("name, gamma", [("rough", 0.9), ("reduced", 0.9), ("polynomial", 2.5)])
+def test_model_bound_estimate_matches_reference(name, gamma, horizon):
+    model = _models_for_reexpansion(horizon)[name]
+    for base_level in (None, 4):
+        stride = 1 << (7 - (3 if base_level is None else base_level))
+        want_pi, want_gamma = _reference_model_bounds(model, gamma, np.arange(0, 129, stride))
+        got_pi, got_gamma = model_bound_estimate(model, gamma, base_level=base_level)
+        assert got_pi == pytest.approx(want_pi, rel=1e-12)
+        assert got_gamma == pytest.approx(want_gamma, rel=1e-14)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1.3])
+def test_polynomial_pi_norm_drift_is_reexpansion_cancellation(horizon):
+    # Pi_0 Gamma_{0,s} X^k sums binomial terms of size up to (2T)^k for a
+    # pairing of size lambda^k: the pi-norm may move by eps (2T/lambda)^k
+    # against the direct realization at s, and by no more
+    model = _models_for_reexpansion(horizon)["polynomial"]
+    want_pi, want_gamma = _reference_model_bounds(model, 4.5, np.arange(0, 129, 16))
+    got_pi, got_gamma = model_bound_estimate(model, 4.5)
+    assert abs(got_pi - want_pi) <= np.finfo(float).eps * (2 * horizon * 2**7) ** 4
+    assert got_gamma == pytest.approx(want_gamma, rel=1e-14)
