@@ -10,7 +10,6 @@ from .grids import (
     SampledPath,
     TestFunction,
     TimeGrid,
-    evaluate_test_function,
     generate_path,
     holder_seminorm,
     make_dyadic_grid,

@@ -309,6 +309,8 @@ def _cmd_solve(args) -> dict:
 def _cmd_convergence(args) -> dict:
     data = np.genfromtxt(args.samples_csv, delimiter=",", skip_header=1, dtype=float)
     data = np.atleast_2d(data)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{args.samples_csv}: non-finite or unparsable value")
     samples = [(float(r[0]), float(r[1])) for r in data]
     slope, r2 = convergence_order_fit(samples, drop_coarsest=args.drop_coarsest)
     return {"slope": slope, "r_squared": r2, "samples": len(samples)}

@@ -116,11 +116,6 @@ class SampledPath:
         sub = TimeGrid(self.grid.step * n, level)
         return SampledPath(sub, self.values[start : start + n + 1])
 
-    def coarsen(self, level: int) -> "SampledPath":
-        """Same underlying path sampled on the coarser dyadic subgrid."""
-        stride = 1 << (self.grid.level - level)
-        return SampledPath(self.grid.subgrid(level), self.values[::stride])
-
 
 def euclidean_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each ``a[k]`` over all its trailing axes."""
@@ -392,10 +387,6 @@ class TestFunction:
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.scale, self.center + self.scale)
-
-
-def evaluate_test_function(f: TestFunction, t: np.ndarray | float) -> np.ndarray | float:
-    return f(t)
 
 
 # ---------------------------------------------------------------------------

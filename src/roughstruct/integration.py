@@ -20,6 +20,13 @@ def _partition(i0: int, i1: int, stride: int) -> np.ndarray:
     return np.append(pts, i1)
 
 
+def _germ(cp: ControlledPath, rp: RoughPath, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The compensated germ ``y_u W_{u,v} + y'_u WW_{u,v}`` of a scalar
+    controlled path over node pairs, shape (P, n)."""
+    dw = rp.path.values[v] - rp.path.values[u]
+    return cp.y[u, 0, None] * dw + np.einsum("pi,pij->pj", cp.y_prime[u, 0, :], rp.pairs(u, v))
+
+
 def young_integral(y: SampledPath, w: SampledPath, s: int = 0, t: int | None = None) -> np.ndarray:
     """Left-point Riemann-Stieltjes sum ``sum y_u W_{u,v}`` on the finest grid.
 
@@ -66,23 +73,15 @@ def rough_integral_sum(
         raise ValueError(f"mesh level {mesh_level} finer than grid level {grid.level}")
     stride = 1 << (grid.level - mesh_level)
     pts = _partition(s, t, stride)
-    u, v = pts[:-1], pts[1:]
-    dw = rp.path.values[v] - rp.path.values[u]
-    ww = rp.pairs(u, v)
-    out = np.einsum("p,pj->j", cp.y[u, 0], dw)
-    out += np.einsum("pi,pij->j", cp.y_prime[u, 0, :], ww)
-    return out
+    return _germ(cp, rp, pts[:-1], pts[1:]).sum(axis=0)
 
 
 def rough_integral_path(cp: ControlledPath, rp: RoughPath) -> np.ndarray:
     """Cumulative compensated sum at the finest mesh: ``I(t_k)`` for every
     node, shape (num_nodes, n), with I(0) = 0."""
-    dw = rp.path.increments()
     k = np.arange(rp.path.grid.num_intervals)
-    ww = rp.pairs(k, k + 1)
-    steps = cp.y[:-1, 0, None] * dw + np.einsum("pi,pij->pj", cp.y_prime[:-1, 0, :], ww)
     out = np.zeros((rp.path.grid.num_nodes, rp.dim))
-    out[1:] = np.cumsum(steps, axis=0)
+    out[1:] = np.cumsum(_germ(cp, rp, k, k + 1), axis=0)
     return out
 
 
@@ -105,9 +104,7 @@ def three_point_defect(
     for span in lengths:
         starts = np.arange(0, grid.num_intervals - span + 1, span)
         ends = starts + span
-        dw = rp.path.values[ends] - rp.path.values[starts]
-        ww = rp.pairs(starts, ends)
-        pred = cp.y[starts, 0, None] * dw + np.einsum("pi,pij->pj", cp.y_prime[starts, 0, :], ww)
+        pred = _germ(cp, rp, starts, ends)
         defect = np.linalg.norm(integral[ends] - integral[starts] - pred, axis=1)
         rows.append((span * grid.step, float(defect.max())))
     return rows

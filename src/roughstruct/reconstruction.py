@@ -27,7 +27,8 @@ are invariant under the rescaling), so the dyadic index sets are exactly
 the unit-interval ones and anchors land on grid nodes.
 
 The lift takes the reduced structure {One, Wdot}, reconstructs the
-distribution whose local model at s is ``W^i_s dW^j``, integrates it to z
+``(n, n)``-valued distribution whose local model at s is ``W^i_s dW^j`` in
+one call, integrates it to z
 and sets ``WW_{s,t} = z_{s,t} - W_s (x) W_{s,t}``; Chen's relation then
 holds by construction and only the size bound is at stake.
 """
@@ -67,10 +68,13 @@ class ReconstructionResult:
     the antiderivative path.
 
     ``scaling_coeffs`` holds the anchored level-``max_level`` coefficients,
-    one per index of ``basis.index_set(max_level)``.  ``pair`` integrates
-    the partial-sum density against a callable on the unit interval.  The
-    antiderivative is reported in real time; for function-kind targets the
-    unit-time series is rescaled by the horizon.
+    shape ``(K, *value_shape)`` with one row per index of
+    ``basis.index_set(max_level)`` (``(K,)`` for a scalar jet).  The
+    antiderivative has one column per component, row-major over the value
+    shape, and is reported in real time; for function-kind targets the
+    unit-time series is rescaled by the horizon.  ``pair`` integrates the
+    partial-sum density against a callable on the unit interval, and it and
+    ``error_certificate`` take scalar jets only.
     """
 
     base_level: int
@@ -123,8 +127,10 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Partial-sum reconstruction of a modelled distribution.
 
-    ``trunc_level`` defaults to grid level - 2 so every coefficient stays
-    resolvable by the grid quadrature.  Requires ``gamma > min(A)`` and a
+    Coefficients of ``f`` have shape ``(num_nodes, *value_shape)``; every
+    component is reconstructed in the one call, each transported symbol
+    realized once.  ``trunc_level`` defaults to grid level - 2 so every
+    coefficient stays resolvable by the grid quadrature.  Requires ``gamma > min(A)`` and a
     basis regular enough for the structure (``r > |alpha_*|``); for
     ``gamma <= 0`` the partial-sum representative is returned without any
     uniqueness claim.
@@ -163,11 +169,16 @@ def reconstruct(
     jets = ModelSpaceVector({sym: np.asarray(c)[anchors] for sym, c in f.coeffs.items()})
     moved = gamma_apply(model.gamma_of(0, anchors), jets, model.structure).coeffs
     table = stencil(basis, "father", trunc_level, grid.level)
+    value_shape = np.shape(next(iter(moved.values())))[1:]
 
-    coeffs = np.zeros(ks.size)
+    def rows(p: np.ndarray) -> np.ndarray:
+        """A ``(K,)`` pairing against ``(K, *value_shape)`` coefficients."""
+        return p.reshape(p.shape + (1,) * len(value_shape))
+
+    coeffs = np.zeros((ks.size,) + value_shape)
     if kind == "measure":
         for sym, c in moved.items():
-            coeffs += c * analyse(model.pi_measure(0, sym), table)
+            coeffs += c * rows(analyse(model.pi_measure(0, sym), table))
     else:
         # the midpoint rule pairs only the deviation from the value at the
         # anchor, which is paired exactly through the cumulative table (so
@@ -183,11 +194,11 @@ def reconstruct(
         for sym, c in moved.items():
             g = model.pi_function(0, sym)
             mid = analyse(0.5 * (g[:-1] + g[1:]), table) * du
-            coeffs += c * (mid + g[0] * int_left + g[-1] * int_right + g[anchors] * exact)
+            coeffs += c * rows(mid + g[0] * int_left + g[-1] * int_right + g[anchors] * exact)
 
     primitive = stencil(basis, "father", trunc_level, grid.level, cumulative=True)
-    z = np.zeros(grid.num_nodes)
-    z[1:] = np.cumsum(synthesise(coeffs, primitive))
+    z = np.zeros((grid.num_nodes,) + value_shape)
+    z[1:] = np.cumsum(synthesise(coeffs, primitive), axis=0)
     if kind == "function":
         z *= grid.horizon
     return ReconstructionResult(
@@ -196,7 +207,7 @@ def reconstruct(
         gamma=f.gamma,
         basis=basis,
         scaling_coeffs=coeffs,
-        antiderivative=SampledPath(grid, z),
+        antiderivative=SampledPath(grid, z.reshape(grid.num_nodes, -1)),
         kind=kind,
         _model=model,
         _source=f,
@@ -218,21 +229,14 @@ def _father_center_of_mass(basis: WaveletBasis) -> float:
 
 
 def antiderivative_from_distribution(
-    xi,
+    xi: StieltjesMeasure,
     basis: WaveletBasis | None = None,
     base_level: int | None = None,
     max_level: int | None = None,
 ) -> SampledPath:
-    """Primitive z with z(0) = 0 of a negative-regularity distribution given
-    either as a Stieltjes measure or as a reconstruction result.
-
-    The truncated wavelet series of the paper's characterization is summed
-    on the grid nodes.
+    """Primitive z with z(0) = 0 of a Stieltjes measure: the truncated
+    wavelet series of the paper's characterization summed on the grid nodes.
     """
-    if isinstance(xi, ReconstructionResult):
-        return xi.antiderivative
-    if not isinstance(xi, StieltjesMeasure):
-        raise TypeError("xi must be a StieltjesMeasure or ReconstructionResult")
     if basis is None:
         basis = daubechies_basis(4)
     table = wavelet_coefficients(xi, basis, base_level, max_level)
@@ -258,8 +262,8 @@ def wavelet_rough_integral(
     basis: WaveletBasis | None = None,
     trunc_level: int | None = None,
 ) -> tuple[SampledPath, list[tuple[float, float]]]:
-    """Rough integral through reconstruction: antiderivative of
-    ``(y One + y' W) * Wdot^j`` per driver component.
+    """Rough integral through reconstruction: antiderivative of the jet
+    ``(y One + y' W) * Wdot^j`` with one component per driver direction j.
 
     Returns the integral path I (I(0) = 0, one column per driver) together
     with the three-point certificate rows ``(interval, max defect)`` for
@@ -270,12 +274,15 @@ def wavelet_rough_integral(
     model = RoughModel(rp)
     f = to_modelled(cp, rp.alpha)
     n = rp.dim
-
-    def column(j: int) -> np.ndarray:
-        rr = reconstruct(multiply_by_Wdot(f, j), model, basis, trunc_level)
-        return rr.antiderivative.values[:, 0]
-
-    integral = SampledPath(rp.path.grid, np.stack([column(j) for j in range(n)], axis=1))
+    coeffs = {}
+    for j in range(n):
+        # each product's symbols (Wdot^j, WWdot^{ij}) belong to direction j only
+        fj = multiply_by_Wdot(f, j)
+        for sym, c in fj.coeffs.items():
+            coeffs[sym] = np.zeros((f.grid.num_nodes, n))
+            coeffs[sym][:, j] = c
+    integrand = ModelledDistribution(fj.gamma, coeffs, f.grid, f.structure, f.reference)
+    integral = reconstruct(integrand, model, basis, trunc_level).antiderivative
     certificate = three_point_defect(integral.values, cp, rp)
     return integral, certificate
 
@@ -295,20 +302,14 @@ def wavelet_lift(
     model = ReducedModel(w, alpha)
     grid = w.grid
     n = w.dim
-    dw = w.increments()
-    z = np.zeros((grid.num_nodes, n, n))
-
-    for i in range(n):
-        for j in range(n):
-            f = ModelledDistribution(
-                gamma=2 * alpha - 1.0,
-                coeffs={Wdot(j): w.values[:, i].copy()},
-                grid=grid,
-                structure=model.structure,
-                reference=w,
-            )
-            z[:, i, j] = reconstruct(f, model, basis, trunc_level).antiderivative.values[:, 0]
-    increments = np.diff(z, axis=0) - np.einsum("ki,kj->kij", w.values[:-1], dw)
+    # the local model W^i_s Wdot^j for all (i, j): coefficient W (x) e_j on Wdot^j
+    coeffs = {}
+    for j in range(n):
+        coeffs[Wdot(j)] = np.zeros((grid.num_nodes, n, n))
+        coeffs[Wdot(j)][:, :, j] = w.values
+    f = ModelledDistribution(2 * alpha - 1.0, coeffs, grid, model.structure, w)
+    z = reconstruct(f, model, basis, trunc_level).antiderivative.values.reshape(-1, n, n)
+    increments = np.diff(z, axis=0) - np.einsum("ki,kj->kij", w.values[:-1], w.increments())
     return RoughPath(w, SecondOrderProcess(grid, increments), alpha)
 
 

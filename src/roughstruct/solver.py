@@ -82,19 +82,13 @@ def _integrate(g: np.ndarray, dg: np.ndarray, rp: RoughPath, cfg: SolverConfig) 
             f"base level {base_level}; use the riemann route"
         )
     model = RoughModel(rp)
-    structure = RoughStructure(rp.alpha, rp.dim)
-    d = g.shape[1]
-    n = rp.dim
-    out = np.zeros((grid.num_nodes, d))
-    for m in range(d):
-        coeffs = {}
-        for j in range(n):
-            coeffs[Wdot(j)] = g[:, m, j].copy()
-            for i in range(n):
-                coeffs[WWdot(i, j)] = dg[:, m, j, i].copy()
-        f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, grid, structure, rp.path)
-        out[:, m] = reconstruct(f, model).antiderivative.values[:, 0]
-    return out
+    coeffs = {}
+    for j in range(rp.dim):
+        coeffs[Wdot(j)] = g[:, :, j]
+        for i in range(rp.dim):
+            coeffs[WWdot(i, j)] = dg[:, :, j, i]
+    f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, grid, model.structure, rp.path)
+    return reconstruct(f, model).antiderivative.values
 
 
 def _step_core(

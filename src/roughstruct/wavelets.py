@@ -21,10 +21,9 @@ transpose.  Both cost ``O(c N)``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -305,13 +304,19 @@ def analyse(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def synthesise(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Transpose of ``analyse``: ``sum_k coeffs_k table[r - k s]`` per interval r."""
+    """Transpose of ``analyse``: ``sum_k coeffs_k table[r - k s]`` per interval r.
+
+    ``coeffs`` has shape ``(K, *value_shape)``, one row per index of
+    ``index_set(level)``; the result has shape ``(2**grid_level, *value_shape)``.
+    """
     two_c, s = table.shape
-    n = coeffs.size - two_c - 1
-    out = np.zeros((n, s))
+    n = coeffs.shape[0] - two_c - 1
+    value_shape = coeffs.shape[1:]
+    out = np.zeros((n, s) + value_shape)
     for q in range(two_c):
-        out += np.outer(coeffs[two_c - q : two_c - q + n], table[q])
-    return out.ravel()
+        row = table[q].reshape((s,) + (1,) * len(value_shape))
+        out += coeffs[two_c - q : two_c - q + n, None] * row
+    return out.reshape((n * s,) + value_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -320,36 +325,15 @@ def synthesise(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StieltjesMeasure:
-    """The distribution ``xi = dZ`` of a scalar sampled path, acting on test
-    functions through midpoint Riemann-Stieltjes sums on the integrator grid.
-
-    The action on a constant-one window over node-aligned ``[a, b]``
-    telescopes to ``Z_b - Z_a`` exactly.
-    """
+    """The distribution ``xi = dZ`` of a scalar sampled path; it pairs with
+    the basis through midpoint Riemann-Stieltjes sums on the integrator grid
+    (:func:`wavelet_coefficients`)."""
 
     integrator: SampledPath
 
     def __post_init__(self) -> None:
         if self.integrator.dim != 1:
             raise ValueError("StieltjesMeasure integrates a scalar component")
-
-    @cached_property
-    def _mid(self) -> np.ndarray:
-        return self.integrator.grid.midpoints()
-
-    @cached_property
-    def _dz(self) -> np.ndarray:
-        return self.integrator.increments()[:, 0]
-
-    def pair(self, fn) -> float:
-        """``int fn dZ`` by the midpoint rule."""
-        return float(np.dot(np.asarray(fn(self._mid), dtype=float), self._dz))
-
-    def window_action(self, a: float, b: float) -> float:
-        """Action on the indicator of ``[a, b]`` (exact telescoping on nodes)."""
-        mid = self._mid
-        mask = (mid >= a) & (mid <= b)
-        return float(self._dz[mask].sum())
 
 
 @dataclass
@@ -361,28 +345,6 @@ class CoefficientTable:
     horizon: float
     phi: dict[int, float]
     psi: dict[tuple[int, int], float]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "l": self.base_level,
-                "phi": [[int(k), v] for k, v in sorted(self.phi.items())],
-                "psi": [[int(j), int(k), v] for (j, k), v in sorted(self.psi.items())],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, max_level: int | None = None, horizon: float = 1.0):
-        obj = json.loads(text)
-        psi = {(int(j), int(k)): v for j, k, v in obj["psi"]}
-        top = max(j for j, _ in psi) if psi else obj["l"]
-        return cls(
-            base_level=int(obj["l"]),
-            max_level=max_level if max_level is not None else top,
-            horizon=horizon,
-            phi={int(k): v for k, v in obj["phi"]},
-            psi=psi,
-        )
 
 
 def wavelet_coefficients(

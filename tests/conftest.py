@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roughstruct import daubechies_basis, generate_path, lift_piecewise_smooth, make_dyadic_grid
+from roughstruct import reconstruction
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +28,20 @@ def sincos_rough_path():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def reconstruct_calls(monkeypatch):
+    """Counts ``reconstruction.reconstruct`` calls made by the library: the
+    list receives each call's modelled distribution.  The unwrapped function
+    stays reachable as ``roughstruct.reconstruct``."""
+    calls = []
+    original = reconstruction.reconstruct
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruction, "reconstruct", counted)
+    return calls
+

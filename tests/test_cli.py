@@ -145,6 +145,17 @@ def test_non_finite_csv_value_exits_one(tmp_path, capsys, cell):
     assert str(w) in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("cell", ["abc", ""])
+def test_convergence_unparsable_sample_exits_one(tmp_path, capsys, cell):
+    samples = tmp_path / "samples.csv"
+    rows = [f"{2.0**-k},{2.0**(-2*k)}" for k in range(5)]
+    rows[2] = f"{2.0**-2},{cell}"
+    samples.write_text("\n".join(["scale,error"] + rows) + "\n")
+    code, out = _run(capsys, "--json", "convergence", str(samples))
+    assert code == 1
+    assert str(samples) in json.loads(out)["error"]
+
+
 def test_integrate_routes_agree(tmp_path, capsys):
     w = tmp_path / "w.csv"
     _run(capsys, "--grid-level", "10", "--out", str(w),

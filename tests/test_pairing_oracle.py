@@ -218,6 +218,34 @@ def test_reconstruct_realizes_each_symbol_once(name):
     symbols = {sym for _, sym in calls}
     assert len(calls) == len(symbols) == len(f.coeffs)
     assert {s for s, _ in calls} == {0}
+    # a vector-valued jet realizes the same symbols, not symbols x components
+    calls.clear()
+    vec = {sym: np.stack([c, 2.0 * c, -c], axis=1) for sym, c in f.coeffs.items()}
+    reconstruct(ModelledDistribution(f.gamma, vec, grid, f.structure, f.reference), model)
+    assert sorted(map(repr, (sym for _, sym in calls))) == sorted(map(repr, symbols))
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1.13])
+@pytest.mark.parametrize("value_shape", [(2,), (2, 2)], ids=["2", "2x2"])
+@pytest.mark.parametrize("name", ["rough-measure", "rough-function"])
+def test_vector_reconstruct_matches_scalar_calls(name, value_shape, horizon):
+    f, model = _case(name, horizon)
+    size = int(np.prod(value_shape))
+    rng = np.random.default_rng(17)
+    # component m of every symbol: a distinct perturbation of the scalar jet
+    columns = [{sym: (1.0 + 0.5 * m) * c + 0.1 * rng.normal(size=c.shape)
+                for sym, c in f.coeffs.items()} for m in range(size)]
+    vec = {sym: np.stack([col[sym] for col in columns], axis=1).reshape((-1,) + value_shape)
+           for sym in f.coeffs}
+    rr = reconstruct(ModelledDistribution(f.gamma, vec, f.grid, f.structure, f.reference), model)
+    ks = rr.basis.index_set(rr.max_level).size
+    assert rr.scaling_coeffs.shape == (ks,) + value_shape
+    assert rr.antiderivative.values.shape == (f.grid.num_nodes, size)
+    for m, col in enumerate(columns):
+        one = reconstruct(ModelledDistribution(f.gamma, col, f.grid, f.structure, f.reference),
+                          model)
+        _close(rr.scaling_coeffs.reshape(ks, size)[:, m], one.scaling_coeffs)
+        _close(rr.antiderivative.values[:, m], one.antiderivative.values[:, 0])
 
 
 def _certificate_case(level: int, horizon: float, kind: str):

@@ -13,6 +13,7 @@ from roughstruct import (
     StieltjesMeasure,
     Wdot,
     X,
+    ReducedModel,
     antiderivative_from_distribution,
     chen_defect,
     convergence_order_fit,
@@ -343,3 +344,49 @@ def test_lift_scaling_by_two(basis):
     a = rp.pair(0, grid.num_intervals)[0, 0]
     b = rp2.pair(0, grid.num_intervals)[0, 0]
     assert b == pytest.approx(4 * a, abs=4e-3)
+
+
+# ---------------------------------------------------------------------------
+# one reconstruct call per vector-valued jet, against per-component loops
+
+
+def _rel_close(got, want, tol=1e-12) -> None:
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_wavelet_lift_matches_per_component_loop(basis, reconstruct_calls, dim):
+    grid = make_dyadic_grid(1.13, 9)
+    w = generate_path("fbm", grid, dim=dim, hurst=ALPHA, seed=21)
+    got = wavelet_lift(w, ALPHA, basis).second.increments
+    assert len(reconstruct_calls) == 1
+    # one reconstruction per (i, j) with the scalar jet W^i on Wdot^j
+    model = ReducedModel(w, ALPHA)
+    z = np.zeros((grid.num_nodes, dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            f = ModelledDistribution(2 * ALPHA - 1.0, {Wdot(j): w.values[:, i].copy()},
+                                     grid, model.structure, w)
+            z[:, i, j] = reconstruct(f, model, basis).antiderivative.values[:, 0]
+    want = np.diff(z, axis=0) - np.einsum("ki,kj->kij", w.values[:-1], w.increments())
+    _rel_close(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_wavelet_rough_integral_matches_per_component_loop(basis, reconstruct_calls, dim):
+    grid = make_dyadic_grid(1.13, 9)
+    w = generate_path("fbm", grid, dim=dim, hurst=ALPHA, seed=22)
+    rp = lift_piecewise_smooth(w, "linear", ALPHA)
+    yp = np.zeros((grid.num_nodes, 1, dim))
+    yp[:, 0, 0] = np.cos(w.values[:, 0])
+    yp[:, 0, 1:] = 0.3
+    cp = ControlledPath(np.sin(w.values[:, 0]), yp, w)
+    got, _ = wavelet_rough_integral(cp, rp, basis)
+    assert len(reconstruct_calls) == 1
+    f = to_modelled(cp, ALPHA)
+    model = RoughModel(rp)
+    want = np.stack([reconstruct(multiply_by_Wdot(f, j), model, basis).antiderivative.values[:, 0]
+                     for j in range(dim)], axis=1)
+    _rel_close(got.values, want)
+

@@ -186,3 +186,31 @@ def test_non_contraction_reported():
     cfg = SolverConfig(alpha=0.4, beta=0.5, max_picard_iters=1)
     with pytest.raises(SolverError):
         solve_rde(1.0, F, rp, cfg)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (3, 2)])
+def test_wavelet_integrate_matches_per_component_loop(reconstruct_calls, d, n):
+    from roughstruct import ModelledDistribution, RoughModel, Wdot, WWdot, reconstruct
+    from roughstruct.solver import _integrate
+
+    grid = make_dyadic_grid(1.13, 8)
+    rp = lift_piecewise_smooth(generate_path("fbm", grid, dim=n, hurst=0.45, seed=4), "linear", 0.45)
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(grid.num_nodes, d, n))
+    dg = rng.normal(size=(grid.num_nodes, d, n, n))
+    got = _integrate(g, dg, rp, SolverConfig(0.4, 0.5, integral_route="wavelet"))
+    assert len(reconstruct_calls) == 1
+    # one scalar reconstruction per solution component m
+    model = RoughModel(rp)
+    want = np.zeros((grid.num_nodes, d))
+    for m in range(d):
+        coeffs = {}
+        for j in range(n):
+            coeffs[Wdot(j)] = g[:, m, j].copy()
+            for i in range(n):
+                coeffs[WWdot(i, j)] = dg[:, m, j, i].copy()
+        f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, grid, model.structure, rp.path)
+        want[:, m] = reconstruct(f, model).antiderivative.values[:, 0]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+

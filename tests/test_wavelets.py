@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from roughstruct import (
     make_dyadic_grid,
     wavelet_coefficients,
 )
-from roughstruct.wavelets import DAUBECHIES_FILTERS, CoefficientTable
+from roughstruct.wavelets import DAUBECHIES_FILTERS
 
 
 @pytest.mark.parametrize("moments", sorted(DAUBECHIES_FILTERS))
@@ -111,16 +110,6 @@ def test_index_set_matches_support(basis):
 # Stieltjes measures and coefficients
 
 
-def test_window_action_telescopes():
-    grid = make_dyadic_grid(1.0, 6)
-    path = generate_path("fbm", grid, hurst=0.45, seed=9)
-    xi = StieltjesMeasure(path.component(0))
-    a, b = grid.nodes[13], grid.nodes[40]
-    assert xi.window_action(a, b) == pytest.approx(
-        path.values[40, 0] - path.values[13, 0], abs=1e-15
-    )
-
-
 def test_constant_integrator_gives_zero_coefficients(basis):
     grid = make_dyadic_grid(1.0, 8)
     xi = StieltjesMeasure(SampledPath(grid, np.ones(grid.num_nodes)))
@@ -180,16 +169,3 @@ def test_coefficients_reject_overfine_levels(basis):
         wavelet_coefficients(xi, basis, max_level=7)
     with pytest.raises(ValueError):
         wavelet_coefficients(xi, basis, base_level=0, max_level=5)
-
-
-def test_coefficient_table_json_round_trip(basis):
-    grid = make_dyadic_grid(1.0, 8)
-    xi = StieltjesMeasure(generate_path("fbm", grid, hurst=0.5, seed=3))
-    table = wavelet_coefficients(xi, basis, max_level=5)
-    text = table.to_json()
-    payload = json.loads(text)
-    assert set(payload) == {"l", "phi", "psi"}
-    back = CoefficientTable.from_json(text)
-    assert back.base_level == table.base_level
-    assert back.phi == table.phi
-    assert back.psi == table.psi
