@@ -20,10 +20,12 @@ from .grids import (
     holder_seminorm,
     make_dyadic_grid,
     read_path_csv,
+    read_table,
     write_path_csv,
+    write_table,
 )
-from .integration import convergence_order_fit, rough_integral_path
-from .modelled import ControlledPath, builtin_descriptor
+from .integration import convergence_order_fit, rough_integral_path, three_point_defect
+from .modelled import ControlledPath, builtin_descriptor, multiply_by_Wdot, to_modelled
 from .reconstruction import (
     reconstruct,
     wavelet_lift,
@@ -39,7 +41,6 @@ from .roughpath import (
 from .solver import SolverConfig, SolverError, solve_rde
 from .structure import RoughModel
 from .wavelets import daubechies_basis
-from .modelled import multiply_by_Wdot, to_modelled
 
 
 LIFT_MODES = ("linear", "sin_cos", "polynomial", "wavelet")
@@ -126,11 +127,8 @@ def _build_parser() -> _Parser:
 
 def _parse_coeffs(text: str) -> np.ndarray:
     rows = [[float(v) for v in part.split(",")] for part in text.split(";")]
-    width = max(len(r) for r in rows)
-    out = np.zeros((len(rows), width))
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
-    return out
+    width = max(map(len, rows))
+    return np.array([r + [0.0] * (width - len(r)) for r in rows])
 
 
 def _parse_knots(text: str) -> list[tuple[float, np.ndarray]]:
@@ -222,8 +220,6 @@ def _load_controlled(args, path: SampledPath) -> ControlledPath:
 
 
 def _cmd_integrate(args) -> dict:
-    from .integration import three_point_defect
-
     path = read_path_csv(args.path_csv)
     out = args.out or "integral.csv"
     certificate = None
@@ -247,10 +243,7 @@ def _cmd_integrate(args) -> dict:
     if args.certificate is not None:
         if certificate is None:
             raise NumericFailure("the Young route has no three-point certificate")
-        with open(args.certificate, "w") as fh:
-            fh.write("scale,error\n")
-            for scale, err in certificate:
-                fh.write(f"{scale:.17g},{err:.17g}\n")
+        write_table(args.certificate, "scale,error", np.array(certificate).reshape(-1, 2))
         payload["certificate"] = args.certificate
     return payload
 
@@ -264,10 +257,7 @@ def _cmd_reconstruct(args) -> dict:
     rr = reconstruct(f, model, daubechies_basis(4), args.trunc_level)
     rows = rr.error_certificate()
     out = args.out or "certificate.csv"
-    with open(out, "w") as fh:
-        fh.write("lambda,s,ratio\n")
-        for lam, s, ratio in rows:
-            fh.write(f"{lam:.17g},{s:.17g},{ratio:.17g}\n")
+    write_table(out, "lambda,s,ratio", np.array(rows).reshape(-1, 3))
     worst = max(r for _, _, r in rows) if rows else 0.0
     return {"out": out, "gamma": f.gamma, "rows": len(rows), "max_ratio": worst}
 
@@ -292,11 +282,8 @@ def _cmd_solve(args) -> dict:
     d, n = sol.y.shape[1], sol.y_prime.shape[2]
     header = ("t," + ",".join(f"y{i+1}" for i in range(d)) + ","
               + ",".join(f"yp{i+1}{j+1}" for i in range(d) for j in range(n)))
-    data = np.column_stack([path.grid.nodes, sol.y, sol.y_prime.reshape(len(sol.y), -1)])
-    with open(out, "w") as fh:
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(out, header, np.column_stack([path.grid.nodes, sol.y,
+                                              sol.y_prime.reshape(len(sol.y), -1)]))
     diag_out = args.diagnostics or (out.rsplit(".", 1)[0] + "_diag.json")
     with open(diag_out, "w") as fh:
         json.dump(diag, fh, default=float)
@@ -307,11 +294,7 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_convergence(args) -> dict:
-    data = np.genfromtxt(args.samples_csv, delimiter=",", skip_header=1, dtype=float)
-    data = np.atleast_2d(data)
-    if not np.isfinite(data).all():
-        raise ValueError(f"{args.samples_csv}: non-finite or unparsable value")
-    samples = [(float(r[0]), float(r[1])) for r in data]
+    samples = read_table(args.samples_csv)[:, :2].tolist()
     slope, r2 = convergence_order_fit(samples, drop_coarsest=args.drop_coarsest)
     return {"slope": slope, "r_squared": r2, "samples": len(samples)}
 

@@ -8,8 +8,9 @@ exact at the nodes.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -312,26 +313,18 @@ def _poly_bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-_NORMALIZATION_CACHE: dict[str, float] = {}
-
-
+@cache
 def profile_c1_norm(name: str) -> float:
     """Numerical ``sup|eta| + sup|eta'|`` of a raw profile (central differences on a fine grid)."""
-    if name not in _NORMALIZATION_CACHE:
-        fn = _RAW_PROFILES[name]
-        u = np.linspace(-1.0, 1.0, 200001)
-        v = fn(u)
-        dv = np.gradient(v, u)
-        _NORMALIZATION_CACHE[name] = float(np.max(np.abs(v)) + np.max(np.abs(dv)))
-    return _NORMALIZATION_CACHE[name]
+    u = np.linspace(-1.0, 1.0, 200001)
+    v = _RAW_PROFILES[name](u)
+    return float(np.max(np.abs(v)) + np.max(np.abs(np.gradient(v, u))))
 
 
+@cache
 def profile_integral(name: str) -> float:
-    if name + ":int" not in _NORMALIZATION_CACHE:
-        fn = _RAW_PROFILES[name]
-        u = np.linspace(-1.0, 1.0, 200001)
-        _NORMALIZATION_CACHE[name + ":int"] = float(np.trapezoid(fn(u), u))
-    return _NORMALIZATION_CACHE[name + ":int"]
+    u = np.linspace(-1.0, 1.0, 200001)
+    return float(np.trapezoid(_RAW_PROFILES[name](u), u))
 
 
 _RAW_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -390,29 +383,54 @@ class TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip (header ``t,x1,...,xn``, 17 significant digits)
+# CSV tables: a header line, then rows of comma-separated ``%.17g`` values
+
+#: Rows per ``%``-format of :func:`write_table`, which bounds its temporaries
+TABLE_BLOCK_ROWS = 2**16
+
+
+def write_table(filename: str, header: str, data: np.ndarray) -> None:
+    """The one CSV writer: ``header``, then one ``%.17g`` row per row of ``data``."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(filename, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(data), TABLE_BLOCK_ROWS):
+            block = data[start : start + TABLE_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def read_table(filename: str) -> np.ndarray:
+    """The one CSV reader: the rows after the header as a 2-D float array.
+    Raises ``ValueError`` naming the file unless every row has the same
+    number (at least 2) of finite cells and there is at least one row."""
+    with warnings.catch_warnings():  # an empty table is reported below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{filename}: unparsable table ({exc})") from None
+    if data.shape[0] == 0 or data.shape[1] < 2:
+        raise ValueError(f"{filename}: needs data rows of at least 2 columns, has "
+                         f"{data.shape[0]} rows of {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{filename}: non-finite or unparsable value")
+    return data
 
 
 def write_path_csv(path: SampledPath, filename: str) -> None:
+    """Header ``t,x1,...,xn``, then one :func:`write_table` row per node."""
     header = "t," + ",".join(f"x{i + 1}" for i in range(path.dim))
-    data = np.column_stack([path.grid.nodes, path.values])
-    with open(filename, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(filename, header, np.column_stack([path.grid.nodes, path.values]))
 
 
 def read_path_csv(filename: str) -> SampledPath:
-    data = np.genfromtxt(filename, delimiter=",", skip_header=1, dtype=float)
-    data = np.atleast_2d(data)
-    if not np.isfinite(data).all():
-        raise ValueError(f"{filename}: non-finite or unparsable value")
-    t = data[:, 0]
-    n_int = len(t) - 1
-    level = int(round(np.log2(n_int))) if n_int > 0 else 0
-    if (1 << level) != n_int:
+    """Bit-exact inverse of :func:`write_path_csv`; ``ValueError`` naming the
+    file unless :func:`read_table` accepts it and the nodes are dyadic."""
+    data = read_table(filename)
+    n_int = len(data) - 1
+    if n_int < 1 or n_int & (n_int - 1):
         raise ValueError(f"{filename}: {n_int} intervals is not a power of two")
-    grid = TimeGrid(float(t[-1]), level)
-    if not np.allclose(t, grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, grid.horizon)):
+    grid = TimeGrid(float(data[-1, 0]), n_int.bit_length() - 1)
+    if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, grid.horizon)):
         raise ValueError(f"{filename}: nodes are not a uniform dyadic grid")
     return SampledPath(grid, data[:, 1:])

@@ -97,10 +97,13 @@ class ReconstructionResult:
         return synthesise(self.scaling_coeffs, stencil(self.basis, "father", j, fine_level))
 
     def pair(self, fn) -> float:
-        """``<R^J f, fn>`` on the unit interval (midpoint rule on the fine grid)."""
+        """``<R^J f, fn>`` on the unit interval (midpoint rule on the fine grid),
+        over the fine cells that cover ``fn.support`` if it has one."""
         n = self._density.size
-        vals = np.asarray(fn((np.arange(n) + 0.5) / n), dtype=float)
-        return float(np.dot(vals, self._density) / n)
+        lo, hi = getattr(fn, "support", (0.0, 1.0))
+        a, b = max(int(np.floor(lo * n)), 0), min(int(np.ceil(hi * n)), n)
+        vals = np.asarray(fn((np.arange(a, b) + 0.5) / n), dtype=float)
+        return float(np.dot(vals, self._density[a:b]) / n)
 
     def error_certificate(self) -> list[tuple[float, float, float]]:
         """Rows ``(lambda, s, |<R f - Pi_s f(s), eta_s^lam>| / lam^gamma)`` over

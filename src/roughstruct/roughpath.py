@@ -276,17 +276,13 @@ def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float
 
 
 def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> None:
+    """Write ``path_csv`` (:func:`write_path_csv`) and the JSON above, which
+    names it, in one ``json.dumps`` call (the C encoder)."""
     write_path_csv(rp.path, path_csv)
-    payload = {
-        "alpha": rp.alpha,
-        "path_csv": path_csv,
-        "second_order": [
-            [k, [float(v) for v in rp.second.increments[k].ravel()]]
-            for k in range(rp.path.grid.num_intervals)
-        ],
-    }
+    second = rp.second.increments.reshape(rp.path.grid.num_intervals, -1).tolist()
+    payload = {"alpha": rp.alpha, "path_csv": path_csv, "second_order": list(enumerate(second))}
     with open(json_file, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def read_rough_path_json(json_file: str) -> RoughPath:

@@ -145,6 +145,27 @@ def test_non_finite_csv_value_exits_one(tmp_path, capsys, cell):
     assert str(w) in json.loads(out)["error"]
 
 
+# whole-table defects: no data row, fewer than 2 columns, a ragged row
+_TABLE_DEFECTS = {
+    "empty": lambda lines: [],
+    "header-only": lambda lines: lines[:1],
+    "one-column": lambda lines: [line.split(",")[0] for line in lines],
+    "ragged": lambda lines: lines[:5] + [",".join(lines[5].split(",")[:-1])] + lines[6:],
+}
+
+
+@pytest.mark.parametrize("defect", list(_TABLE_DEFECTS))
+@pytest.mark.parametrize("command", ["holder", "convergence"])
+def test_malformed_table_exits_one(tmp_path, capsys, command, defect):
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "4", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
+    lines = _TABLE_DEFECTS[defect](w.read_text().splitlines())
+    w.write_text("".join(line + "\n" for line in lines))
+    code, out = _run(capsys, "--json", "--alpha", "0.5", command, str(w))
+    assert code == 1
+    assert str(w) in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("cell", ["abc", ""])
 def test_convergence_unparsable_sample_exits_one(tmp_path, capsys, cell):
     samples = tmp_path / "samples.csv"

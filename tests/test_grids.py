@@ -137,6 +137,29 @@ def test_holder_scan_memory_is_linear():
     assert peak < 16 * 2**20
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_path_csv_write_memory_is_blocked(tmp_path):
+    # one %-format of the whole J = 18 table peaks at 52 MiB, one block of
+    # TABLE_BLOCK_ROWS rows at 17 MiB
+    path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
+    assert _traced_peak(lambda: write_path_csv(path, str(tmp_path / "w.csv"))) < 24 * 2**20
+
+
+def test_path_csv_read_memory_is_linear(tmp_path):
+    # np.genfromtxt's per-cell Python objects took 119 MiB at J = 18
+    path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
+    write_path_csv(path, str(tmp_path / "w.csv"))
+    assert _traced_peak(lambda: read_path_csv(str(tmp_path / "w.csv"))) < 16 * 2**20
+
+
 def test_sin_cos_generator():
     grid = make_dyadic_grid(1.0, 3)
     path = generate_path("sin_cos", grid, dim=2)
@@ -280,6 +303,22 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.values, path.values)
     assert back.grid.level == path.grid.level
     assert back.grid.horizon == path.grid.horizon
+
+
+def test_csv_crlf_and_padded_cells_parse_bit_identically(tmp_path):
+    path = generate_path("fbm", make_dyadic_grid(1.13, 6), dim=2, hurst=0.4, seed=3)
+    plain = tmp_path / "w.csv"
+    write_path_csv(path, str(plain))
+    header, *rows = plain.read_text().splitlines()
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes("".join(line + "\r\n" for line in [header, *rows]).encode())
+    padded = tmp_path / "padded.csv"
+    padded.write_text("".join(line + "\n" for line in [header] + [
+        ",".join(f" {cell}\t" for cell in row.split(",")) for row in rows]))
+    for fname in (crlf, padded):
+        back = read_path_csv(str(fname))
+        assert back.grid == path.grid
+        assert back.values.tobytes() == path.values.tobytes()
 
 
 def test_csv_header_format(tmp_path):

@@ -1,0 +1,143 @@
+"""Byte-for-byte checks of every file the CLI writes.
+
+The references are the row-by-row ``f"{v:.17g}"`` formatter and the
+``json.dump`` payload that the vectorised table writer and the one-call
+JSON encoder replaced; every output must match them byte for byte.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+import roughstruct.cli as cli
+from roughstruct import (
+    RoughPath,
+    SampledPath,
+    generate_path,
+    lift_piecewise_smooth,
+    make_dyadic_grid,
+    write_path_csv,
+    write_rough_path_json,
+)
+from roughstruct.grids import TABLE_BLOCK_ROWS
+from roughstruct.reconstruction import ReconstructionResult
+from roughstruct.roughpath import SecondOrderProcess
+
+HORIZON = 1.13
+EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324)
+
+
+def _reference_table(header: str, data) -> bytes:
+    out = io.StringIO()
+    out.write(header + "\n")
+    for row in data:
+        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return out.getvalue().encode()
+
+
+def _reference_path_csv(path: SampledPath) -> bytes:
+    header = "t," + ",".join(f"x{i + 1}" for i in range(path.dim))
+    return _reference_table(header, np.column_stack([path.grid.nodes, path.values]))
+
+
+def _reference_json(rp: RoughPath, path_csv: str) -> bytes:
+    payload = {
+        "alpha": rp.alpha,
+        "path_csv": path_csv,
+        "second_order": [
+            [k, [float(v) for v in rp.second.increments[k].ravel()]]
+            for k in range(rp.path.grid.num_intervals)
+        ],
+    }
+    out = io.StringIO()
+    json.dump(payload, out)
+    return out.getvalue().encode()
+
+
+def _with_extremes(a: np.ndarray) -> np.ndarray:
+    flat = a.reshape(-1).copy()
+    flat[1 : 1 + len(EXTREMES)] = EXTREMES
+    return flat.reshape(a.shape)
+
+
+def _run(*argv) -> None:
+    assert cli.main(["--json", *map(str, argv)]) == 0
+
+
+def _spy(monkeypatch, owner, name: str) -> list:
+    """Record every result of ``owner.name`` while the test runs."""
+    results = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return results
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_path_csv_matches_row_formatter(tmp_path, dim):
+    grid = make_dyadic_grid(HORIZON, 6)
+    values = np.random.default_rng(dim).standard_normal((grid.num_nodes, dim)) * 10.0 ** np.arange(dim)
+    path = SampledPath(grid, _with_extremes(values))
+    out = tmp_path / "w.csv"
+    write_path_csv(path, str(out))
+    assert out.read_bytes() == _reference_path_csv(path)
+
+
+def test_path_csv_longer_than_one_block_matches_row_formatter(tmp_path):
+    grid = make_dyadic_grid(HORIZON, 17)
+    assert grid.num_nodes > 2 * TABLE_BLOCK_ROWS
+    path = generate_path("fbm", grid, dim=1, hurst=0.5, seed=3)
+    out = tmp_path / "w.csv"
+    write_path_csv(path, str(out))
+    assert out.read_bytes() == _reference_path_csv(path)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rough_path_json_matches_json_dump(tmp_path, dim):
+    grid = make_dyadic_grid(HORIZON, 6)
+    path = generate_path("fbm", grid, dim=dim, hurst=0.5, seed=dim)
+    inc = _with_extremes(lift_piecewise_smooth(path, "linear", 0.45).second.increments)
+    rp = RoughPath(path, SecondOrderProcess(grid, inc), 0.45)
+    json_file, csv_file = tmp_path / "rp.json", tmp_path / "rp_path.csv"
+    write_rough_path_json(rp, str(json_file), str(csv_file))
+    assert json_file.read_bytes() == _reference_json(rp, str(csv_file))
+    assert csv_file.read_bytes() == _reference_path_csv(path)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cli_solution_csv_matches_row_formatter(tmp_path, monkeypatch, d):
+    solves = _spy(monkeypatch, cli, "solve_rde")
+    w, out = tmp_path / "t.csv", tmp_path / "sol.csv"
+    _run("--grid-level", 7, "--horizon", HORIZON, "--out", w,
+         "gen", "--kind", "polynomial", "--coeffs=0.3,1")
+    _run("--horizon", HORIZON, "--out", out, "solve", w, "--F", "linear",
+         "--xi", ",".join(str(i + 1) for i in range(d)))
+    (sol, _), = solves
+    nodes = make_dyadic_grid(HORIZON, 7).nodes
+    n = sol.y_prime.shape[2]
+    header = ("t," + ",".join(f"y{i+1}" for i in range(d)) + ","
+              + ",".join(f"yp{i+1}{j+1}" for i in range(d) for j in range(n)))
+    data = np.column_stack([nodes, sol.y, sol.y_prime.reshape(len(sol.y), -1)])
+    assert out.read_bytes() == _reference_table(header, data)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cli_certificates_match_row_formatter(tmp_path, monkeypatch, dim):
+    defects = _spy(monkeypatch, cli, "three_point_defect")
+    rows = _spy(monkeypatch, ReconstructionResult, "error_certificate")
+    w, cert, recon = tmp_path / "w.csv", tmp_path / "cert.csv", tmp_path / "recon.csv"
+    _run("--grid-level", 9, "--horizon", HORIZON, "--seed", dim, "--out", w,
+         "gen", "--kind", "fbm", "--dim", dim)
+    _run("--out", tmp_path / "I.csv", "integrate", w, "--certificate", cert)
+    _run("--out", recon, "reconstruct", w)
+    (defect,), (certificate,) = defects, rows
+    assert cert.read_bytes() == _reference_table("scale,error", defect)
+    assert recon.read_bytes() == _reference_table("lambda,s,ratio", certificate)

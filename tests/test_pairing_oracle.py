@@ -40,6 +40,7 @@ from roughstruct import (
     to_modelled,
     wavelet_coefficients,
 )
+from roughstruct.reconstruction import CERTIFICATE_PROFILE
 
 ALPHA = 0.45
 GRID_LEVEL = 9
@@ -316,3 +317,40 @@ def test_certificate_realizes_each_symbol_once():
     # Wdot(0), WWdot(0, 0) and WWdot(1, 0), each realized once at node 0
     assert sorted(map(repr, (sym for _, sym in calls))) == sorted(map(repr, f.coeffs))
     assert {s for s, _ in calls} == {0}
+
+
+class _SizeRecordingProbe:
+    """A test function that records how many points it is evaluated at."""
+
+    def __init__(self, probe: TestFunction):
+        self.probe, self.support, self.sizes = probe, probe.support, []
+
+    def __call__(self, u):
+        self.sizes.append(np.size(u))
+        return self.probe(u)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1.13])
+@pytest.mark.parametrize("level", [12, 13])
+def test_certificate_probes_are_paired_on_their_support(level, horizon):
+    # pair() evaluates a probe with a support on the fine cells covering it
+    # only; the reference is the midpoint sum over the whole fine grid
+    f, model = _certificate_case(level, horizon, "measure")
+    rr = reconstruct(f, model)
+    got = rr.error_certificate()
+    n = rr._density.size
+    whole = []
+
+    def whole_grid(probe):
+        whole.append(float(np.dot(probe((np.arange(n) + 0.5) / n), rr._density) / n))
+        return whole[-1]
+
+    rr.pair = whole_grid
+    want = rr.error_certificate()
+    del rr.pair
+    assert len(got) == len(want) == len(whole) == 40
+    for (lam, s_u, a), (_, _, b), pairing in zip(got, want, whole):
+        assert abs(a - b) * lam**rr.gamma <= 1e-12 * abs(pairing)
+        probe = _SizeRecordingProbe(TestFunction(CERTIFICATE_PROFILE, s_u, lam))
+        assert rr.pair(probe) == pytest.approx(pairing, rel=1e-12, abs=0.0)
+        assert probe.sizes == [pytest.approx(2 * lam * n, abs=2)]

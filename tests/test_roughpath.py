@@ -295,7 +295,7 @@ def test_rough_path_json_round_trip(tmp_path):
     back = read_rough_path_json(str(json_file))
     assert back.alpha == rp.alpha
     assert np.array_equal(back.path.values, rp.path.values)
-    assert np.allclose(back.second.increments, rp.second.increments)
+    assert np.array_equal(back.second.increments, rp.second.increments)
 
 
 def test_alpha_range_enforced():
