@@ -4,13 +4,19 @@ Exit codes: 0 success, 1 usage error, 2 numeric failure (non-contraction,
 Chen defect above tolerance).  With ``--json`` every command prints one
 JSON object to stdout; numeric failures then carry an ``"error"`` field.
 Output files are deterministic given identical arguments and seed.
+
+Each command runs in a fresh interpreter, so this module imports only
+``grids`` and ``integration`` at its top and each command imports the rest
+where it runs; the argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,23 +31,9 @@ from .grids import (
     write_table,
 )
 from .integration import convergence_order_fit, rough_integral_path, three_point_defect
-from .modelled import ControlledPath, builtin_descriptor, multiply_by_Wdot, to_modelled
-from .reconstruction import (
-    reconstruct,
-    wavelet_lift,
-    wavelet_rough_integral,
-)
-from .roughpath import (
-    chen_defect,
-    lift_piecewise_smooth,
-    read_rough_path_json,
-    rough_path_seminorm,
-    write_rough_path_json,
-)
-from .solver import SolverConfig, SolverError, solve_rde
-from .structure import RoughModel
-from .wavelets import daubechies_basis
 
+if TYPE_CHECKING:
+    from .modelled import ControlledPath
 
 LIFT_MODES = ("linear", "sin_cos", "polynomial", "wavelet")
 
@@ -57,6 +49,7 @@ class NumericFailure(RuntimeError):
     pass
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="roughstruct", description=__doc__.splitlines()[0])
     p.add_argument("--grid-level", type=int, default=10, help="dyadic grid level J")
@@ -149,11 +142,18 @@ def _emit(args, payload: dict) -> None:
 
 def _make_lift(args, path: SampledPath, mode: str, coeffs=None, trunc_level=None):
     if mode == "wavelet":
+        from .reconstruction import wavelet_lift
+        from .wavelets import daubechies_basis
+
         return wavelet_lift(path, args.alpha, daubechies_basis(4), trunc_level)
+    from .roughpath import lift_piecewise_smooth
+
     return lift_piecewise_smooth(path, mode, args.alpha, coeffs=coeffs)
 
 
 def _default_controlled(path: SampledPath) -> ControlledPath:
+    from .modelled import ControlledPath
+
     yp = np.zeros((path.grid.num_nodes, 1, path.dim))
     yp[:, 0, 0] = 1.0
     return ControlledPath(path.values[:, 0], yp, path)
@@ -187,6 +187,8 @@ def _cmd_holder(args) -> dict:
 
 
 def _cmd_lift(args) -> dict:
+    from .roughpath import rough_path_seminorm, write_rough_path_json
+
     path = read_path_csv(args.path_csv)
     coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
     rp = _make_lift(args, path, args.mode, coeffs, args.trunc_level)
@@ -199,6 +201,8 @@ def _cmd_lift(args) -> dict:
 
 
 def _cmd_chen(args) -> dict:
+    from .roughpath import chen_defect, read_rough_path_json
+
     rp = read_rough_path_json(args.rough_json)
     defect = chen_defect(rp)
     w_inf = float(np.abs(rp.path.values).max())
@@ -212,6 +216,8 @@ def _cmd_chen(args) -> dict:
 def _load_controlled(args, path: SampledPath) -> ControlledPath:
     if args.y_csv is None:
         return _default_controlled(path)
+    from .modelled import ControlledPath
+
     y = read_path_csv(args.y_csv)
     if args.y_prime_csv is None:
         raise NumericFailure("--y-csv requires --y-prime-csv")
@@ -220,9 +226,10 @@ def _load_controlled(args, path: SampledPath) -> ControlledPath:
 
 
 def _cmd_integrate(args) -> dict:
+    if args.certificate is not None and args.route == "young":
+        raise NumericFailure("the Young route has no three-point certificate")
     path = read_path_csv(args.path_csv)
     out = args.out or "integral.csv"
-    certificate = None
     if args.route == "young":
         cp = _load_controlled(args, path)
         # left-point Riemann-Stieltjes sums, all windows [0, t_k] at once
@@ -235,20 +242,26 @@ def _cmd_integrate(args) -> dict:
         if args.route == "rough-riemann":
             integral = SampledPath(path.grid, rough_integral_path(cp, rp))
         else:
+            from .reconstruction import wavelet_rough_integral
+            from .wavelets import daubechies_basis
+
             integral, _ = wavelet_rough_integral(cp, rp, daubechies_basis(4),
                                                  args.trunc_level)
-        certificate = three_point_defect(integral.values, cp, rp)
     write_path_csv(integral, out)
     payload = {"out": out, "final": [float(v) for v in integral.values[-1]]}
     if args.certificate is not None:
-        if certificate is None:
-            raise NumericFailure("the Young route has no three-point certificate")
+        certificate = three_point_defect(integral.values, cp, rp)
         write_table(args.certificate, "scale,error", np.array(certificate).reshape(-1, 2))
         payload["certificate"] = args.certificate
     return payload
 
 
 def _cmd_reconstruct(args) -> dict:
+    from .modelled import multiply_by_Wdot, to_modelled
+    from .reconstruction import reconstruct
+    from .structure import RoughModel
+    from .wavelets import daubechies_basis
+
     path = read_path_csv(args.path_csv)
     rp = _make_lift(args, path, args.lift_mode, trunc_level=args.trunc_level)
     cp = _default_controlled(path)
@@ -263,6 +276,9 @@ def _cmd_reconstruct(args) -> dict:
 
 
 def _cmd_solve(args) -> dict:
+    from .modelled import builtin_descriptor
+    from .solver import SolverConfig, SolverError, solve_rde
+
     path = read_path_csv(args.path_csv)
     rp = _make_lift(args, path, args.lift_mode)
     xi = np.array([float(v) for v in args.xi.split(",")])

@@ -8,11 +8,14 @@ and serve as oracles for the wavelet-route integral.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .grids import SampledPath
-from .modelled import ControlledPath
-from .roughpath import RoughPath
+if TYPE_CHECKING:
+    from .grids import SampledPath
+    from .modelled import ControlledPath
+    from .roughpath import RoughPath
 
 
 def _partition(i0: int, i1: int, stride: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import JET_PAIR_LEVEL, SampledPath, TimeGrid, euclidean_norms, pair_scan
-from .grids import read_path_csv, write_path_csv
+from .grids import TABLE_BLOCK_ROWS, read_path_csv, write_path_csv
 
 
 @dataclass(frozen=True)
@@ -277,12 +277,17 @@ def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float
 
 def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> None:
     """Write ``path_csv`` (:func:`write_path_csv`) and the JSON above, which
-    names it, in one ``json.dumps`` call (the C encoder)."""
+    names it, as ``json.dump`` would: one ``json.dumps`` (the C encoder) per
+    block of ``TABLE_BLOCK_ROWS`` intervals, so memory stays bounded."""
     write_path_csv(rp.path, path_csv)
-    second = rp.second.increments.reshape(rp.path.grid.num_intervals, -1).tolist()
-    payload = {"alpha": rp.alpha, "path_csv": path_csv, "second_order": list(enumerate(second))}
+    second = rp.second.increments.reshape(rp.path.grid.num_intervals, -1)
+    head = json.dumps({"alpha": rp.alpha, "path_csv": path_csv, "second_order": []})
     with open(json_file, "w") as fh:
-        fh.write(json.dumps(payload))
+        fh.write(head[:-2])  # up to the list's opening bracket
+        for start in range(0, len(second), TABLE_BLOCK_ROWS):
+            block = enumerate(second[start : start + TABLE_BLOCK_ROWS].tolist(), start)
+            fh.write((", " if start else "") + json.dumps(list(block))[1:-1])
+        fh.write("]}")
 
 
 def read_rough_path_json(json_file: str) -> RoughPath:

@@ -3,8 +3,9 @@
 The scaling function solves the two-scale relation
 ``phi(t) = sqrt(2) * sum_k h_k phi(2t - k)``; its exact values at the
 integers come from the eigenvector of the downsampled filter matrix and
-dyadic refinement fills in the rest.  Both functions are stored centered,
-so supports are ``[-c, c]`` with ``c = (taps - 1) / 2``.
+dyadic refinement, one strided slice per filter tap and level, fills in
+the rest.  Both functions are stored centered, so supports are
+``[-c, c]`` with ``c = (taps - 1) / 2``.
 
 Pairings against ``dZ`` for a sampled path Z are midpoint
 Riemann-Stieltjes sums on the integrator grid; wavelet coefficients of a
@@ -24,10 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import SampledPath
+if TYPE_CHECKING:
+    from .grids import SampledPath
 
 # Scaling (low-pass) filters, normalized to sum sqrt(2).  Keyed by the
 # number of vanishing moments; tap count is twice the key.
@@ -84,13 +87,9 @@ DAUBECHIES_REGULARITY: dict[int, float] = {
 def _integer_values(h: np.ndarray) -> np.ndarray:
     """phi at the integers 0..taps-1 (eigenvector of the two-scale matrix)."""
     taps = len(h)
-    n = taps - 2
-    mat = np.zeros((n, n))
-    for i in range(1, taps - 1):
-        for j in range(1, taps - 1):
-            k = 2 * i - j
-            if 0 <= k < taps:
-                mat[i - 1, j - 1] = math.sqrt(2.0) * h[k]
+    inner = np.arange(1, taps - 1)
+    k = 2 * inner[:, None] - inner  # mat[i - 1, j - 1] = sqrt2 h[2i - j]
+    mat = np.where((k >= 0) & (k < taps), math.sqrt(2.0) * h[k % taps], 0.0)
     eigvals, eigvecs = np.linalg.eig(mat)
     idx = int(np.argmin(np.abs(eigvals - 1.0)))
     v = np.real(eigvecs[:, idx])
@@ -106,16 +105,16 @@ def _cascade(h: np.ndarray, levels: int) -> np.ndarray:
     vals = _integer_values(h)
     root2 = math.sqrt(2.0)
     for p in range(1, levels + 1):
-        size = (taps - 1) * (1 << p) + 1
-        new = np.zeros(size)
+        m = vals.size - 1  # odd nodes 2i + 1 of level p, i < m
+        new = np.empty(2 * m + 1)
         new[::2] = vals
-        odd = np.arange(1, size, 2)
-        acc = np.zeros(odd.size)
+        acc = np.zeros(m)
         for k in range(taps):
-            src = odd - k * (1 << (p - 1))  # index of phi(2t - k) at level p-1
-            ok = (src >= 0) & (src < vals.size)
-            acc[ok] += h[k] * vals[src[ok]]
-        new[odd] = root2 * acc
+            # phi(2t - k) at node 2i + 1 is vals[2i + 1 - ks], inside the table for lo <= i < hi
+            ks = k << (p - 1)
+            lo, hi = ks // 2, min(m, (m + ks + 1) // 2)
+            acc[lo:hi] += h[k] * vals[2 * lo + 1 - ks : 2 * hi - ks : 2]
+        new[1::2] = root2 * acc
         vals = new
     return vals
 
@@ -124,13 +123,13 @@ def _mother_from_phi(h: np.ndarray, phi_vals: np.ndarray, levels: int) -> np.nda
     """psi on the same dyadic grid, from psi(t) = sqrt2 sum_k g_k phi(2t - k)."""
     taps = len(h)
     g = np.array([(-1) ** k * h[taps - 1 - k] for k in range(taps)])
-    size = (taps - 1) * (1 << levels) + 1
+    size = phi_vals.size
     out = np.zeros(size)
-    idx = np.arange(size)
     for k in range(taps):
-        src = 2 * idx - k * (1 << levels)  # phi(2t - k) on the same table
-        ok = (src >= 0) & (src < size)
-        out[ok] += g[k] * phi_vals[src[ok]]
+        # phi(2t - k) at node i is phi_vals[2i - kn], inside the table for lo <= i < hi
+        kn = k << levels
+        lo, hi = kn // 2, min(size, (size - 1 + kn) // 2 + 1)
+        out[lo:hi] += g[k] * phi_vals[2 * lo - kn : 2 * hi - kn - 1 : 2]
     return math.sqrt(2.0) * out
 
 

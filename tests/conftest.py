@@ -33,8 +33,9 @@ def rng():
 @pytest.fixture()
 def reconstruct_calls(monkeypatch):
     """Counts ``reconstruction.reconstruct`` calls made by the library: the
-    list receives each call's modelled distribution.  The unwrapped function
-    stays reachable as ``roughstruct.reconstruct``."""
+    list receives each call's modelled distribution.  ``roughstruct.reconstruct``
+    resolves to the counter while the fixture is active; a test reaches the
+    unwrapped function through a name it imported at module level."""
     calls = []
     original = reconstruction.reconstruct
 

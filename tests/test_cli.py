@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import roughstruct.cli as cli
 from roughstruct.cli import main
 from roughstruct.grids import read_path_csv
 from roughstruct.integration import young_integral
@@ -257,3 +258,52 @@ def test_convergence_fit(tmp_path, capsys):
     assert code == 0
     payload = json.loads(text)
     assert payload["slope"] == pytest.approx(2.0, abs=0.01)
+
+
+@pytest.mark.parametrize("route", ["rough-riemann", "rough-wavelet"])
+def test_three_point_defect_only_with_certificate(tmp_path, capsys, monkeypatch, route):
+    calls = []
+    original = cli.three_point_defect
+
+    def counted(*args, **kwargs):
+        calls.append(route)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "three_point_defect", counted)
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "8", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
+    argv = ["--out", str(tmp_path / "I.csv"), "integrate", str(w), "--route", route]
+    assert _run(capsys, *argv)[0] == 0 and calls == []
+    cert = tmp_path / "cert.csv"
+    assert _run(capsys, *argv, "--certificate", str(cert))[0] == 0
+    assert calls == [route] and cert.read_text().startswith("scale,error\n")
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    w, samples = tmp_path / "w.csv", tmp_path / "s.csv"
+    samples.write_text("scale,error\n" + "".join(f"{2.0**-k},{2.0**-k}\n" for k in range(6)))
+    sequence = [
+        ["--grid-level", "6", "--seed", "3", "--out", str(w), "gen", "--kind", "fbm"],
+        ["--json", "--alpha", "0.4", "holder", str(w)],
+        ["gen", "--kind", "nonsense"],
+        ["--json", "convergence", str(samples), "--drop-coarsest", "1"],
+        ["holder", str(tmp_path / "missing.csv")],
+        ["--grid-level", "7", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2"],
+        [],
+        ["holder", str(w)],
+        ["--json", "convergence", str(samples)],
+    ]
+
+    def outcomes() -> list:
+        results = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, w.read_bytes()))
+        return results
+
+    cached = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == cached
+    assert [code for code, *_ in cached] == [0, 0, 1, 0, 1, 0, 1, 0, 0]

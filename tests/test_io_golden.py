@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import roughstruct.cli as cli
+import roughstruct.solver
 from roughstruct import (
     RoughPath,
     SampledPath,
@@ -114,7 +115,7 @@ def test_rough_path_json_matches_json_dump(tmp_path, dim):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_cli_solution_csv_matches_row_formatter(tmp_path, monkeypatch, d):
-    solves = _spy(monkeypatch, cli, "solve_rde")
+    solves = _spy(monkeypatch, roughstruct.solver, "solve_rde")
     w, out = tmp_path / "t.csv", tmp_path / "sol.csv"
     _run("--grid-level", 7, "--horizon", HORIZON, "--out", w,
          "gen", "--kind", "polynomial", "--coeffs=0.3,1")

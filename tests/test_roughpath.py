@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,20 @@ def test_rough_path_json_round_trip(tmp_path):
     assert back.alpha == rp.alpha
     assert np.array_equal(back.path.values, rp.path.values)
     assert np.array_equal(back.second.increments, rp.second.increments)
+
+
+def test_rough_path_json_write_memory_is_blocked(tmp_path):
+    # one json.dumps of the whole J = 17 document peaks at 32 MiB, one block
+    # of TABLE_BLOCK_ROWS intervals at 16 MiB
+    rp = lift_piecewise_smooth(generate_path("fbm", make_dyadic_grid(1.0, 17), hurst=0.5, seed=0),
+                               "linear", 0.45)
+    tracemalloc.start()
+    try:
+        write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_alpha_range_enforced():

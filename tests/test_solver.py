@@ -5,14 +5,19 @@ import pytest
 
 from roughstruct import (
     ControlledPath,
+    ModelledDistribution,
+    RoughModel,
     SampledPath,
     SolverConfig,
     SolverError,
+    Wdot,
+    WWdot,
     builtin_descriptor,
     generate_path,
     lift_piecewise_smooth,
     make_dyadic_grid,
     picard_step,
+    reconstruct,
     scalar_descriptor,
     solution_residual,
     solve_rde,
@@ -190,7 +195,6 @@ def test_non_contraction_reported():
 
 @pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (3, 2)])
 def test_wavelet_integrate_matches_per_component_loop(reconstruct_calls, d, n):
-    from roughstruct import ModelledDistribution, RoughModel, Wdot, WWdot, reconstruct
     from roughstruct.solver import _integrate
 
     grid = make_dyadic_grid(1.13, 8)

@@ -17,6 +17,57 @@ from roughstruct import (
 from roughstruct.wavelets import DAUBECHIES_FILTERS
 
 
+def _masked_cascade(h: np.ndarray, levels: int) -> np.ndarray:
+    """Reference phi table: the element loop for the integer values, then
+    the boolean-mask, fancy-index refinement loop."""
+    taps = len(h)
+    mat = np.zeros((taps - 2, taps - 2))
+    for i in range(1, taps - 1):
+        for j in range(1, taps - 1):
+            if 0 <= 2 * i - j < taps:
+                mat[i - 1, j - 1] = math.sqrt(2.0) * h[2 * i - j]
+    eigvals, eigvecs = np.linalg.eig(mat)
+    v = np.real(eigvecs[:, int(np.argmin(np.abs(eigvals - 1.0)))])
+    vals = np.zeros(taps)
+    vals[1 : taps - 1] = v / v.sum()
+    for p in range(1, levels + 1):
+        size = (taps - 1) * (1 << p) + 1
+        new = np.zeros(size)
+        new[::2] = vals
+        odd = np.arange(1, size, 2)
+        acc = np.zeros(odd.size)
+        for k in range(taps):
+            src = odd - k * (1 << (p - 1))
+            ok = (src >= 0) & (src < vals.size)
+            acc[ok] += h[k] * vals[src[ok]]
+        new[odd] = math.sqrt(2.0) * acc
+        vals = new
+    return vals
+
+
+def _masked_mother(h: np.ndarray, phi_vals: np.ndarray, levels: int) -> np.ndarray:
+    """Reference psi table from the reference phi, by the same masked loop."""
+    taps = len(h)
+    g = np.array([(-1) ** k * h[taps - 1 - k] for k in range(taps)])
+    size = (taps - 1) * (1 << levels) + 1
+    out = np.zeros(size)
+    idx = np.arange(size)
+    for k in range(taps):
+        src = 2 * idx - k * (1 << levels)
+        ok = (src >= 0) & (src < size)
+        out[ok] += g[k] * phi_vals[src[ok]]
+    return math.sqrt(2.0) * out
+
+
+@pytest.mark.parametrize("moments", sorted(DAUBECHIES_FILTERS))
+def test_sliced_cascade_tables_equal_masked_loop(moments):
+    basis = daubechies_basis(moments)
+    level = basis.dyadic_table_level
+    phi = _masked_cascade(np.array(DAUBECHIES_FILTERS[moments]), level)
+    assert np.array_equal(basis._phi, phi)
+    assert np.array_equal(basis._psi, _masked_mother(basis.scaling_filter, phi, level))
+
+
 @pytest.mark.parametrize("moments", sorted(DAUBECHIES_FILTERS))
 def test_filter_normalization_and_orthogonality(moments):
     h = np.array(DAUBECHIES_FILTERS[moments])
