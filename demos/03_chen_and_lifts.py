@@ -12,7 +12,6 @@ import numpy as np
 
 from roughstruct import (
     chen_defect,
-    chen_extend,
     daubechies_basis,
     generate_path,
     lift_piecewise_smooth,
@@ -30,7 +29,7 @@ zigzag = generate_path(
 )
 rp = lift_piecewise_smooth(zigzag, "linear", alpha=0.5)
 print("two segments e1 then e2, WW_{0,2} via Chen:")
-print(chen_extend(rp.second, rp.path, 0, 2))
+print(rp.pair(0, 2))
 print("(= [[1/2, 1], [0, 1/2]]: half squares on the diagonal, full cross area)")
 
 # the canonical smooth lift of (sin t, cos t) has Levy area -pi/4 over a

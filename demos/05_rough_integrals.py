@@ -19,6 +19,7 @@ from roughstruct import (
     refinement_errors,
     rough_integral_path,
     rough_integral_sum,
+    three_point_defect,
     wavelet_rough_integral,
     young_integral,
 )
@@ -37,7 +38,8 @@ cp = ControlledPath(np.sin(wv), yp, w)
 
 riemann = rough_integral_path(cp, rp)
 basis = daubechies_basis(4)
-wavelet, certificate = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+wavelet = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+certificate = three_point_defect(wavelet.values, cp, rp)
 gap = np.abs(wavelet.values - riemann).max() / np.abs(riemann).max()
 print(f"route agreement (relative sup gap): {gap:.2e}")
 print(f"I(T) riemann = {riemann[-1]},\n     wavelet  = {wavelet.values[-1]}")

@@ -245,8 +245,7 @@ def _cmd_integrate(args) -> dict:
             from .reconstruction import wavelet_rough_integral
             from .wavelets import daubechies_basis
 
-            integral, _ = wavelet_rough_integral(cp, rp, daubechies_basis(4),
-                                                 args.trunc_level)
+            integral = wavelet_rough_integral(cp, rp, daubechies_basis(4), args.trunc_level)
     write_path_csv(integral, out)
     payload = {"out": out, "final": [float(v) for v in integral.values[-1]]}
     if args.certificate is not None:

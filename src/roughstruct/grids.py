@@ -201,14 +201,6 @@ def _sin_cos_values(t: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def fbm_covariance(times: np.ndarray, hurst: float) -> np.ndarray:
-    """Fractional Brownian covariance ``(s^2H + t^2H - |t-s|^2H) / 2``."""
-    s = times[:, None]
-    t = times[None, :]
-    h2 = 2.0 * hurst
-    return 0.5 * (np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(t - s) ** h2)
-
-
 def fgn_from_normals(z: np.ndarray, hurst: float, step: float) -> np.ndarray:
     """Fractional Gaussian noise, shape ``(..., n)``, on steps of width
     ``step`` from standard normals ``z`` of shape ``(..., 2n)``: Davies &
@@ -306,13 +298,6 @@ def _odd_bump(u: np.ndarray) -> np.ndarray:
     return u * _bump(u)
 
 
-def _poly_bump(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = (1.0 - u[inside] ** 2) ** 3
-    return out
-
-
 @cache
 def profile_c1_norm(name: str) -> float:
     """Numerical ``sup|eta| + sup|eta'|`` of a raw profile (central differences on a fine grid)."""
@@ -330,15 +315,14 @@ def profile_integral(name: str) -> float:
 _RAW_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "bump": _bump,
     "odd_bump": _odd_bump,
-    "poly_bump": _poly_bump,
 }
 
 
 def profile_function(name: str) -> Callable[[np.ndarray], np.ndarray]:
     """Resolve a profile name to its callable on [-1, 1].
 
-    Raw profiles: ``bump`` (exp(-1/(1-u^2)), the canonical choice), ``odd_bump``,
-    ``poly_bump``.  Suffix ``_b1`` rescales into the unit C^1 ball, suffix
+    Raw profiles: ``bump`` (exp(-1/(1-u^2)), the canonical choice) and
+    ``odd_bump``.  Suffix ``_b1`` rescales into the unit C^1 ball, suffix
     ``_unit`` rescales to unit integral.
     """
     if name in _RAW_PROFILES:

@@ -1,9 +1,14 @@
 """Classical integration routes: Young sums and compensated Riemann sums.
 
-Both are left-point sums on dyadic partitions.  The compensated sum adds
-the ``y'_u WW_{u,v}`` correction, which is what makes the limit exist for
-drivers rougher than 1/2-Hölder; on smooth drivers the two routes agree
-and serve as oracles for the wavelet-route integral.
+Every rough integral is ``int g dW`` of a controlled one-form ``(g, g')``,
+shapes (nodes, d, n) and (nodes, d, n, n), the last axis of ``g'`` the
+direction of the derivative (Gubinelli 2004; Friz & Hairer, ch. 4).  The
+Riemann route's one kernel is :func:`one_form_germs`, the compensated germ
+``g_u W_{u,v} + g'_u WW_{u,v}`` over node pairs, summed on the finest mesh
+by :func:`rough_integral`, which the Picard solver calls.  The entry points
+for a scalar controlled path y pass it the one-form ``y (x) I_n``, whose
+integral has one component ``int y dW^j`` per driver direction.  On smooth
+drivers Young sums, compensated sums and the wavelet route all agree.
 """
 
 from __future__ import annotations
@@ -18,16 +23,42 @@ if TYPE_CHECKING:
     from .roughpath import RoughPath
 
 
-def _partition(i0: int, i1: int, stride: int) -> np.ndarray:
-    pts = np.arange(i0, i1, stride)
-    return np.append(pts, i1)
+def scalar_one_form(cp: ControlledPath) -> tuple[np.ndarray, np.ndarray]:
+    """The one-form ``(y I_n, y' (x) I_n)`` of a scalar controlled path, whose
+    integral is ``int y dW^j`` in component j.  Zero-filled with the diagonal
+    assigned, so no ``-0.0`` products enter the sums."""
+    if cp.dim != 1:
+        raise ValueError("a scalar one-form needs a scalar controlled path")
+    nodes, n = cp.y.shape[0], cp.y_prime.shape[2]
+    diag = np.arange(n)
+    g = np.zeros((nodes, n, n))
+    g[:, diag, diag] = cp.y
+    dg = np.zeros((nodes, n, n, n))
+    dg[:, diag, diag, :] = cp.y_prime
+    return g, dg
 
 
-def _germ(cp: ControlledPath, rp: RoughPath, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The compensated germ ``y_u W_{u,v} + y'_u WW_{u,v}`` of a scalar
-    controlled path over node pairs, shape (P, n)."""
-    dw = rp.path.values[v] - rp.path.values[u]
-    return cp.y[u, 0, None] * dw + np.einsum("pi,pij->pj", cp.y_prime[u, 0, :], rp.pairs(u, v))
+def one_form_germs(g: np.ndarray, dg: np.ndarray, rp: RoughPath,
+                   u: np.ndarray | None = None, v: np.ndarray | None = None) -> np.ndarray:
+    """The compensated germs ``g_u W_{u,v} + g'_u WW_{u,v}`` of the one-form
+    ``(g, g')`` over node pairs ``(u, v)``, shape (P, d).  Without pairs, the
+    finest intervals ``(k, k+1)``, read through views and the rough path's
+    cached fine tensors."""
+    if u is None:
+        g, dg, dw, ww = g[:-1], dg[:-1], rp.path.increments(), rp.fine_pairs
+    else:
+        g, dg, dw, ww = g[u], dg[u], rp.path.values[v] - rp.path.values[u], rp.pairs(u, v)
+    germs = np.einsum("pdj,pj->pd", g, dw)
+    germs += np.einsum("pdji,pij->pd", dg, ww)
+    return germs
+
+
+def rough_integral(g: np.ndarray, dg: np.ndarray, rp: RoughPath) -> np.ndarray:
+    """Cumulative compensated sum of the one-form ``(g, g')`` at the finest
+    mesh: ``I(t_k) = int_0^{t_k} g dW`` on every node, (num_nodes, d)."""
+    out = np.zeros((rp.path.grid.num_nodes, g.shape[1]))
+    out[1:] = np.cumsum(one_form_germs(g, dg, rp), axis=0)
+    return out
 
 
 def young_integral(y: SampledPath, w: SampledPath, s: int = 0, t: int | None = None) -> np.ndarray:
@@ -61,8 +92,6 @@ def rough_integral_sum(
     The integrand is scalar (d = 1); the result is the vector of integrals
     against each driver component: ``I^j = int y dW^j``.
     """
-    if cp.dim != 1:
-        raise ValueError("rough_integral_sum integrates a scalar controlled path")
     grid = rp.path.grid
     if cp.grid.num_nodes != grid.num_nodes:
         raise ValueError("controlled path and rough path must share the grid")
@@ -74,18 +103,14 @@ def rough_integral_sum(
         mesh_level = grid.level
     if mesh_level > grid.level:
         raise ValueError(f"mesh level {mesh_level} finer than grid level {grid.level}")
-    stride = 1 << (grid.level - mesh_level)
-    pts = _partition(s, t, stride)
-    return _germ(cp, rp, pts[:-1], pts[1:]).sum(axis=0)
+    pts = np.append(np.arange(s, t, 1 << (grid.level - mesh_level)), t)
+    return one_form_germs(*scalar_one_form(cp), rp, pts[:-1], pts[1:]).sum(axis=0)
 
 
 def rough_integral_path(cp: ControlledPath, rp: RoughPath) -> np.ndarray:
     """Cumulative compensated sum at the finest mesh: ``I(t_k)`` for every
     node, shape (num_nodes, n), with I(0) = 0."""
-    k = np.arange(rp.path.grid.num_intervals)
-    out = np.zeros((rp.path.grid.num_nodes, rp.dim))
-    out[1:] = np.cumsum(_germ(cp, rp, k, k + 1), axis=0)
-    return out
+    return rough_integral(*scalar_one_form(cp), rp)
 
 
 def three_point_defect(
@@ -103,14 +128,14 @@ def three_point_defect(
     grid = rp.path.grid
     if lengths is None:
         lengths = [1 << m for m in range(1, grid.level)]
-    rows = []
-    for span in lengths:
-        starts = np.arange(0, grid.num_intervals - span + 1, span)
-        ends = starts + span
-        pred = _germ(cp, rp, starts, ends)
-        defect = np.linalg.norm(integral[ends] - integral[starts] - pred, axis=1)
-        rows.append((span * grid.step, float(defect.max())))
-    return rows
+    starts = [np.arange(0, grid.num_intervals - span + 1, span) for span in lengths]
+    counts = [s.size for s in starts]
+    u = np.concatenate(starts)
+    v = u + np.repeat(np.asarray(lengths, dtype=int), counts)
+    pred = one_form_germs(*scalar_one_form(cp), rp, u, v)  # every length in one call
+    defect = np.linalg.norm(integral[v] - integral[u] - pred, axis=1)
+    parts = np.split(defect, np.cumsum(counts)[:-1])
+    return [(span * grid.step, float(part.max())) for span, part in zip(lengths, parts)]
 
 
 def convergence_order_fit(

@@ -147,6 +147,17 @@ def to_modelled(cp: ControlledPath, alpha: float) -> ModelledDistribution:
     return ModelledDistribution(2 * alpha, coeffs, cp.grid, structure, cp.reference)
 
 
+def _jet_arrays(f: ModelledDistribution, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The One coefficient as (nodes, d) and the W^i columns as (nodes, d, n)."""
+    y = _canonical_y(f.coeffs[ONE])
+    yp = np.zeros((y.shape[0], y.shape[1], n))
+    for i in range(n):
+        c = f.coeffs.get(W(i))
+        if c is not None:
+            yp[:, :, i] = _canonical_y(c)
+    return y, yp
+
+
 def from_modelled(f: ModelledDistribution) -> ControlledPath:
     """Inverse of ``to_modelled``; refuses support outside {One, W^i}."""
     extra = {s for s in f.coeffs if s.kind not in ("one", "w")}
@@ -154,15 +165,7 @@ def from_modelled(f: ModelledDistribution) -> ControlledPath:
         raise ValueError(f"unexpected symbols in support: {sorted(map(repr, extra))}")
     if f.reference is None:
         raise ValueError("modelled distribution lacks a reference driver")
-    n = f.reference.dim
-    y = _canonical_y(f.coeffs[ONE])
-    d = y.shape[1]
-    yp = np.zeros((y.shape[0], d, n))
-    for i in range(n):
-        c = f.coeffs.get(W(i))
-        if c is not None:
-            yp[:, :, i] = _canonical_y(c)
-    return ControlledPath(y, yp, f.reference)
+    return ControlledPath(*_jet_arrays(f, f.reference.dim), f.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +312,25 @@ def builtin_descriptor(name: str, dim: int = 1) -> FunctionDescriptor:
     raise ValueError(f"unknown builtin function {name!r}")
 
 
+def compose_one_form(F: FunctionDescriptor, y: np.ndarray,
+                     yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The controlled one-form ``(F(y), F'(y) y')`` of a controlled path given
+    as arrays ``y: (nodes, d)``, ``y': (nodes, d, n)``: shapes (nodes, d, n)
+    and (nodes, d, n, n), the last axis of the second the direction of the
+    derivative.  A scalar F acts on the first column of y."""
+    F.check_box(y)
+    if F.scalar:
+        g = np.asarray(F.value(y[:, 0]), dtype=float)[:, None, None]
+        fp = np.asarray(F.jacobian(y[:, 0]), dtype=float)
+        return g, (fp * yp[:, 0, 0])[:, None, None, None]
+    g = np.asarray(F.value(y), dtype=float)
+    jac = np.asarray(F.jacobian(y), dtype=float)  # (nodes, d, n, d)
+    return g, np.einsum("tpnq,tqi->tpni", jac, yp)
+
+
 def compose(F: FunctionDescriptor, f: ModelledDistribution) -> ModelledDistribution:
-    """``F(y) One + F'(y) y' W`` for a jet from the controlled image.
+    """``F(y) One + F'(y) y' W`` for a jet from the controlled image, through
+    :func:`compose_one_form`.
 
     The result stays in ``D^(2 alpha)``; for a matrix-valued F the One
     coefficient is the integrand ``F(y_t)`` of shape (d, n) and each W^i
@@ -322,23 +342,10 @@ def compose(F: FunctionDescriptor, f: ModelledDistribution) -> ModelledDistribut
     if extra:
         raise ValueError(f"support outside {{One, W}}: {sorted(map(repr, extra))}")
     n = f.structure.dim
-    y = f.coeffs[ONE]
-    if F.scalar:
-        if y.ndim != 1 or n != 1:
-            raise ValueError(f"{F.name} is scalar; jet has d > 1 or driver dim > 1")
-        F.check_box(y[:, None])
-        coeffs = {ONE: np.asarray(F.value(y), dtype=float)}
-        fprime = np.asarray(F.jacobian(y), dtype=float)
-        wc = f.coeffs.get(W(0))
-        coeffs[W(0)] = fprime * (wc if wc is not None else 0.0)
-        return ModelledDistribution(f.gamma, coeffs, f.grid, f.structure, f.reference)
-    ymat = _canonical_y(y)
-    F.check_box(ymat)
-    val = np.asarray(F.value(ymat), dtype=float)  # (nodes, d, n)
-    jac = np.asarray(F.jacobian(ymat), dtype=float)  # (nodes, d, n, d)
-    coeffs = {ONE: val}
-    for i in range(n):
-        c = f.coeffs.get(W(i))
-        yp_i = _canonical_y(c) if c is not None else np.zeros_like(ymat)
-        coeffs[W(i)] = np.einsum("tpnq,tq->tpn", jac, yp_i)
+    if F.scalar and (np.ndim(f.coeffs[ONE]) != 1 or n != 1):
+        raise ValueError(f"{F.name} is scalar; jet has d > 1 or driver dim > 1")
+    g, dg = compose_one_form(F, *_jet_arrays(f, n))
+    if F.scalar:  # a scalar jet keeps plain (nodes,) coefficients
+        g, dg = g[:, 0, 0], dg[:, 0, 0]
+    coeffs = {ONE: g, **{W(i): dg[..., i] for i in range(n)}}
     return ModelledDistribution(f.gamma, coeffs, f.grid, f.structure, f.reference)

@@ -1,5 +1,5 @@
 """Wavelet-route reconstruction: partial sums, antiderivatives, the rough
-integral and the rough-path lift.
+integral of a controlled one-form and the rough-path lift.
 
 The truncated reconstruction anchors the local model at the dyadic points
 of one fine level J,
@@ -26,11 +26,14 @@ All wavelet bookkeeping runs in unit time ``u = t/T`` (Stieltjes pairings
 are invariant under the rescaling), so the dyadic index sets are exactly
 the unit-interval ones and anchors land on grid nodes.
 
+The rough integral of a controlled one-form ``(g, g')`` (the shapes of
+``integration``) is :func:`wavelet_integral`, the route's one kernel: the
+antiderivative of the ``(d,)``-valued jet ``g^j Wdot^j + g'^{ji} WWdot^{ij}``
+in one call; the solver and :func:`wavelet_rough_integral` both call it.
 The lift takes the reduced structure {One, Wdot}, reconstructs the
 ``(n, n)``-valued distribution whose local model at s is ``W^i_s dW^j`` in
-one call, integrates it to z
-and sets ``WW_{s,t} = z_{s,t} - W_s (x) W_{s,t}``; Chen's relation then
-holds by construction and only the size bound is at stake.
+one call, integrates it to z and sets ``WW_{s,t} = z_{s,t} - W_s (x) W_{s,t}``;
+Chen's relation then holds by construction and only the size bound is at stake.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from functools import cached_property
 import numpy as np
 
 from .grids import SampledPath, TestFunction
-from .integration import three_point_defect
-from .modelled import ControlledPath, ModelledDistribution, multiply_by_Wdot, to_modelled
+from .integration import scalar_one_form
+from .modelled import ControlledPath, ModelledDistribution
 from .roughpath import RoughPath, SecondOrderProcess, rough_path_distance
-from .structure import ModelSpaceVector, ReducedModel, RoughModel, Wdot, gamma_apply, pi_pairings
+from .structure import ModelSpaceVector, ReducedModel, RoughModel, Wdot, WWdot
+from .structure import gamma_apply, pi_pairings
 from .wavelets import (
     StieltjesMeasure,
     WaveletBasis,
@@ -167,8 +171,8 @@ def reconstruct(
     ks = basis.index_set(trunc_level)
     # anchor at the basis function's center of mass (k/2^J is its lattice
     # point; the offset kills the first-moment error term)
-    com = _father_center_of_mass(basis)
-    anchors = np.clip(np.rint((ks + com) * num / (1 << trunc_level)).astype(int), 0, num)
+    lattice = (ks + basis.father_center_of_mass) * num / (1 << trunc_level)
+    anchors = np.clip(np.rint(lattice).astype(int), 0, num)
     jets = ModelSpaceVector({sym: np.asarray(c)[anchors] for sym, c in f.coeffs.items()})
     moved = gamma_apply(model.gamma_of(0, anchors), jets, model.structure).coeffs
     table = stencil(basis, "father", trunc_level, grid.level)
@@ -217,20 +221,6 @@ def reconstruct(
     )
 
 
-_COM_CACHE: dict[str, float] = {}
-
-
-def _father_center_of_mass(basis: WaveletBasis) -> float:
-    """``int t phi(t) dt`` of the centered scaling function (table quadrature)."""
-    key = f"{basis.family}:{basis.dyadic_table_level}"
-    if key not in _COM_CACHE:
-        t = np.arange(-basis.center_shift, basis.taps - 1 - basis.center_shift + 1e-9,
-                      basis.table_step)
-        vals = basis.evaluate("father", t)
-        _COM_CACHE[key] = float(np.trapezoid(vals * t, t))
-    return _COM_CACHE[key]
-
-
 def antiderivative_from_distribution(
     xi: StieltjesMeasure,
     basis: WaveletBasis | None = None,
@@ -259,35 +249,38 @@ def antiderivative_from_distribution(
 # the two headline constructions
 
 
+def wavelet_integral(
+    g: np.ndarray,
+    dg: np.ndarray,
+    rp: RoughPath,
+    basis: WaveletBasis | None = None,
+    trunc_level: int | None = None,
+) -> np.ndarray:
+    """``int_0^t g dW`` of the controlled one-form ``(g, g')`` through
+    reconstruction, on every node, (num_nodes, d): the antiderivative of the
+    ``(d,)``-valued jet ``g^j Wdot^j + g'^{ji} WWdot^{ij}`` (summed over
+    directions), reconstructed in one call."""
+    model = RoughModel(rp)
+    coeffs = {}
+    for j in range(rp.dim):
+        coeffs[Wdot(j)] = g[:, :, j]
+        for i in range(rp.dim):
+            coeffs[WWdot(i, j)] = dg[:, :, j, i]
+    f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, rp.path.grid, model.structure, rp.path)
+    return reconstruct(f, model, basis, trunc_level).antiderivative.values
+
+
 def wavelet_rough_integral(
     cp: ControlledPath,
     rp: RoughPath,
     basis: WaveletBasis | None = None,
     trunc_level: int | None = None,
-) -> tuple[SampledPath, list[tuple[float, float]]]:
-    """Rough integral through reconstruction: antiderivative of the jet
-    ``(y One + y' W) * Wdot^j`` with one component per driver direction j.
-
-    Returns the integral path I (I(0) = 0, one column per driver) together
-    with the three-point certificate rows ``(interval, max defect)`` for
-    ``|I_{s,t} - y_s W_{s,t} - y'_s WW_{s,t}|``.
-    """
-    if cp.dim != 1:
-        raise ValueError("wavelet_rough_integral integrates a scalar controlled path")
-    model = RoughModel(rp)
-    f = to_modelled(cp, rp.alpha)
-    n = rp.dim
-    coeffs = {}
-    for j in range(n):
-        # each product's symbols (Wdot^j, WWdot^{ij}) belong to direction j only
-        fj = multiply_by_Wdot(f, j)
-        for sym, c in fj.coeffs.items():
-            coeffs[sym] = np.zeros((f.grid.num_nodes, n))
-            coeffs[sym][:, j] = c
-    integrand = ModelledDistribution(fj.gamma, coeffs, f.grid, f.structure, f.reference)
-    integral = reconstruct(integrand, model, basis, trunc_level).antiderivative
-    certificate = three_point_defect(integral.values, cp, rp)
-    return integral, certificate
+) -> SampledPath:
+    """Rough integral of a scalar controlled path through reconstruction:
+    :func:`wavelet_integral` of its one-form ``y (x) I_n``, so the integral
+    path (I(0) = 0) has one column ``int y dW^j`` per driver direction.  Its
+    three-point certificate is :func:`integration.three_point_defect`."""
+    return SampledPath(cp.grid, wavelet_integral(*scalar_one_form(cp), rp, basis, trunc_level))
 
 
 def wavelet_lift(

@@ -49,19 +49,6 @@ class SecondOrderProcess:
         return SecondOrderProcess(self.grid, self.increments, overrides)
 
 
-def chen_extend(proc: SecondOrderProcess, w: SampledPath, s: int, t: int) -> np.ndarray:
-    """``WW_{t_s, t_t}`` assembled left to right from the finest tensors."""
-    if s > t:
-        raise ValueError(f"need s <= t, got {s} > {t}")
-    if (s, t) in proc.pair_overrides:
-        return proc.pair_overrides[(s, t)].copy()
-    n = proc.dim
-    acc = np.zeros((n, n))
-    for k in range(s, t):
-        acc += proc.increments[k] + np.outer(w.increment(s, k), w.increment(k, k + 1))
-    return acc
-
-
 @dataclass(frozen=True)
 class RoughPath:
     """An alpha-Hölder rough path: path, second-order process, exponent."""
@@ -118,6 +105,12 @@ class RoughPath:
         for (i, j), ov in self.second.pair_overrides.items():
             out[(i_idx == i) & (j_idx == j)] = ov
         return out
+
+    @cached_property
+    def fine_pairs(self) -> np.ndarray:
+        """``pairs(k, k + 1)`` for every interval k, assembled once per rough path."""
+        k = np.arange(self.path.grid.num_intervals)
+        return self.pairs(k, k + 1)
 
     def restrict(self, start: int, level: int) -> "RoughPath":
         """Rough path on a dyadic window of ``2**level`` intervals from node
@@ -278,14 +271,16 @@ def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float
 def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> None:
     """Write ``path_csv`` (:func:`write_path_csv`) and the JSON above, which
     names it, as ``json.dump`` would: one ``json.dumps`` (the C encoder) per
-    block of ``TABLE_BLOCK_ROWS`` intervals, so memory stays bounded."""
+    block of about ``TABLE_BLOCK_ROWS`` floats (``TABLE_BLOCK_ROWS // n^2``
+    intervals), so memory stays bounded at every driver dimension."""
     write_path_csv(rp.path, path_csv)
     second = rp.second.increments.reshape(rp.path.grid.num_intervals, -1)
+    rows = max(1, TABLE_BLOCK_ROWS // second.shape[1])
     head = json.dumps({"alpha": rp.alpha, "path_csv": path_csv, "second_order": []})
     with open(json_file, "w") as fh:
         fh.write(head[:-2])  # up to the list's opening bracket
-        for start in range(0, len(second), TABLE_BLOCK_ROWS):
-            block = enumerate(second[start : start + TABLE_BLOCK_ROWS].tolist(), start)
+        for start in range(0, len(second), rows):
+            block = enumerate(second[start : start + rows].tolist(), start)
             fh.write((", " if start else "") + json.dumps(list(block))[1:-1])
         fh.write("]}")
 

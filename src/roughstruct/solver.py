@@ -1,13 +1,16 @@
 """Picard fixed point for dy = F(y) dW over a rough path.
 
-One Picard step maps the abstract jet Y to ``xi One + L(F(Y))``: compose,
-multiply by the noise symbol, integrate (compensated Riemann sums by
-default, the wavelet reconstruction route for cross-validation), and
-re-assemble.  Contraction is only guaranteed on short windows, so the
-solver marches dyadic windows left to right, restarting from each window's
-endpoint and halving any window that refuses to contract.  At convergence
-the Gubinelli derivative is F(y): that fixed-point identity is part of the
-diagnostics.
+One Picard step maps the abstract jet Y to ``xi One + L(F(Y))``.  It
+converts Y to arrays (:func:`modelled.from_modelled`), composes them into
+the controlled one-form ``(F(y), F'(y) y')`` (:func:`modelled.compose_one_form`,
+the kernel behind ``compose``), integrates that one-form by the route's
+kernel (by default :func:`integration.rough_integral`, compensated Riemann
+sums; :func:`reconstruction.wavelet_integral` for cross-validation) and
+converts back (:func:`modelled.to_modelled`).  Contraction is only
+guaranteed on short windows, so the solver marches dyadic windows left to
+right, restarting from each window's endpoint and halving any window that
+refuses to contract.  At convergence the Gubinelli derivative is F(y):
+that fixed-point identity is part of the diagnostics.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integration import rough_integral
 from .modelled import ControlledPath, FunctionDescriptor, ModelledDistribution
+from .modelled import compose_one_form, from_modelled, to_modelled
 from .roughpath import RoughPath
-from .structure import ONE, RoughStructure, W, Wdot, WWdot
 
 
 class SolverError(RuntimeError):
@@ -43,86 +47,29 @@ class SolverConfig:
             raise ValueError(f"unknown integral route {self.integral_route!r}")
 
 
-def _integrand(F: FunctionDescriptor, y: np.ndarray, yp: np.ndarray, n: int):
-    """``g = F(y)`` and its Gubinelli derivative columns, canonical shapes
-    (nodes, d, n) and (nodes, d, n, n) with the last axis the direction."""
-    if F.scalar:
-        F.check_box(y)
-        g = np.asarray(F.value(y[:, 0]), dtype=float)[:, None, None]
-        fp = np.asarray(F.jacobian(y[:, 0]), dtype=float)
-        dg = (fp * yp[:, 0, 0])[:, None, None, None]
-        return g, dg
-    F.check_box(y)
-    g = np.asarray(F.value(y), dtype=float)
-    jac = np.asarray(F.jacobian(y), dtype=float)  # (nodes, d, n, d)
-    dg = np.einsum("tpnq,tqi->tpni", jac, yp)
-    return g, dg
-
-
 def _integrate(g: np.ndarray, dg: np.ndarray, rp: RoughPath, cfg: SolverConfig) -> np.ndarray:
-    """``I(t) = int_0^t g d(rough path)`` cumulatively on the nodes, (nodes, d)."""
-    grid = rp.path.grid
+    """``I(t) = int_0^t g dW`` of the one-form (g, g') cumulatively on the
+    nodes, (nodes, d), by the route's kernel."""
     if cfg.integral_route == "riemann":
-        dw = rp.path.increments()
-        k = np.arange(grid.num_intervals)
-        ww = rp.pairs(k, k + 1)
-        steps = np.einsum("tpj,tj->tp", g[:-1], dw)
-        steps += np.einsum("tpji,tij->tp", dg[:-1], ww)
-        out = np.zeros((grid.num_nodes, g.shape[1]))
-        out[1:] = np.cumsum(steps, axis=0)
-        return out
-    from .reconstruction import reconstruct
-    from .structure import RoughModel
+        return rough_integral(g, dg, rp)
+    from .reconstruction import wavelet_integral
     from .wavelets import daubechies_basis
 
     base_level = daubechies_basis().min_base_level()
-    if grid.level < base_level:
+    if rp.path.grid.level < base_level:
         raise SolverError(
-            f"window of {grid.num_intervals} intervals is below the wavelet "
+            f"window of {rp.path.grid.num_intervals} intervals is below the wavelet "
             f"base level {base_level}; use the riemann route"
         )
-    model = RoughModel(rp)
-    coeffs = {}
-    for j in range(rp.dim):
-        coeffs[Wdot(j)] = g[:, :, j]
-        for i in range(rp.dim):
-            coeffs[WWdot(i, j)] = dg[:, :, j, i]
-    f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, grid, model.structure, rp.path)
-    return reconstruct(f, model).antiderivative.values
+    return wavelet_integral(g, dg, rp)
 
 
 def _step_core(
     y: np.ndarray, yp: np.ndarray, xi: np.ndarray,
     F: FunctionDescriptor, rp: RoughPath, cfg: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    g, dg = _integrand(F, y, yp, rp.dim)
-    integral = _integrate(g, dg, rp, cfg)
-    return xi[None, :] + integral, g
-
-
-def _md_to_arrays(Y: ModelledDistribution, n: int) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(Y.coeffs[ONE], dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    d = y.shape[1]
-    yp = np.zeros((y.shape[0], d, n))
-    for i in range(n):
-        c = Y.coeffs.get(W(i))
-        if c is not None:
-            c = np.asarray(c, dtype=float)
-            yp[:, :, i] = c[:, None] if c.ndim == 1 else c
-    return y, yp
-
-
-def _arrays_to_md(
-    y: np.ndarray, yp: np.ndarray, alpha: float, grid, reference, squeeze: bool
-) -> ModelledDistribution:
-    structure = RoughStructure(alpha, yp.shape[2])
-    coeffs = {ONE: y[:, 0] if squeeze else y.copy()}
-    for i in range(yp.shape[2]):
-        col = yp[:, :, i]
-        coeffs[W(i)] = col[:, 0] if squeeze else col.copy()
-    return ModelledDistribution(2 * alpha, coeffs, grid, structure, reference)
+    g, dg = compose_one_form(F, y, yp)
+    return xi[None, :] + _integrate(g, dg, rp, cfg), g
 
 
 def picard_step(
@@ -137,13 +84,10 @@ def picard_step(
     ``xi`` defaults to the One coefficient of Y at time zero (which the
     fixed point preserves).
     """
-    y, yp = _md_to_arrays(Y, rp.dim)
-    if xi is None:
-        xi = y[0].copy()
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    y_next, yp_next = _step_core(y, yp, xi, F, rp, cfg)
-    squeeze = np.asarray(Y.coeffs[ONE]).ndim == 1
-    return _arrays_to_md(y_next, yp_next, cfg.alpha, Y.grid, Y.reference, squeeze)
+    cp = from_modelled(Y)
+    xi = cp.y[0].copy() if xi is None else np.atleast_1d(np.asarray(xi, dtype=float))
+    y_next, yp_next = _step_core(cp.y, cp.y_prime, xi, F, rp, cfg)
+    return to_modelled(ControlledPath(y_next, yp_next, Y.reference), cfg.alpha)
 
 
 def _solve_window(
@@ -161,7 +105,7 @@ def _solve_window(
     d = xi.size
     n = rp.dim
     y = np.tile(xi, (nodes, 1))
-    g0, _ = _integrand(F, y[:1], np.zeros((1, d, n)), n)
+    g0, _ = compose_one_form(F, y[:1], np.zeros((1, d, n)))
     yp = np.tile(g0[0], (nodes, 1, 1))
     inc = rp.second.increments
     wmass = float(np.sqrt(np.einsum("kij,kij->k", inc, inc)).sum())
@@ -267,10 +211,8 @@ def solution_residual(
     cfg: SolverConfig,
 ) -> float:
     """Sup over nodes of ``|y_t - xi - int_0^t F(y) dW|``, with the integral
-    taken by the compensated Riemann route regardless of how the solution
-    was produced."""
+    taken by the Riemann kernel (:func:`integration.rough_integral`)
+    regardless of how the solution was produced; ``cfg`` is not read."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    g, dg = _integrand(F, sol.y, sol.y_prime, rp.dim)
-    riemann_cfg = SolverConfig(cfg.alpha, cfg.beta, integral_route="riemann")
-    integral = _integrate(g, dg, rp, riemann_cfg)
+    integral = rough_integral(*compose_one_form(F, sol.y, sol.y_prime), rp)
     return float(np.abs(sol.y - xi[None, :] - integral).max())

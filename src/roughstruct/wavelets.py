@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -175,6 +175,13 @@ class WaveletBasis:
     def min_base_level(self) -> int:
         """Smallest l with ``2**-l * c <= 1``."""
         return max(0, math.ceil(math.log2(self.support_radius)))
+
+    @cached_property
+    def father_center_of_mass(self) -> float:
+        """``int t phi(t) dt`` of the centered scaling function (table quadrature)."""
+        t = np.arange(-self.center_shift, self.taps - 1 - self.center_shift + 1e-9,
+                      self.table_step)
+        return float(np.trapezoid(self.evaluate("father", t) * t, t))
 
     def _table(self, which: str, cumulative: bool = False) -> np.ndarray:
         if which == "father":

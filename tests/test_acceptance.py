@@ -38,6 +38,7 @@ from roughstruct import (
     reconstruct,
     rough_integral_path,
     solve_rde,
+    three_point_defect,
     to_modelled,
     wavelet_lift,
     wavelet_rough_integral,
@@ -116,7 +117,8 @@ def test_c4_three_point_bound_slope(basis):
     yp = np.zeros((grid.num_nodes, 1, 2))
     yp[:, 0, 0] = np.cos(wv)
     cp = ControlledPath(np.sin(wv), yp, w)
-    _, cert = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    integral = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    cert = three_point_defect(integral.values, cp, rp)
     table = {round(np.log2(span / grid.step)): d for span, d in cert}
     rows = [(grid.step * 2**m, table[m]) for m in (8, 9, 10, 11)]
     slope, r2 = convergence_order_fit(rows, drop_coarsest=0)
@@ -136,7 +138,7 @@ def test_c5_route_agreement(basis):
     yp = np.zeros((grid.num_nodes, 1, 2))
     yp[:, 0, 0] = 1.0
     cp = ControlledPath(w.values[:, 0], yp, w)
-    wavelet, _ = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    wavelet = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
     riemann = rough_integral_path(cp, rp)
     rel = float(np.abs(wavelet.values - riemann).max() / np.abs(riemann).max())
     _report("c5", rel <= 1e-3, f"wavelet vs compensated-Riemann relative gap {rel:.2e} <= 1e-3")

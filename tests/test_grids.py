@@ -17,11 +17,12 @@ from roughstruct import (
     write_path_csv,
 )
 from roughstruct.grids import (
-    fbm_covariance,
     fgn_from_normals,
     profile_c1_norm,
     profile_integral,
 )
+
+from reference_impl import fbm_covariance
 
 
 def test_smallest_grid():

@@ -26,6 +26,7 @@ from roughstruct import (
     rough_integral_path,
     rough_path_distance,
     rough_path_seminorm,
+    three_point_defect,
     to_modelled,
     wavelet_lift,
     wavelet_rough_integral,
@@ -146,7 +147,7 @@ def test_wavelet_rough_integral_constant(basis):
     w = generate_path("sin_cos", grid, dim=1)
     rp = lift_piecewise_smooth(w, "sin_cos", ALPHA)
     cp = ControlledPath(np.ones(grid.num_nodes), np.zeros(grid.num_nodes), w)
-    integral, _ = wavelet_rough_integral(cp, rp, basis, trunc_level=11)
+    integral = wavelet_rough_integral(cp, rp, basis, trunc_level=11)
     expect = w.values[:, 0] - w.values[0, 0]
     assert np.abs(integral.values[:, 0] - expect).max() < 1e-4
 
@@ -156,7 +157,7 @@ def test_wavelet_rough_integral_w_dw(basis):
     w = generate_path("sin_cos", grid, dim=1)
     rp = lift_piecewise_smooth(w, "sin_cos", ALPHA)
     cp = ControlledPath(w.values[:, 0], np.ones(grid.num_nodes), w)
-    integral, _ = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    integral = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
     w0 = w.values[0, 0]
     expect = (w.values[:, 0] ** 2 - w0**2) / 2
     assert np.abs(integral.values[:, 0] - expect).max() < 1e-3
@@ -170,7 +171,7 @@ def test_wavelet_integral_against_fine_stieltjes_oracle(basis):
     rp = lift_piecewise_smooth(w, "sin_cos", ALPHA)
     wv = w.values[:, 0]
     cp = ControlledPath(np.sin(wv), np.cos(wv), w)
-    integral, _ = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    integral = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
     oracle = np.concatenate([[0.0], np.cumsum(np.sin(wv[:-1]) * np.diff(wv))])
     rel = np.abs(integral.values[:, 0] - oracle).max() / np.abs(oracle).max()
     assert rel <= 1e-3
@@ -183,7 +184,7 @@ def test_wavelet_route_agrees_with_riemann(basis):
     yp = np.zeros((grid.num_nodes, 1, 2))
     yp[:, 0, 0] = 1.0
     cp = ControlledPath(w.values[:, 0], yp, w)
-    wavelet, _ = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    wavelet = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
     riemann = rough_integral_path(cp, rp)
     rel = np.abs(wavelet.values - riemann).max() / np.abs(riemann).max()
     assert rel < 1e-3
@@ -200,7 +201,8 @@ def test_three_point_certificate_slope(basis):
     yp = np.zeros((grid.num_nodes, 1, 2))
     yp[:, 0, 0] = np.cos(wv)
     cp = ControlledPath(np.sin(wv), yp, w)
-    _, cert = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    integral = wavelet_rough_integral(cp, rp, basis, trunc_level=10)
+    cert = three_point_defect(integral.values, cp, rp)
     spans = {round(np.log2(s / grid.step)): d for s, d in cert}
     rows = [(grid.step * 2**m, spans[m]) for m in (8, 9, 10, 11)]
     slope, _ = convergence_order_fit(rows, drop_coarsest=0)
@@ -382,7 +384,7 @@ def test_wavelet_rough_integral_matches_per_component_loop(basis, reconstruct_ca
     yp[:, 0, 0] = np.cos(w.values[:, 0])
     yp[:, 0, 1:] = 0.3
     cp = ControlledPath(np.sin(w.values[:, 0]), yp, w)
-    got, _ = wavelet_rough_integral(cp, rp, basis)
+    got = wavelet_rough_integral(cp, rp, basis)
     assert len(reconstruct_calls) == 1
     f = to_modelled(cp, ALPHA)
     model = RoughModel(rp)

