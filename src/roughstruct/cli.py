@@ -194,9 +194,9 @@ def _cmd_lift(args) -> dict:
     rp = _make_lift(args, path, args.mode, coeffs, args.trunc_level)
     out = args.out or "rough_path.json"
     csv_out = out.rsplit(".", 1)[0] + "_path.csv"
-    write_rough_path_json(rp, out, csv_out)
+    second_csv = write_rough_path_json(rp, out, csv_out)
     first, second, total = rough_path_seminorm(rp)
-    return {"out": out, "path_csv": csv_out, "alpha": rp.alpha,
+    return {"out": out, "path_csv": csv_out, "second_order_csv": second_csv, "alpha": rp.alpha,
             "seminorm_path": first, "seminorm_second": second, "seminorm": total}
 
 
@@ -207,10 +207,9 @@ def _cmd_chen(args) -> dict:
     defect = chen_defect(rp)
     w_inf = float(np.abs(rp.path.values).max())
     tol = args.tol if args.tol is not None else 1e-8 * (1.0 + w_inf**2)
-    payload = {"defect": defect, "tolerance": tol}
     if defect > tol:
         raise NumericFailure(f"Chen defect {defect:.3e} exceeds tolerance {tol:.3e}")
-    return payload
+    return {"defect": defect, "tolerance": tol}
 
 
 def _load_controlled(args, path: SampledPath) -> ControlledPath:
@@ -281,8 +280,7 @@ def _cmd_solve(args) -> dict:
     path = read_path_csv(args.path_csv)
     rp = _make_lift(args, path, args.lift_mode)
     xi = np.array([float(v) for v in args.xi.split(",")])
-    dim_driver = path.dim
-    if dim_driver != 1:
+    if path.dim != 1:
         raise NumericFailure("builtin CLI functions drive scalar-noise equations; "
                              "use the API for matrix-valued F")
     F = builtin_descriptor(args.func, dim=xi.size)

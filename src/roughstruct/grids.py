@@ -369,17 +369,19 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 # CSV tables: a header line, then rows of comma-separated ``%.17g`` values
 
-#: Rows per ``%``-format of :func:`write_table`, which bounds its temporaries
+#: Cells per ``%``-format of :func:`write_table`, which bounds its temporaries
 TABLE_BLOCK_ROWS = 2**16
 
 
 def write_table(filename: str, header: str, data: np.ndarray) -> None:
-    """The one CSV writer: ``header``, then one ``%.17g`` row per row of ``data``."""
+    """The one CSV writer: ``header``, then one ``%.17g`` row per row of
+    ``data``, formatted in blocks of ``TABLE_BLOCK_ROWS // columns`` rows."""
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    rows = max(1, TABLE_BLOCK_ROWS // data.shape[1])
     with open(filename, "w", newline="") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(data), TABLE_BLOCK_ROWS):
-            block = data[start : start + TABLE_BLOCK_ROWS]
+        for start in range(0, len(data), rows):
+            block = data[start : start + rows]
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 

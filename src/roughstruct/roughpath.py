@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import JET_PAIR_LEVEL, SampledPath, TimeGrid, euclidean_norms, pair_scan
-from .grids import TABLE_BLOCK_ROWS, read_path_csv, write_path_csv
+from .grids import read_path_csv, read_table, write_path_csv, write_table
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,11 @@ def _sin_cos_interval_tensors(t: np.ndarray, dim: int) -> np.ndarray:
     n_int = len(s)
     out = np.empty((n_int, dim, dim))
     dsin = np.sin(e) - np.sin(s)
+    out[:, 0, 0] = 0.5 * dsin**2
     if dim == 1:
-        out[:, 0, 0] = 0.5 * dsin**2
         return out
     dcos = np.cos(e) - np.cos(s)
     dsin2 = np.sin(2 * e) - np.sin(2 * s)
-    out[:, 0, 0] = 0.5 * dsin**2
     out[:, 0, 1] = -(e - s) / 2 + dsin2 / 4 - np.sin(s) * dcos
     out[:, 1, 0] = (e - s) / 2 + dsin2 / 4 - np.cos(s) * dsin
     out[:, 1, 1] = 0.5 * dcos**2
@@ -195,9 +194,8 @@ def _polynomial_interval_tensors(t: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     for i in range(n):
         vi = polys[i](s)
         for j in range(n):
-            anti = (polys[i] * derivs[j]).integ()
-            anti_d = polys[j]  # antiderivative of derivs[j]
-            out[:, i, j] = (anti(e) - anti(s)) - vi * (anti_d(e) - anti_d(s))
+            anti = (polys[i] * derivs[j]).integ()  # polys[j] integrates derivs[j]
+            out[:, i, j] = (anti(e) - anti(s)) - vi * (polys[j](e) - polys[j](s))
     return out
 
 
@@ -265,51 +263,48 @@ def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip: {"alpha": a, "path_csv": file, "second_order": [[k, row-major n*n], ...]}
+# Files: a JSON {"alpha", "path_csv", "second_order_csv"} naming two tables,
+# the path CSV and the tensor CSV "k,ww11,...,wwnn" (row k: interval k's WW)
 
 
-def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> None:
-    """Write ``path_csv`` (:func:`write_path_csv`) and the JSON above, which
-    names it, as ``json.dump`` would: one ``json.dumps`` (the C encoder) per
-    block of about ``TABLE_BLOCK_ROWS`` floats (``TABLE_BLOCK_ROWS // n^2``
-    intervals), so memory stays bounded at every driver dimension."""
+def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> str:
+    """Write ``path_csv``, the tensor CSV ``<json stem>_second.csv`` and the
+    JSON naming both; returns the tensor CSV's name."""
     write_path_csv(rp.path, path_csv)
-    second = rp.second.increments.reshape(rp.path.grid.num_intervals, -1)
-    rows = max(1, TABLE_BLOCK_ROWS // second.shape[1])
-    head = json.dumps({"alpha": rp.alpha, "path_csv": path_csv, "second_order": []})
+    second_csv = os.path.splitext(json_file)[0] + "_second.csv"
+    cells = [f"ww{i + 1}{j + 1}" for i in range(rp.dim) for j in range(rp.dim)]
+    inc = rp.second.increments
+    write_table(second_csv, ",".join(["k", *cells]),
+                np.column_stack([np.arange(len(inc)), inc.reshape(len(inc), -1)]))
     with open(json_file, "w") as fh:
-        fh.write(head[:-2])  # up to the list's opening bracket
-        for start in range(0, len(second), rows):
-            block = enumerate(second[start : start + rows].tolist(), start)
-            fh.write((", " if start else "") + json.dumps(list(block))[1:-1])
-        fh.write("]}")
+        json.dump({"alpha": rp.alpha, "path_csv": path_csv, "second_order_csv": second_csv}, fh)
+    return second_csv
+
+
+def _beside(json_file: str, name) -> str:
+    """``name``, or the file of that name next to ``json_file`` if only that exists."""
+    here = os.path.join(os.path.dirname(os.path.abspath(json_file)), os.path.basename(str(name)))
+    return here if not os.path.exists(str(name)) and os.path.exists(here) else str(name)
 
 
 def read_rough_path_json(json_file: str) -> RoughPath:
-    """Inverse of :func:`write_rough_path_json`; raises ``ValueError`` naming
-    the file unless it holds alpha, path_csv and, for each grid interval
-    0..N-1 exactly once, n*n finite floats."""
+    """Bit-exact inverse of :func:`write_rough_path_json`.  ``ValueError``
+    naming the file at fault unless the JSON has a numeric alpha and both
+    names (older files with the tensors inline are refused), and the tensor
+    CSV has the rows k = 0..N-1, in order, of n*n finite floats."""
     with open(json_file) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or not {"alpha", "path_csv", "second_order"} <= set(payload):
-        raise ValueError(f"{json_file}: needs the keys alpha, path_csv and second_order")
-    csv_name = str(payload["path_csv"])
-    if not os.path.exists(csv_name):
-        candidate = os.path.join(os.path.dirname(os.path.abspath(json_file)), os.path.basename(csv_name))
-        if os.path.exists(candidate):
-            csv_name = candidate
-    path = read_path_csv(csv_name)
-    n, n_int = path.dim, path.grid.num_intervals
+    if not isinstance(payload, dict) or not {"alpha", "path_csv", "second_order_csv"} <= set(payload):
+        raise ValueError(f"{json_file}: needs the keys alpha, path_csv and second_order_csv")
     try:
         alpha = float(payload["alpha"])
-        keys = np.array([k for k, _ in payload["second_order"]])
-        flat = np.array([v for _, v in payload["second_order"]], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{json_file}: malformed alpha or second_order ({exc})") from None
-    if keys.dtype.kind not in "iu" or not np.array_equal(np.sort(keys), np.arange(n_int)):
-        raise ValueError(f"{json_file}: second_order must list each interval 0..{n_int - 1} once")
-    if flat.shape != (n_int, n * n) or not np.isfinite(flat).all():
-        raise ValueError(f"{json_file}: each interval needs {n * n} finite floats")
-    inc = np.empty((n_int, n, n))
-    inc[keys] = flat.reshape(n_int, n, n)
+    except (TypeError, ValueError):
+        raise ValueError(f"{json_file}: alpha is not a number") from None
+    path = read_path_csv(_beside(json_file, payload["path_csv"]))
+    second_csv = _beside(json_file, payload["second_order_csv"])
+    table, n, n_int = read_table(second_csv), path.dim, path.grid.num_intervals
+    if table.shape != (n_int, 1 + n * n) or not np.array_equal(table[:, 0], np.arange(n_int)):
+        raise ValueError(f"{second_csv}: needs the rows k = 0..{n_int - 1} in order, "
+                         f"each with {n * n} tensor cells")
+    inc = np.ascontiguousarray(table[:, 1:]).reshape(n_int, n, n)
     return RoughPath(path, SecondOrderProcess(path.grid, inc), alpha)

@@ -192,7 +192,7 @@ def solve_rde(
         current = y_w[-1].copy()
         start += span
     solution = ControlledPath(y_full, yp_full, rp.path)
-    residual = solution_residual(solution, xi, F, rp, cfg)
+    residual = solution_residual(solution, xi, F, rp)
     return solution, {"windows": windows, "residual": residual}
 
 
@@ -208,11 +208,10 @@ def solution_residual(
     xi: np.ndarray | float,
     F: FunctionDescriptor,
     rp: RoughPath,
-    cfg: SolverConfig,
 ) -> float:
     """Sup over nodes of ``|y_t - xi - int_0^t F(y) dW|``, with the integral
     taken by the Riemann kernel (:func:`integration.rough_integral`)
-    regardless of how the solution was produced; ``cfg`` is not read."""
+    regardless of how the solution was produced."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     integral = rough_integral(*compose_one_form(F, sol.y, sol.y_prime), rp)
     return float(np.abs(sol.y - xi[None, :] - integral).max())

@@ -224,15 +224,20 @@ def _interp_table(table: np.ndarray, x: np.ndarray, clamp: bool = False) -> np.n
     return out.reshape(shape)
 
 
-@lru_cache(maxsize=None)
 def daubechies_basis(vanishing_moments: int = 4, table_level: int = 14) -> WaveletBasis:
     """Build a Daubechies basis with the given number of vanishing moments.
 
     Moments >= 2 give the two vanishing moments the coefficient-decay
     arguments need; >= 3 is C^1.  ``table_level`` controls the dyadic
     evaluation resolution (>= 6 required downstream).  Bases are memoised
-    and shared, so their tables are read-only.
+    by value, however the arguments are spelled, and shared, so their
+    tables are read-only.
     """
+    return _daubechies_basis(vanishing_moments, table_level)
+
+
+@lru_cache(maxsize=None)
+def _daubechies_basis(vanishing_moments: int, table_level: int) -> WaveletBasis:
     if vanishing_moments not in DAUBECHIES_FILTERS:
         raise ValueError(
             f"supported vanishing moments: {sorted(DAUBECHIES_FILTERS)}, "

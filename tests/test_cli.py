@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import roughstruct.cli as cli
 from roughstruct.cli import main
 from roughstruct.grids import read_path_csv
 from roughstruct.integration import young_integral
+from roughstruct.roughpath import read_rough_path_json
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -93,28 +95,43 @@ def test_chen_violation_exits_two(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
-def _set_index(k, value):
-    return lambda payload: payload["second_order"][k].__setitem__(0, value)
+def _drop_key(key):
+    def corrupt(rp_json, second_csv):
+        payload = json.loads(rp_json.read_text())
+        payload.pop(key)
+        rp_json.write_text(json.dumps(payload))
+        return rp_json
+    return corrupt
 
 
-def _set_tensor(k, value):
-    return lambda payload: payload["second_order"][k].__setitem__(1, value)
+def _edit_rows(edit):
+    """Corrupt the tensor CSV: ``edit`` changes its data rows (lists of cells) in place."""
+    def corrupt(rp_json, second_csv):
+        header, *rows = [line.split(",") for line in second_csv.read_text().splitlines()]
+        edit(rows)
+        second_csv.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+        return second_csv
+    return corrupt
 
 
-# each corruption of a J = 4 rough-path file (16 intervals, dim 2)
+def _set_cell(k, column, cell):
+    return _edit_rows(lambda rows: rows[k].__setitem__(column, cell))
+
+
+# each corruption of a J = 4 rough-path file (16 intervals, dim 2): the JSON
+# loses a key, or the tensor CSV ("k,ww11,ww12,ww21,ww22") a row or a cell
 _JSON_DEFECTS = {
-    "missing-alpha": lambda payload: payload.pop("alpha"),
-    "missing-path_csv": lambda payload: payload.pop("path_csv"),
-    "missing-second_order": lambda payload: payload.pop("second_order"),
-    "index-99": _set_index(3, 99),
-    "index-negative": _set_index(3, -1),
-    "index-not-integer": _set_index(3, 2.5),
-    "interval-duplicated": _set_index(3, 2),
-    "intervals-missing": lambda payload: payload.__setitem__(
-        "second_order", payload["second_order"][:3]),
-    "tensor-short": _set_tensor(5, [0.0, 0.0, 0.0]),
-    "tensor-nan": _set_tensor(5, [0.0, float("nan"), 0.0, 0.0]),
-    "tensor-text": _set_tensor(5, ["a", 0.0, 0.0, 0.0]),
+    "missing-alpha": _drop_key("alpha"),
+    "missing-path_csv": _drop_key("path_csv"),
+    "missing-second_order": _drop_key("second_order_csv"),
+    "index-99": _set_cell(3, 0, "99"),
+    "index-negative": _set_cell(3, 0, "-1"),
+    "index-not-integer": _set_cell(3, 0, "2.5"),
+    "interval-duplicated": _set_cell(3, 0, "2"),
+    "intervals-missing": _edit_rows(lambda rows: rows.__delitem__(slice(3, None))),
+    "tensor-short": _edit_rows(lambda rows: rows[5].pop()),
+    "tensor-nan": _set_cell(5, 2, "nan"),
+    "tensor-text": _set_cell(5, 1, "a"),
 }
 
 
@@ -123,15 +140,29 @@ def test_malformed_rough_path_json_exits_one(tmp_path, capsys, defect):
     w = tmp_path / "w.csv"
     rp = tmp_path / "rp.json"
     _run(capsys, "--grid-level", "4", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
-    _run(capsys, "--out", str(rp), "lift", str(w), "--mode", "linear")
+    _, out = _run(capsys, "--json", "--out", str(rp), "lift", str(w), "--mode", "linear")
+    second_csv = tmp_path / "rp_second.csv"
+    assert json.loads(out)["second_order_csv"] == str(second_csv)
     code, _ = _run(capsys, "--json", "chen", str(rp))
     assert code == 0
-    payload = json.loads(rp.read_text())
-    _JSON_DEFECTS[defect](payload)
-    rp.write_text(json.dumps(payload))
+    corrupted = _JSON_DEFECTS[defect](rp, second_csv)
+    code, out = _run(capsys, "--json", "chen", str(rp))
+    assert code == 1
+    assert str(corrupted) in json.loads(out)["error"]
+
+
+def test_inline_second_order_json_exits_one(tmp_path, capsys):
+    # the older one-file form: the tensors inline as [[k, row-major n*n], ...]
+    w = tmp_path / "w.csv"
+    rp = tmp_path / "rp.json"
+    _run(capsys, "--grid-level", "2", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "1")
+    rp.write_text(json.dumps({"alpha": 0.45, "path_csv": str(w),
+                              "second_order": [[k, [0.0]] for k in range(4)]}))
     code, out = _run(capsys, "--json", "chen", str(rp))
     assert code == 1
     assert str(rp) in json.loads(out)["error"]
+    with pytest.raises(ValueError, match=re.escape(str(rp))):
+        read_rough_path_json(str(rp))
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])

@@ -20,6 +20,7 @@ from roughstruct.grids import (
     fgn_from_normals,
     profile_c1_norm,
     profile_integral,
+    write_table,
 )
 
 from reference_impl import fbm_covariance
@@ -152,6 +153,14 @@ def test_path_csv_write_memory_is_blocked(tmp_path):
     # TABLE_BLOCK_ROWS rows at 17 MiB
     path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
     assert _traced_peak(lambda: write_path_csv(path, str(tmp_path / "w.csv"))) < 24 * 2**20
+
+
+def test_wide_table_write_memory_is_blocked_by_cells(tmp_path):
+    # 2^15 rows of 32 cells: one block of 2^15 rows held every cell's Python
+    # float and text at once (tens of MiB), blocks of 2^16 cells a few MiB
+    data = np.random.default_rng(0).standard_normal((2**15, 32))
+    header = ",".join(f"c{i}" for i in range(32))
+    assert _traced_peak(lambda: write_table(str(tmp_path / "wide.csv"), header, data)) < 8 * 2**20
 
 
 def test_path_csv_read_memory_is_linear(tmp_path):

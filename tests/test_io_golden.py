@@ -1,8 +1,8 @@
 """Byte-for-byte checks of every file the CLI writes.
 
-The references are the row-by-row ``f"{v:.17g}"`` formatter and the
-``json.dump`` payload that the vectorised table writer and the one-call
-JSON encoder replaced; every output must match them byte for byte.
+The reference is the row-by-row ``f"{v:.17g}"`` formatter that the
+vectorised table writer replaced; every CSV must match it byte for byte,
+and the rough-path JSON must match ``json.dump`` of its three keys.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from roughstruct import (
     generate_path,
     lift_piecewise_smooth,
     make_dyadic_grid,
+    read_rough_path_json,
     write_path_csv,
     write_rough_path_json,
 )
@@ -45,17 +46,16 @@ def _reference_path_csv(path: SampledPath) -> bytes:
     return _reference_table(header, np.column_stack([path.grid.nodes, path.values]))
 
 
-def _reference_json(rp: RoughPath, path_csv: str) -> bytes:
-    payload = {
-        "alpha": rp.alpha,
-        "path_csv": path_csv,
-        "second_order": [
-            [k, [float(v) for v in rp.second.increments[k].ravel()]]
-            for k in range(rp.path.grid.num_intervals)
-        ],
-    }
+def _reference_second_csv(rp: RoughPath) -> bytes:
+    n, n_int = rp.dim, rp.path.grid.num_intervals
+    header = "k," + ",".join(f"ww{i + 1}{j + 1}" for i in range(n) for j in range(n))
+    return _reference_table(header, np.column_stack(
+        [np.arange(n_int), rp.second.increments.reshape(n_int, -1)]))
+
+
+def _reference_json(rp: RoughPath, path_csv: str, second_csv: str) -> bytes:
     out = io.StringIO()
-    json.dump(payload, out)
+    json.dump({"alpha": rp.alpha, "path_csv": path_csv, "second_order_csv": second_csv}, out)
     return out.getvalue().encode()
 
 
@@ -101,16 +101,32 @@ def test_path_csv_longer_than_one_block_matches_row_formatter(tmp_path):
     assert out.read_bytes() == _reference_path_csv(path)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_rough_path_json_matches_json_dump(tmp_path, dim):
+def _extreme_rough_path(dim: int) -> RoughPath:
     grid = make_dyadic_grid(HORIZON, 6)
     path = generate_path("fbm", grid, dim=dim, hurst=0.5, seed=dim)
     inc = _with_extremes(lift_piecewise_smooth(path, "linear", 0.45).second.increments)
-    rp = RoughPath(path, SecondOrderProcess(grid, inc), 0.45)
+    return RoughPath(path, SecondOrderProcess(grid, inc), 0.45)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rough_path_json_matches_json_dump(tmp_path, dim):
+    rp = _extreme_rough_path(dim)
     json_file, csv_file = tmp_path / "rp.json", tmp_path / "rp_path.csv"
-    write_rough_path_json(rp, str(json_file), str(csv_file))
-    assert json_file.read_bytes() == _reference_json(rp, str(csv_file))
-    assert csv_file.read_bytes() == _reference_path_csv(path)
+    second_csv = write_rough_path_json(rp, str(json_file), str(csv_file))
+    assert second_csv == str(tmp_path / "rp_second.csv")
+    assert json_file.read_bytes() == _reference_json(rp, str(csv_file), second_csv)
+    assert csv_file.read_bytes() == _reference_path_csv(rp.path)
+    assert (tmp_path / "rp_second.csv").read_bytes() == _reference_second_csv(rp)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rough_path_round_trip_is_bit_exact(tmp_path, dim):
+    rp = _extreme_rough_path(dim)
+    write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
+    back = read_rough_path_json(str(tmp_path / "rp.json"))
+    assert back.alpha == rp.alpha
+    assert back.path.values.tobytes() == rp.path.values.tobytes()
+    assert back.second.increments.tobytes() == rp.second.increments.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

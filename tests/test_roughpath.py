@@ -328,6 +328,34 @@ def test_rough_path_json_write_memory_is_blocked_by_floats(tmp_path):
     assert peak < 24 * 2**20
 
 
+def test_rough_path_json_read_memory_is_linear(tmp_path):
+    # json.load with one Python list per interval peaked at 26 MiB here
+    # (J = 16, dim 2: 2 MiB of tensors)
+    path = generate_path("fbm", make_dyadic_grid(1.0, 16), dim=2, hurst=0.5, seed=0)
+    write_rough_path_json(lift_piecewise_smooth(path, "linear", 0.45),
+                          str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
+    tracemalloc.start()
+    try:
+        read_rough_path_json(str(tmp_path / "rp.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_rough_path_files_read_after_a_move(tmp_path):
+    path = generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.5, seed=21)
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    write_rough_path_json(rp, str(tmp_path / "a" / "rp.json"), str(tmp_path / "a" / "rp_path.csv"))
+    for name in ("rp.json", "rp_path.csv", "rp_second.csv"):
+        (tmp_path / "a" / name).rename(tmp_path / "b" / name)
+    back = read_rough_path_json(str(tmp_path / "b" / "rp.json"))
+    assert np.array_equal(back.path.values, rp.path.values)
+    assert np.array_equal(back.second.increments, rp.second.increments)
+
+
 def test_alpha_range_enforced():
     path = generate_path("sin_cos", make_dyadic_grid(1.0, 4), dim=2)
     with pytest.raises(ValueError):

@@ -98,7 +98,7 @@ def test_residual_detects_corruption(time_driver):
     bad_y = sol.y.copy()
     bad_y[500, 0] += 0.1
     bad = ControlledPath(bad_y, sol.y_prime, time_driver.path)
-    assert solution_residual(bad, 0.3, Fc, time_driver, CFG) >= 0.05
+    assert solution_residual(bad, 0.3, Fc, time_driver) >= 0.05
 
 
 def test_exact_fixed_point_residual(time_driver):
@@ -109,7 +109,7 @@ def test_exact_fixed_point_residual(time_driver):
         np.full(w.grid.num_nodes, 2.0),
         w,
     )
-    assert solution_residual(exact, 1.0, Fc, time_driver, CFG) <= 1e-12
+    assert solution_residual(exact, 1.0, Fc, time_driver) <= 1e-12
 
 
 def test_window_invariance(time_driver):

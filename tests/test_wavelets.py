@@ -144,6 +144,13 @@ def test_basis_is_memoised_and_read_only():
             table[0] = 1.0
 
 
+def test_basis_is_memoised_however_spelled():
+    basis = daubechies_basis()
+    for args, kwargs in [((4,), {}), ((4, 14), {}), ((), {"vanishing_moments": 4}),
+                         ((), {"table_level": 14})]:
+        assert daubechies_basis(*args, **kwargs) is basis
+
+
 def test_min_base_level(basis):
     level = basis.min_base_level()
     assert 2.0**-level * basis.support_radius <= 1.0
