@@ -295,8 +295,7 @@ def _cmd_solve(args) -> dict:
     d, n = sol.y.shape[1], sol.y_prime.shape[2]
     header = ("t," + ",".join(f"y{i+1}" for i in range(d)) + ","
               + ",".join(f"yp{i+1}{j+1}" for i in range(d) for j in range(n)))
-    write_table(out, header, np.column_stack([path.grid.nodes, sol.y,
-                                              sol.y_prime.reshape(len(sol.y), -1)]))
+    write_table(out, header, path.grid.nodes, sol.y, sol.y_prime.reshape(len(sol.y), -1))
     diag_out = args.diagnostics or (out.rsplit(".", 1)[0] + "_diag.json")
     with open(diag_out, "w") as fh:
         json.dump(diag, fh, default=float)

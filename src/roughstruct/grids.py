@@ -19,8 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 MAX_GRID_LEVEL = 24
 
 #: Seminorm scans visit all node pairs up to these grid levels, aligned
-#: dyadic pairs beyond (:func:`pair_scan`).  Path increments: until the
-#: lag-block scan of :func:`holder_seminorm` gets slow (60 ms at level 12).
+#: dyadic pairs beyond (:func:`pair_scan`).  Path increments: the pruned
+#: exact scan of :func:`holder_seminorm`; the level fixes which pairs count.
 PATH_PAIR_LEVEL = 12
 #: Second-order tensors and jets gather a matrix per pair: all pairs would
 #: take seconds at level 12 (a rough-path seminorm: 2-3 s instead of 3 ms).
@@ -155,37 +155,77 @@ def pair_scan(grid: TimeGrid, all_pairs_level: int, norms: Callable, exponents) 
 
 def holder_seminorm(path: SampledPath, alpha: float) -> float:
     """Grid proxy for the alpha-Hölder seminorm: max over node pairs of
-    ``|Z_{s,t}| / |t-s|**alpha``, with exact lags ``(t - s) * h``.
+    ``|Z_{s,t}| / |t-s|**alpha``, with exact lags ``(t - s) * h``, of finite Z.
 
-    Exact over all pairs up to ``PATH_PAIR_LEVEL``, scanned lag by lag with
-    one denominator per lag in blocks of lags taken as strided views of the
-    values, in O(N) memory; beyond it :func:`pair_scan`'s aligned dyadic
-    pairs.
+    Exact over all pairs up to ``PATH_PAIR_LEVEL``: in lag bands ``[a, b]``
+    about ``a / 8`` wide, Z's extremes over ``[s + a, s + b]`` over
+    ``(a h)**alpha`` bound the quotients of start ``s``, and only the starts
+    that can beat the running max are evaluated, tied bands whole.  Beyond
+    the level, :func:`pair_scan`'s aligned dyadic pairs.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if path.grid.num_nodes < 2:
         raise ValueError("path needs at least two nodes")
+    if not np.isfinite(path.values).all():
+        raise ValueError("path values must be finite")
     if path.grid.level > PATH_PAIR_LEVEL:
         z = path.values
         return float(pair_scan(path.grid, PATH_PAIR_LEVEL,
                                lambda s, t: euclidean_norms(z[t] - z[s]), alpha)[0])
     n_int = path.grid.num_intervals
     x = np.ascontiguousarray(path.values.T)
-    step = path.grid.step
-    best = 0.0
-    block = max(1, PAIR_CHUNK // x.size)  # lags per block: ~2 MiB of increments
+    den = (np.arange(1, n_int + 1) * path.grid.step) ** alpha
+    block = min(n_int, max(1, PAIR_CHUNK // x.size))  # lags per dense block: ~2 MiB
+    # the bands end where the last dense block, which holds lag N, starts
+    tail = 1 + (n_int - 1) // block * block
+    band = [1]
+    while band[-1] < tail:
+        band.append(min(tail, band[-1] + max(1, band[-1] // 8)))
+    width = np.diff(band)
     # edge padding credits x_N with a longer lag than it has, so a padded
     # quotient never exceeds the true one of (s, N), scanned at its own lag
-    xpad = np.concatenate([x, np.repeat(x[:, -1:], block - 1, axis=1)], axis=1)
-    for lag in range(1, n_int + 1, block):
-        width = n_int + 1 - lag
+    xpad = np.concatenate([x, np.repeat(x[:, -1:], max([block, *width]) - 1, axis=1)], axis=1)
+    # rows of x and -x; table[:, i] is their max over [i, i + 2**level)
+    y = table = np.concatenate([xpad, -xpad])
+    level, bound_sq = 0, []
+    for lo, w in zip(band, width.tolist()):
+        while 2 << level <= w:
+            table = np.maximum(table[:, : -(1 << level)], table[:, 1 << level :])
+            level += 1
+        starts, last = n_int + 1 - lo, lo + w - (1 << level)
+        # per component, |x_t - x_s| <= max(M - x_s, x_s - m) over t in [s + lo, s + lo + w)
+        g = np.maximum(table[:, lo : lo + starts], table[:, last : last + starts]) - y[:, :starts]
+        g = np.maximum(g[: len(x)], g[len(x) :])
+        bound_sq.append(np.einsum("ds,ds->s", g, g))
+    seed = np.array([b.argmax() for b in bound_sq], dtype=int)
+    top = [np.sqrt(b[s]) / den[lo - 1] for b, s, lo in zip(bound_sq, seed, band)]
+
+    def max_quotient(inc: np.ndarray, lag_den: np.ndarray) -> float:  # sums as np.einsum does
+        return float(np.max(np.sqrt(sum(r * r for r in inc)) / lag_den, initial=0.0))
+
+    s, lag = np.repeat(seed, width), np.arange(1, tail)  # each band's best-bound start
+    best = max_quotient(xpad[:, s + lag] - x[:, s], den[lag - 1])
+    dense = np.arange(n_int + 1) >= tail
+    for bound, lo, hi, b_sq in sorted(zip(top, band, band[1:], bound_sq), reverse=True):
+        if not bound * (1 + 1e-9) > best:
+            break
+        cand = np.flatnonzero(b_sq > (best / (1 + 1e-9) * den[lo - 1]) ** 2)
+        if 2 * len(cand) > len(b_sq):  # ties: scan the band whole below
+            dense[lo:hi] = True
+            continue
+        chunk = max(1, PAIR_CHUNK // ((hi - lo) * len(x)))
+        for c in (cand[k : k + chunk] for k in range(0, len(cand), chunk)):
+            rows = sliding_window_view(xpad, hi - lo, axis=1)[:, c + lo] - x[:, c, None]
+            best = max(best, max_quotient(rows, den[lo - 1 : hi - 1]))
+    # whole blocks of the dense scan, so every pair sums as it does there
+    for lag in np.unique((np.flatnonzero(dense) - 1) // block * block + 1).tolist():
+        starts = n_int + 1 - lag
         # rows[:, b, s] = x_{s+lag+b}
-        rows = sliding_window_view(xpad[:, lag:], width, axis=1)[:, : min(block, width)]
-        inc = rows - x[:, None, :width]
+        rows = sliding_window_view(xpad[:, lag:], starts, axis=1)[:, : min(block, starts)]
+        inc = rows - x[:, None, :starts]
         sq = np.einsum("ibs,ibs->bs", inc, inc).max(axis=1)
-        lags = np.arange(lag, lag + len(sq))
-        best = max(best, float(np.max(np.sqrt(sq) / (lags * step) ** alpha)))
+        best = max(best, float(np.max(np.sqrt(sq) / den[lag - 1 : lag - 1 + len(sq)])))
     return best
 
 
@@ -373,15 +413,17 @@ class TestFunction:
 TABLE_BLOCK_ROWS = 2**16
 
 
-def write_table(filename: str, header: str, data: np.ndarray) -> None:
-    """The one CSV writer: ``header``, then one ``%.17g`` row per row of
-    ``data``, formatted in blocks of ``TABLE_BLOCK_ROWS // columns`` rows."""
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    rows = max(1, TABLE_BLOCK_ROWS // data.shape[1])
+def write_table(filename: str, header: str, *columns) -> None:
+    """The one CSV writer: ``header``, then one ``%.17g`` row per row of the
+    ``(N,)`` or ``(N, k)`` columns side by side, stacked and formatted in
+    blocks of ``TABLE_BLOCK_ROWS // width`` rows (a ``range`` column too)."""
+    width = np.column_stack([c[:1] for c in columns]).shape[1]
+    row = ",".join(["%.17g"] * width) + "\n"
+    rows = max(1, TABLE_BLOCK_ROWS // width)
     with open(filename, "w", newline="") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(data), rows):
-            block = data[start : start + rows]
+        for start in range(0, len(columns[0]), rows):
+            block = np.column_stack([c[start : start + rows] for c in columns])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -406,7 +448,7 @@ def read_table(filename: str) -> np.ndarray:
 def write_path_csv(path: SampledPath, filename: str) -> None:
     """Header ``t,x1,...,xn``, then one :func:`write_table` row per node."""
     header = "t," + ",".join(f"x{i + 1}" for i in range(path.dim))
-    write_table(filename, header, np.column_stack([path.grid.nodes, path.values]))
+    write_table(filename, header, path.grid.nodes, path.values)
 
 
 def read_path_csv(filename: str) -> SampledPath:

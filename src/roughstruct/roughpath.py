@@ -274,8 +274,7 @@ def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> str:
     second_csv = os.path.splitext(json_file)[0] + "_second.csv"
     cells = [f"ww{i + 1}{j + 1}" for i in range(rp.dim) for j in range(rp.dim)]
     inc = rp.second.increments
-    write_table(second_csv, ",".join(["k", *cells]),
-                np.column_stack([np.arange(len(inc)), inc.reshape(len(inc), -1)]))
+    write_table(second_csv, ",".join(["k", *cells]), range(len(inc)), inc.reshape(len(inc), -1))
     with open(json_file, "w") as fh:
         json.dump({"alpha": rp.alpha, "path_csv": path_csv, "second_order_csv": second_csv}, fh)
     return second_csv

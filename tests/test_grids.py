@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import simpson
 
 from roughstruct import (
@@ -23,7 +25,7 @@ from roughstruct.grids import (
     write_table,
 )
 
-from reference_impl import fbm_covariance
+from reference_impl import fbm_covariance, holder_lag_scan
 
 
 def test_smallest_grid():
@@ -128,15 +130,79 @@ def test_holder_lag_scan_matches_pair_list(dim, alpha, dense):
 
 
 def test_holder_scan_memory_is_linear():
-    # the all-pairs index arrays alone were 134 MB at J = 12
+    # the all-pairs index arrays alone were 134 MB at J = 12; the line at
+    # alpha = 1 ties every pair, so no band prunes and all go dense
     path = generate_path("fbm", make_dyadic_grid(1.0, 12), dim=2, hurst=0.5, seed=0)
-    tracemalloc.start()
-    try:
-        holder_seminorm(path, 0.45)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    line = SampledPath(path.grid, np.outer(path.grid.nodes, [1.0, -0.5]))
+    for p, alpha in ((path, 0.45), (line, 1.0)):
+        assert _traced_peak(lambda: holder_seminorm(p, alpha)) < 16 * 2**20
+
+
+def _adversarial_path(case: str, grid, dim: int) -> tuple[np.ndarray, float]:
+    # values and alpha of a path whose max sits where a pruned scan can miss it
+    t, n = grid.nodes, grid.num_nodes
+    direction = np.array([1.1, -0.7, 0.3][:dim])
+    if case == "constant":
+        return np.full((n, dim), -2.5), 0.5
+    if case == "line":  # every quotient 1 up to round-off: all pairs tie
+        return np.outer(t, direction), 1.0
+    if case == "max_at_lag_n":  # (t - s)**0.7 grows with the lag
+        return np.outer(t, direction), 0.3
+    if case == "spike_at_n":  # the padding edge
+        values = np.zeros((n, dim))
+        values[-1] = 3.0
+        return values, 0.45
+    if case == "max_at_lag_1":
+        values = 1e-3 * np.cumsum(np.random.default_rng(dim).standard_normal((n, dim)), axis=0)
+        values[n // 2 :] += direction
+        return values, 0.45
+    if case == "near_tie":
+        # a 16-lag ramp is the max; a 17-lag ramp, the best bound in the band
+        # of lags 16 and 17, falls 1e-10 short of it, inside the 1e-9 margin
+        k, den = np.arange(n), (np.array([16.0, 17.0]) * grid.step) ** 0.5
+        profile = (np.clip((k - n // 8) / 17, 0, 1) * den[1] / den[0] * (1 - 1e-10)
+                   + np.clip((k - n // 2) / 16, 0, 1))
+        return np.outer(profile, direction), 0.5
+    hurst = {"fbm_rough": 0.3, "fbm_smooth": 0.7}[case]
+    return generate_path("fbm", grid, dim=dim, hurst=hurst, seed=dim).values, 0.35
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1.3])
+@pytest.mark.parametrize("level", [1, 2, 3, 8, 10, 12])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("case", ["constant", "line", "max_at_lag_n", "spike_at_n",
+                                  "max_at_lag_1", "near_tie", "fbm_rough", "fbm_smooth"])
+def test_holder_pruned_scan_equals_lag_scan(case, dim, level, horizon):
+    grid = make_dyadic_grid(horizon, level)
+    values, alpha = _adversarial_path(case, grid, dim)
+    path = SampledPath(grid, values)
+    assert holder_seminorm(path, alpha) == holder_lag_scan(path, alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hurst=hst.floats(min_value=0.3, max_value=0.7),
+    alpha=hst.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    dim=hst.integers(min_value=1, max_value=3),
+    level=hst.integers(min_value=1, max_value=10),
+    horizon=hst.sampled_from([1.0, 1.3]),
+    seed=hst.integers(min_value=0, max_value=2**16),
+)
+def test_holder_pruned_scan_equals_lag_scan_on_fbm(hurst, alpha, dim, level, horizon, seed):
+    path = generate_path("fbm", make_dyadic_grid(horizon, level), dim=dim, hurst=hurst, seed=seed)
+    assert holder_seminorm(path, alpha) == holder_lag_scan(path, alpha)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("level", [10, 14])
+def test_holder_rejects_non_finite_values(level, bad):
+    # the NaN once dropped out of the all-pairs max (this walk: 76.0 at
+    # J = 10, 104.1 clean) and made the aligned-pair max at J = 14 nan
+    grid = make_dyadic_grid(1.0, level)
+    values = np.cumsum(np.random.default_rng(3).standard_normal((grid.num_nodes, 2)), axis=0)
+    values[grid.num_nodes // 3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        holder_seminorm(SampledPath(grid, values), 0.45)
 
 
 def _traced_peak(fn) -> int:

@@ -343,6 +343,21 @@ def test_rough_path_json_read_memory_is_linear(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_rough_path_write_memory_is_blocked(tmp_path):
+    # the writers stacked the whole table before blocking it: at J = 18,
+    # dim 2 the path CSV peaked at 9.8 MiB and the rough path (which writes
+    # the path CSV too, so its peak covers both) at 13.8 MiB
+    path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
+    tracemalloc.start()
+    try:
+        write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_rough_path_files_read_after_a_move(tmp_path):
     path = generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.5, seed=21)
     rp = lift_piecewise_smooth(path, "linear", 0.45)
