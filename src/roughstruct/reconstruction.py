@@ -14,7 +14,10 @@ anchor x_k is the grid node nearest the center of mass of phi^J_k.
 The model axiom ``Pi_s Gamma_{s,t} = Pi_t`` re-expands every anchored jet
 at one base point, ``Pi_{x_k} f(x_k) = Pi_0(Gamma_{0,x_k} f(x_k))``: the
 jets at all anchors are transported once, batched over k, and each
-transported symbol tau is realized once as ``Pi_0 tau``.  A coefficient
+transported symbol tau is realized once as ``Pi_0 tau``.  Only the jet
+depends on f: a :class:`ReconstructionPlan` holds the anchors, the batched
+Gamma, the stencils and each symbol's pairing, and
+:meth:`~ReconstructionPlan.apply` does the rest per jet.  A coefficient
 is then a sum over symbols of an anchor-dependent scalar times the pairing
 of one grid array with phi^J_k, and all those pairings are one stencil
 correlation (``wavelets.analyse``).  The antiderivative and the partial-sum
@@ -27,9 +30,9 @@ are invariant under the rescaling), so the dyadic index sets are exactly
 the unit-interval ones and anchors land on grid nodes.
 
 The rough integral of a controlled one-form ``(g, g')`` (the shapes of
-``integration``) is :func:`wavelet_integral`, the route's one kernel: the
-antiderivative of the ``(d,)``-valued jet ``g^j Wdot^j + g'^{ji} WWdot^{ij}``
-in one call; the solver and :func:`wavelet_rough_integral` both call it.
+``integration``) is :func:`wavelet_integrator`, the route's one kernel: one
+plan per rough path, applied per one-form to the ``(d,)``-valued jet
+``g^j Wdot^j + g'^{ji} WWdot^{ij}``; the solver builds one per window.
 The lift takes the reduced structure {One, Wdot}, reconstructs the
 ``(n, n)``-valued distribution whose local model at s is ``W^i_s dW^j`` in
 one call, integrates it to z and sets ``WW_{s,t} = z_{s,t} - W_s (x) W_{s,t}``;
@@ -126,99 +129,99 @@ class ReconstructionResult:
                 for (lam, s_u), probe, loc in zip(battery, probes, local)]
 
 
-def reconstruct(
-    f: ModelledDistribution,
-    model,
-    basis: WaveletBasis | None = None,
-    trunc_level: int | None = None,
-) -> ReconstructionResult:
-    """Partial-sum reconstruction of a modelled distribution.
+class ReconstructionPlan:
+    """What :func:`reconstruct` does before it sees a jet: anchors, the batched
+    ``Gamma_{0,anchor}``, both stencils and, on first use, each symbol's pairing
+    of ``Pi_0 tau`` with the stencil.  ``trunc_level`` defaults to grid level - 2
+    (every coefficient resolvable by the grid); needs ``r > |alpha_*|``."""
 
-    Coefficients of ``f`` have shape ``(num_nodes, *value_shape)``; every
-    component is reconstructed in the one call, each transported symbol
-    realized once.  ``trunc_level`` defaults to grid level - 2 so every
-    coefficient stays resolvable by the grid quadrature.  Requires ``gamma > min(A)`` and a
-    basis regular enough for the structure (``r > |alpha_*|``); for
-    ``gamma <= 0`` the partial-sum representative is returned without any
-    uniqueness claim.
-    """
-    if basis is None:
-        basis = daubechies_basis(4)
-    grid = f.grid
-    structure = f.structure
-    alpha_star = min(structure.index_set) if hasattr(structure, "index_set") else 0.0
-    if f.gamma <= alpha_star:
-        raise ValueError(f"gamma = {f.gamma} must exceed min homogeneity {alpha_star}")
-    if basis.regularity <= abs(alpha_star):
-        raise ValueError(
-            f"basis regularity {basis.regularity} insufficient: need r > {abs(alpha_star)}"
-        )
-    base_level = basis.min_base_level()
-    if trunc_level is None:
-        trunc_level = max(base_level, grid.level - 2)
-    if trunc_level > grid.level:
-        raise ValueError(
-            f"truncation level {trunc_level} exceeds grid resolution {grid.level}"
-        )
-    if trunc_level < base_level:
-        raise ValueError(f"truncation level below base level {base_level}")
-    kinds = {model.pi_kind(s) for s in f.coeffs}
-    if len(kinds) != 1:
-        raise ValueError("mixed function/measure support is not reconstructible here")
-    kind = kinds.pop()
+    def __init__(self, model, grid, basis: WaveletBasis | None = None,
+                 trunc_level: int | None = None):
+        basis = daubechies_basis(4) if basis is None else basis
+        structure = model.structure
+        self.alpha_star = min(structure.index_set) if hasattr(structure, "index_set") else 0.0
+        if basis.regularity <= abs(self.alpha_star):
+            raise ValueError(f"basis regularity {basis.regularity} insufficient: "
+                             f"need r > {abs(self.alpha_star)}")
+        self.base_level = base_level = basis.min_base_level()
+        if trunc_level is None:
+            trunc_level = max(base_level, grid.level - 2)
+        if trunc_level > grid.level:
+            raise ValueError(f"truncation level {trunc_level} exceeds grid resolution {grid.level}")
+        if trunc_level < base_level:
+            raise ValueError(f"truncation level below base level {base_level}")
+        self.model, self.grid, self.basis, self.trunc_level = model, grid, basis, trunc_level
+        num = grid.num_intervals
+        self.ks = basis.index_set(trunc_level)
+        # anchor at the basis function's center of mass (k/2^J is its lattice
+        # point; the offset kills the first-moment error term)
+        lattice = (self.ks + basis.father_center_of_mass) * num / (1 << trunc_level)
+        self.anchors = np.clip(np.rint(lattice).astype(int), 0, num)
+        self.gamma = model.gamma_of(0, self.anchors)
+        self.father = stencil(basis, "father", trunc_level, grid.level)
+        self.cumulative = stencil(basis, "father", trunc_level, grid.level, cumulative=True)
+        self._pairings: dict = {}
 
-    num = grid.num_intervals
-    ks = basis.index_set(trunc_level)
-    # anchor at the basis function's center of mass (k/2^J is its lattice
-    # point; the offset kills the first-moment error term)
-    lattice = (ks + basis.father_center_of_mass) * num / (1 << trunc_level)
-    anchors = np.clip(np.rint(lattice).astype(int), 0, num)
-    jets = ModelSpaceVector({sym: np.asarray(c)[anchors] for sym, c in f.coeffs.items()})
-    moved = gamma_apply(model.gamma_of(0, anchors), jets, model.structure).coeffs
-    table = stencil(basis, "father", trunc_level, grid.level)
-    value_shape = np.shape(next(iter(moved.values())))[1:]
+    @cached_property
+    def _function_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact pairings of phi^J_k with 1(u < 0), 1(u > 1), 1 - midpoint rule."""
+        ks, j, num = self.ks, self.trunc_level, self.grid.num_intervals
+        scale = 2.0 ** (-j / 2.0)
+        at0 = self.basis.integral("father", -ks.astype(float))
+        at1 = self.basis.integral("father", float(1 << j) - ks)
+        exact = scale * (at1 - at0) - analyse(np.ones(num), self.father) * (1.0 / num)
+        return scale * at0, scale * (1.0 - at1), exact
 
-    def rows(p: np.ndarray) -> np.ndarray:
-        """A ``(K,)`` pairing against ``(K, *value_shape)`` coefficients."""
-        return p.reshape(p.shape + (1,) * len(value_shape))
+    def _pairing(self, sym) -> np.ndarray:
+        """``<Pi_0 sym, phi^J_k>`` for every k, (K,): realized once per symbol."""
+        if sym not in self._pairings:
+            model = self.model
+            if model.pi_kind(sym) == "measure":
+                self._pairings[sym] = analyse(model.pi_measure(0, sym), self.father)
+            else:
+                # the midpoint rule pairs only the deviation from the value at
+                # the anchor, which is paired exactly through the cumulative
+                # table (so constants are reproduced to table precision);
+                # outside [0, 1] the jet is extended by its boundary values
+                int_left, int_right, exact = self._function_weights
+                g = model.pi_function(0, sym)
+                mid = analyse(0.5 * (g[:-1] + g[1:]), self.father) * (1.0 / self.grid.num_intervals)
+                self._pairings[sym] = (mid + g[0] * int_left + g[-1] * int_right
+                                       + g[self.anchors] * exact)
+        return self._pairings[sym]
 
-    coeffs = np.zeros((ks.size,) + value_shape)
-    if kind == "measure":
+    def apply(self, f: ModelledDistribution) -> ReconstructionResult:
+        """Partial-sum reconstruction of ``f``, a jet ``(num_nodes, *value_shape)``
+        on the plan's grid and model; needs ``gamma > min(A)`` (for ``gamma
+        <= 0`` the partial sum is returned without any uniqueness claim)."""
+        if f.gamma <= self.alpha_star:
+            raise ValueError(f"gamma = {f.gamma} must exceed min homogeneity {self.alpha_star}")
+        kinds = {self.model.pi_kind(s) for s in f.coeffs}
+        if len(kinds) != 1:
+            raise ValueError("mixed function/measure support is not reconstructible here")
+        grid = self.grid
+        jets = ModelSpaceVector({sym: np.asarray(c)[self.anchors] for sym, c in f.coeffs.items()})
+        moved = gamma_apply(self.gamma, jets, self.model.structure).coeffs
+        value_shape = np.shape(next(iter(moved.values())))[1:]
+        coeffs = np.zeros((self.ks.size,) + value_shape)
         for sym, c in moved.items():
-            coeffs += c * rows(analyse(model.pi_measure(0, sym), table))
-    else:
-        # the midpoint rule pairs only the deviation from the value at the
-        # anchor, which is paired exactly through the cumulative table (so
-        # constants are reproduced to table precision); outside [0, 1] the
-        # jet is extended by its boundary values
-        du = 1.0 / num
-        scale = 2.0 ** (-trunc_level / 2.0)
-        at0 = basis.integral("father", -ks.astype(float))
-        at1 = basis.integral("father", float(1 << trunc_level) - ks)
-        int_left = scale * at0
-        int_right = scale * (1.0 - at1)
-        exact = scale * (at1 - at0) - analyse(np.ones(num), table) * du
-        for sym, c in moved.items():
-            g = model.pi_function(0, sym)
-            mid = analyse(0.5 * (g[:-1] + g[1:]), table) * du
-            coeffs += c * rows(mid + g[0] * int_left + g[-1] * int_right + g[anchors] * exact)
+            # a (K,) pairing against (K, *value_shape) coefficients
+            coeffs += c * self._pairing(sym).reshape((-1,) + (1,) * len(value_shape))
+        z = np.zeros((grid.num_nodes,) + value_shape)
+        z[1:] = np.cumsum(synthesise(coeffs, self.cumulative), axis=0)
+        kind = kinds.pop()
+        if kind == "function":
+            z *= grid.horizon
+        return ReconstructionResult(
+            self.base_level, self.trunc_level, f.gamma, self.basis, coeffs,
+            SampledPath(grid, z.reshape(grid.num_nodes, -1)), kind, self.model, f)
 
-    primitive = stencil(basis, "father", trunc_level, grid.level, cumulative=True)
-    z = np.zeros((grid.num_nodes,) + value_shape)
-    z[1:] = np.cumsum(synthesise(coeffs, primitive), axis=0)
-    if kind == "function":
-        z *= grid.horizon
-    return ReconstructionResult(
-        base_level=base_level,
-        max_level=trunc_level,
-        gamma=f.gamma,
-        basis=basis,
-        scaling_coeffs=coeffs,
-        antiderivative=SampledPath(grid, z.reshape(grid.num_nodes, -1)),
-        kind=kind,
-        _model=model,
-        _source=f,
-    )
+
+def reconstruct(f: ModelledDistribution, model, basis: WaveletBasis | None = None,
+                trunc_level: int | None = None) -> ReconstructionResult:
+    """Partial-sum reconstruction of a modelled distribution: a
+    :class:`ReconstructionPlan` on ``f``'s grid, applied to ``f`` once."""
+    return ReconstructionPlan(model, f.grid, basis, trunc_level).apply(f)
 
 
 def antiderivative_from_distribution(
@@ -249,25 +252,33 @@ def antiderivative_from_distribution(
 # the two headline constructions
 
 
-def wavelet_integral(
-    g: np.ndarray,
-    dg: np.ndarray,
-    rp: RoughPath,
-    basis: WaveletBasis | None = None,
-    trunc_level: int | None = None,
-) -> np.ndarray:
-    """``int_0^t g dW`` of the controlled one-form ``(g, g')`` through
-    reconstruction, on every node, (num_nodes, d): the antiderivative of the
+def wavelet_integrator(rp: RoughPath, basis: WaveletBasis | None = None,
+                       trunc_level: int | None = None):
+    """``(g, g') -> int_0^t g dW`` on every node of ``rp``, (num_nodes, d), by
+    one :class:`ReconstructionPlan` built here and applied per call to the
     ``(d,)``-valued jet ``g^j Wdot^j + g'^{ji} WWdot^{ij}`` (summed over
-    directions), reconstructed in one call."""
+    directions) of the controlled one-form ``(g, g')``."""
     model = RoughModel(rp)
-    coeffs = {}
-    for j in range(rp.dim):
-        coeffs[Wdot(j)] = g[:, :, j]
-        for i in range(rp.dim):
-            coeffs[WWdot(i, j)] = dg[:, :, j, i]
-    f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, rp.path.grid, model.structure, rp.path)
-    return reconstruct(f, model, basis, trunc_level).antiderivative.values
+    plan = ReconstructionPlan(model, rp.path.grid, basis, trunc_level)
+
+    def integral(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+        coeffs = {}
+        for j in range(rp.dim):
+            coeffs[Wdot(j)] = g[:, :, j]
+            for i in range(rp.dim):
+                coeffs[WWdot(i, j)] = dg[:, :, j, i]
+        f = ModelledDistribution(3 * rp.alpha - 1.0, coeffs, rp.path.grid, model.structure,
+                                 rp.path)
+        return plan.apply(f).antiderivative.values
+
+    return integral
+
+
+def wavelet_integral(g: np.ndarray, dg: np.ndarray, rp: RoughPath,
+                     basis: WaveletBasis | None = None,
+                     trunc_level: int | None = None) -> np.ndarray:
+    """``int_0^t g dW`` on every node, (num_nodes, d): :func:`wavelet_integrator` once."""
+    return wavelet_integrator(rp, basis, trunc_level)(g, dg)
 
 
 def wavelet_rough_integral(

@@ -5,7 +5,8 @@ converts Y to arrays (:func:`modelled.from_modelled`), composes them into
 the controlled one-form ``(F(y), F'(y) y')`` (:func:`modelled.compose_one_form`,
 the kernel behind ``compose``), integrates that one-form by the route's
 kernel (by default :func:`integration.rough_integral`, compensated Riemann
-sums; :func:`reconstruction.wavelet_integral` for cross-validation) and
+sums; for cross-validation :func:`reconstruction.wavelet_integrator`, whose
+reconstruction plan is built once per window and applied per iterate) and
 converts back (:func:`modelled.to_modelled`).  Contraction is only
 guaranteed on short windows, so the solver marches dyadic windows left to
 right, restarting from each window's endpoint and halving any window that
@@ -15,6 +16,7 @@ that fixed-point identity is part of the diagnostics.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +49,12 @@ class SolverConfig:
             raise ValueError(f"unknown integral route {self.integral_route!r}")
 
 
-def _integrate(g: np.ndarray, dg: np.ndarray, rp: RoughPath, cfg: SolverConfig) -> np.ndarray:
-    """``I(t) = int_0^t g dW`` of the one-form (g, g') cumulatively on the
-    nodes, (nodes, d), by the route's kernel."""
+def _integrator(rp: RoughPath, cfg: SolverConfig) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``(g, g') -> I(t) = int_0^t g dW`` cumulatively on the nodes of ``rp``,
+    (nodes, d), by the route's kernel (the wavelet route's plan built here)."""
     if cfg.integral_route == "riemann":
-        return rough_integral(g, dg, rp)
-    from .reconstruction import wavelet_integral
+        return lambda g, dg: rough_integral(g, dg, rp)
+    from .reconstruction import wavelet_integrator
     from .wavelets import daubechies_basis
 
     base_level = daubechies_basis().min_base_level()
@@ -61,15 +63,14 @@ def _integrate(g: np.ndarray, dg: np.ndarray, rp: RoughPath, cfg: SolverConfig) 
             f"window of {rp.path.grid.num_intervals} intervals is below the wavelet "
             f"base level {base_level}; use the riemann route"
         )
-    return wavelet_integral(g, dg, rp)
+    return wavelet_integrator(rp)
 
 
 def _step_core(
-    y: np.ndarray, yp: np.ndarray, xi: np.ndarray,
-    F: FunctionDescriptor, rp: RoughPath, cfg: SolverConfig,
+    y: np.ndarray, yp: np.ndarray, xi: np.ndarray, F: FunctionDescriptor, integral: Callable,
 ) -> tuple[np.ndarray, np.ndarray]:
     g, dg = compose_one_form(F, y, yp)
-    return xi[None, :] + _integrate(g, dg, rp, cfg), g
+    return xi[None, :] + integral(g, dg), g
 
 
 def picard_step(
@@ -86,14 +87,15 @@ def picard_step(
     """
     cp = from_modelled(Y)
     xi = cp.y[0].copy() if xi is None else np.atleast_1d(np.asarray(xi, dtype=float))
-    y_next, yp_next = _step_core(cp.y, cp.y_prime, xi, F, rp, cfg)
+    y_next, yp_next = _step_core(cp.y, cp.y_prime, xi, F, _integrator(rp, cfg))
     return to_modelled(ControlledPath(y_next, yp_next, Y.reference), cfg.alpha)
 
 
 def _solve_window(
-    xi: np.ndarray, F: FunctionDescriptor, rp: RoughPath, cfg: SolverConfig
+    xi: np.ndarray, F: FunctionDescriptor, rp: RoughPath, integral: Callable, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Picard iteration on one window; returns (y, yp, iters, worst ratio).
+    """Picard iteration on one window with the window's integrator;
+    returns (y, yp, iters, worst ratio).
 
     Termination uses the plain sup metric on (y, y') differences.  The
     reported contraction ratio weights the y' part by the window's total
@@ -113,7 +115,7 @@ def _solve_window(
     prev_wdiff = None
     worst_ratio = 0.0
     for it in range(1, cfg.max_picard_iters + 1):
-        y_next, yp_next = _step_core(y, yp, xi, F, rp, cfg)
+        y_next, yp_next = _step_core(y, yp, xi, F, integral)
         dy = float(np.abs(y_next - y).max())
         dyp = float(np.abs(yp_next - yp).max())
         diff = max(dy, dyp)
@@ -142,11 +144,11 @@ def solve_rde(
     """Windowed Picard solution of ``y = xi + int F(y) dW``.
 
     Windows are dyadic blocks; a window that fails to contract is halved,
-    down to grid resolution.  (Left-point sums make one-interval windows
-    converge within two iterations, so halving bottoms out successfully
-    unless the iteration budget itself is exhausted.)  Diagnostics report
-    per-window iteration counts and worst contraction ratios plus the
-    a-posteriori residual.
+    down to grid resolution (the wavelet route stops at its base level).
+    (Left-point sums make one-interval windows converge within two
+    iterations, so halving bottoms out successfully unless the iteration
+    budget itself is exhausted.)  Diagnostics report per-window iteration
+    counts and worst contraction ratios plus the a-posteriori residual.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     grid = rp.path.grid
@@ -167,8 +169,9 @@ def solve_rde(
         window_level = min(window_level, _max_level(grid.num_intervals - start))
         span = 1 << window_level
         sub = rp.restrict(start, window_level)
+        integral = _integrator(sub, cfg)  # raises below the wavelet base level
         try:
-            y_w, yp_w, iters, ratio = _solve_window(current, F, sub, cfg)
+            y_w, yp_w, iters, ratio = _solve_window(current, F, sub, integral, cfg)
         except SolverError:
             if window_level == 0:
                 raise SolverError(

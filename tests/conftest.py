@@ -32,17 +32,15 @@ def rng():
 
 @pytest.fixture()
 def reconstruct_calls(monkeypatch):
-    """Counts ``reconstruction.reconstruct`` calls made by the library: the
-    list receives each call's modelled distribution.  ``roughstruct.reconstruct``
-    resolves to the counter while the fixture is active; a test reaches the
-    unwrapped function through a name it imported at module level."""
+    """Counts reconstructions made by the library, as applications of a
+    ``reconstruction.ReconstructionPlan`` (``reconstruct`` is one plan applied
+    once): the list receives each application's modelled distribution."""
     calls = []
-    original = reconstruction.reconstruct
+    original = reconstruction.ReconstructionPlan.apply
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counted(plan, f):
+        calls.append(f)
+        return original(plan, f)
 
-    monkeypatch.setattr(reconstruction, "reconstruct", counted)
+    monkeypatch.setattr(reconstruction.ReconstructionPlan, "apply", counted)
     return calls
-

@@ -266,6 +266,17 @@ def test_solve_exponential(tmp_path, capsys):
     assert header == "t,y1,yp11"
 
 
+def test_wavelet_solve_below_base_level_exits_two(tmp_path, capsys):
+    # at J = 3 the first window has 2 intervals, below db4's base level of 4
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "3", "--out", str(w), "gen", "--kind", "sin_cos")
+    code, text = _run(capsys, "--json", "--out", str(tmp_path / "sol.csv"), "solve", str(w),
+                      "--F", "tanh", "--route", "wavelet")
+    assert code == 2
+    message = json.loads(text)["error"]
+    assert "base level 2" in message and "riemann route" in message
+
+
 def test_reconstruct_certificate(tmp_path, capsys):
     w = tmp_path / "w.csv"
     _run(capsys, "--grid-level", "10", "--out", str(w),

@@ -40,7 +40,7 @@ from roughstruct import (
     to_modelled,
     wavelet_coefficients,
 )
-from roughstruct.reconstruction import CERTIFICATE_PROFILE
+from roughstruct.reconstruction import CERTIFICATE_PROFILE, ReconstructionPlan
 
 ALPHA = 0.45
 GRID_LEVEL = 9
@@ -224,6 +224,26 @@ def test_reconstruct_realizes_each_symbol_once(name):
     vec = {sym: np.stack([c, 2.0 * c, -c], axis=1) for sym, c in f.coeffs.items()}
     reconstruct(ModelledDistribution(f.gamma, vec, grid, f.structure, f.reference), model)
     assert sorted(map(repr, (sym for _, sym in calls))) == sorted(map(repr, symbols))
+
+
+def test_plan_realizes_each_symbol_once_across_jets():
+    # a plan applied to two function-kind jets realizes each transported
+    # symbol once in all, and each application equals its own reconstruct
+    grid = make_dyadic_grid(1.0, 10)
+    w = generate_path("sin_cos", grid, dim=2)
+    model = RoughModel(lift_piecewise_smooth(w, "sin_cos", ALPHA))
+    jets = [to_modelled(ControlledPath(np.sin(a * w.values[:, 0]), np.ones((grid.num_nodes, 1, 2)),
+                                       w), ALPHA) for a in (1.0, 2.0)]
+    want = [reconstruct(f, model).antiderivative.values for f in jets]
+    calls = []
+    bound = model.pi_function
+    model.pi_function = lambda s_idx, sym: calls.append((s_idx, sym)) or bound(s_idx, sym)
+    plan = ReconstructionPlan(model, grid)
+    got = [plan.apply(f).antiderivative.values for f in jets]
+    assert len(calls) == len({sym for _, sym in calls}) == len(jets[0].coeffs)
+    assert {s for s, _ in calls} == {0}
+    for g, h in zip(got, want):
+        assert np.array_equal(g, h)
 
 
 @pytest.mark.parametrize("horizon", [1.0, 1.13])

@@ -3,10 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_impl import wavelet_picard_per_call
 from roughstruct import (
     ControlledPath,
+    FunctionDescriptor,
     ModelledDistribution,
     RoughModel,
+    RoughPath,
     SampledPath,
     SolverConfig,
     SolverError,
@@ -195,14 +198,14 @@ def test_non_contraction_reported():
 
 @pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (3, 2)])
 def test_wavelet_integrate_matches_per_component_loop(reconstruct_calls, d, n):
-    from roughstruct.solver import _integrate
+    from roughstruct.solver import _integrator
 
     grid = make_dyadic_grid(1.13, 8)
     rp = lift_piecewise_smooth(generate_path("fbm", grid, dim=n, hurst=0.45, seed=4), "linear", 0.45)
     rng = np.random.default_rng(2)
     g = rng.normal(size=(grid.num_nodes, d, n))
     dg = rng.normal(size=(grid.num_nodes, d, n, n))
-    got = _integrate(g, dg, rp, SolverConfig(0.4, 0.5, integral_route="wavelet"))
+    got = _integrator(rp, SolverConfig(0.4, 0.5, integral_route="wavelet"))(g, dg)
     assert len(reconstruct_calls) == 1
     # one scalar reconstruction per solution component m
     model = RoughModel(rp)
@@ -218,3 +221,68 @@ def test_wavelet_integrate_matches_per_component_loop(reconstruct_calls, d, n):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+
+# ---------------------------------------------------------------------------
+# the wavelet route builds one reconstruction plan per window
+
+
+def _fbm_driver(level: int, n: int = 1, seed: int = 6):
+    w = generate_path("fbm", make_dyadic_grid(1.0, level), dim=n, hurst=0.45, seed=seed)
+    return lift_piecewise_smooth(w, "linear", 0.45)
+
+
+def test_wavelet_solve_realizes_symbols_once_per_window(monkeypatch):
+    # d = n = 1: the one-form jet moves onto the two symbols Wdot, WWdot
+    rp = _fbm_driver(10)
+    realized, attempts = [], []
+    pi_measure, restrict = RoughModel.pi_measure, RoughPath.restrict
+    monkeypatch.setattr(RoughModel, "pi_measure",
+                        lambda m, s, sym: realized.append(sym) or pi_measure(m, s, sym))
+    monkeypatch.setattr(RoughPath, "restrict",
+                        lambda r, s, lv: attempts.append(s) or restrict(r, s, lv))
+    iters = []
+    for tol in (1e-9, 1e-5):
+        realized.clear()
+        attempts.clear()
+        cfg = SolverConfig(alpha=0.4, beta=0.45, fixed_point_tol=tol, integral_route="wavelet")
+        _, diag = solve_rde(0.3, builtin_descriptor("tanh"), rp, cfg)
+        iters.append(sum(w["iters"] for w in diag["windows"]))
+        assert iters[-1] > len(attempts)
+        assert len(realized) == 2 * len(attempts)
+        assert {repr(s) for s in realized} == {repr(Wdot(0)), repr(WWdot(0, 0))}
+    assert iters[0] != iters[1]
+
+
+def _linear_field(d: int, n: int) -> FunctionDescriptor:
+    """F(y)_{pj} = A_{pj} . y with small fixed weights."""
+    a = 0.3 * np.random.default_rng(d + n).normal(size=(d, n, d))
+
+    def value(y):
+        return np.einsum("pjq,...q->...pj", a, y)
+
+    def jacobian(y):
+        return np.broadcast_to(a, y.shape[:-1] + a.shape).copy()
+
+    return FunctionDescriptor(f"linear({d}x{n})", value, jacobian)
+
+
+@pytest.mark.parametrize("kind", ["sin_cos", "fbm"])
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (3, 2)])
+def test_wavelet_solve_matches_per_iteration_reconstruction(kind, d, n):
+    level = 8
+    if kind == "fbm":
+        rp = _fbm_driver(level, n)
+    else:
+        w = generate_path("sin_cos", make_dyadic_grid(1.0, level), dim=n)
+        rp = lift_piecewise_smooth(w, "linear", 0.45)
+    F = builtin_descriptor("tanh") if d == 1 else _linear_field(d, n)
+    xi = np.linspace(0.3, 0.6, d)
+    cfg = SolverConfig(alpha=0.4, beta=0.45, integral_route="wavelet")
+    sol, diag = solve_rde(xi, F, rp, cfg)
+    window_level = level - 2
+    assert [w["t1"] - w["t0"] for w in diag["windows"]] == [0.25] * 4  # no halving
+    y, yp, iters = wavelet_picard_per_call(xi, F, rp, window_level, cfg.fixed_point_tol,
+                                           cfg.max_picard_iters)
+    assert iters == [w["iters"] for w in diag["windows"]]
+    assert np.array_equal(sol.y, y)
+    assert np.array_equal(sol.y_prime, yp)
