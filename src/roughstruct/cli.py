@@ -35,7 +35,8 @@ from .integration import convergence_order_fit, rough_integral_path, three_point
 if TYPE_CHECKING:
     from .modelled import ControlledPath
 
-LIFT_MODES = ("linear", "sin_cos", "polynomial", "wavelet")
+#: ``lift`` also takes ``polynomial``: it alone has the ``--coeffs`` that needs
+LIFT_MODES = ("linear", "sin_cos", "wavelet")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,9 +77,8 @@ def _build_parser() -> _Parser:
 
     li = sub.add_parser("lift", help="lift a path CSV to a rough-path JSON")
     li.add_argument("path_csv")
-    li.add_argument("--mode", default="linear", choices=LIFT_MODES)
+    li.add_argument("--mode", default="linear", choices=LIFT_MODES + ("polynomial",))
     li.add_argument("--coeffs", type=str, default=None)
-    li.add_argument("--trunc-level", type=int, default=None)
 
     ch = sub.add_parser("chen", help="Chen-defect report for a rough-path JSON")
     ch.add_argument("rough_json")
@@ -93,14 +93,12 @@ def _build_parser() -> _Parser:
                     help="integrand CSV (default: first driver component)")
     it.add_argument("--y-prime-csv", type=str, default=None)
     it.add_argument("--lift-mode", default="linear", choices=LIFT_MODES)
-    it.add_argument("--trunc-level", type=int, default=None)
     it.add_argument("--certificate", type=str, default=None,
                     help="also write the (scale, error) three-point defect table")
 
     rc = sub.add_parser("reconstruct", help="reconstruction error-certificate CSV")
     rc.add_argument("path_csv")
     rc.add_argument("--lift-mode", default="linear", choices=LIFT_MODES)
-    rc.add_argument("--trunc-level", type=int, default=None)
 
     so = sub.add_parser("solve", help="solve dy = F(y) dW by windowed Picard")
     so.add_argument("path_csv")
@@ -140,12 +138,11 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {val}")
 
 
-def _make_lift(args, path: SampledPath, mode: str, coeffs=None, trunc_level=None):
+def _make_lift(args, path: SampledPath, mode: str, coeffs=None):
     if mode == "wavelet":
         from .reconstruction import wavelet_lift
-        from .wavelets import daubechies_basis
 
-        return wavelet_lift(path, args.alpha, daubechies_basis(4), trunc_level)
+        return wavelet_lift(path, args.alpha)
     from .roughpath import lift_piecewise_smooth
 
     return lift_piecewise_smooth(path, mode, args.alpha, coeffs=coeffs)
@@ -191,7 +188,7 @@ def _cmd_lift(args) -> dict:
 
     path = read_path_csv(args.path_csv)
     coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
-    rp = _make_lift(args, path, args.mode, coeffs, args.trunc_level)
+    rp = _make_lift(args, path, args.mode, coeffs)
     out = args.out or "rough_path.json"
     csv_out = out.rsplit(".", 1)[0] + "_path.csv"
     second_csv = write_rough_path_json(rp, out, csv_out)
@@ -236,15 +233,14 @@ def _cmd_integrate(args) -> dict:
         vals[1:] = np.cumsum(cp.y[:-1, :1] * path.increments(), axis=0)
         integral = SampledPath(path.grid, vals)
     else:
-        rp = _make_lift(args, path, args.lift_mode, trunc_level=args.trunc_level)
+        rp = _make_lift(args, path, args.lift_mode)
         cp = _load_controlled(args, path)
         if args.route == "rough-riemann":
             integral = SampledPath(path.grid, rough_integral_path(cp, rp))
         else:
             from .reconstruction import wavelet_rough_integral
-            from .wavelets import daubechies_basis
 
-            integral = wavelet_rough_integral(cp, rp, daubechies_basis(4), args.trunc_level)
+            integral = wavelet_rough_integral(cp, rp)
     write_path_csv(integral, out)
     payload = {"out": out, "final": [float(v) for v in integral.values[-1]]}
     if args.certificate is not None:
@@ -258,14 +254,13 @@ def _cmd_reconstruct(args) -> dict:
     from .modelled import multiply_by_Wdot, to_modelled
     from .reconstruction import reconstruct
     from .structure import RoughModel
-    from .wavelets import daubechies_basis
 
     path = read_path_csv(args.path_csv)
-    rp = _make_lift(args, path, args.lift_mode, trunc_level=args.trunc_level)
+    rp = _make_lift(args, path, args.lift_mode)
     cp = _default_controlled(path)
     model = RoughModel(rp)
     f = multiply_by_Wdot(to_modelled(cp, args.alpha), 0)
-    rr = reconstruct(f, model, daubechies_basis(4), args.trunc_level)
+    rr = reconstruct(f, model)
     rows = rr.error_certificate()
     out = args.out or "certificate.csv"
     write_table(out, "lambda,s,ratio", np.array(rows).reshape(-1, 3))

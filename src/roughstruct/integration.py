@@ -113,21 +113,17 @@ def rough_integral_path(cp: ControlledPath, rp: RoughPath) -> np.ndarray:
     return rough_integral(*scalar_one_form(cp), rp)
 
 
-def three_point_defect(
-    integral: np.ndarray,
-    cp: ControlledPath,
-    rp: RoughPath,
-    lengths: list[int] | None = None,
-) -> list[tuple[float, float]]:
+def three_point_defect(integral: np.ndarray, cp: ControlledPath,
+                       rp: RoughPath) -> list[tuple[float, float]]:
     """Max over aligned dyadic pairs of
-    ``|I_{s,t} - y_s W_{s,t} - y'_s WW_{s,t}|`` per interval length.
+    ``|I_{s,t} - y_s W_{s,t} - y'_s WW_{s,t}|`` per interval length
+    ``2^m``, ``1 <= m < J``.
 
     ``integral`` is a cumulative node table (num_nodes, n).  Returns
     ``(length_in_time, max_defect)`` rows for the convergence fit.
     """
     grid = rp.path.grid
-    if lengths is None:
-        lengths = [1 << m for m in range(1, grid.level)]
+    lengths = [1 << m for m in range(1, grid.level)]
     starts = [np.arange(0, grid.num_intervals - span + 1, span) for span in lengths]
     counts = [s.size for s in starts]
     u = np.concatenate(starts)

@@ -27,8 +27,8 @@ from .structure import (
     Symbol,
     W,
     Wdot,
-    WWdot,
     gamma_apply,
+    multiply,
 )
 
 
@@ -147,6 +147,13 @@ def to_modelled(cp: ControlledPath, alpha: float) -> ModelledDistribution:
     return ModelledDistribution(2 * alpha, coeffs, cp.grid, structure, cp.reference)
 
 
+def _check_jet_support(f: ModelledDistribution,
+                       message: str = "support outside {One, W}") -> None:
+    extra = {s for s in f.coeffs if s.kind not in ("one", "w")}
+    if extra:
+        raise ValueError(f"{message}: {sorted(map(repr, extra))}")
+
+
 def _jet_arrays(f: ModelledDistribution, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The One coefficient as (nodes, d) and the W^i columns as (nodes, d, n)."""
     y = _canonical_y(f.coeffs[ONE])
@@ -160,9 +167,7 @@ def _jet_arrays(f: ModelledDistribution, n: int) -> tuple[np.ndarray, np.ndarray
 
 def from_modelled(f: ModelledDistribution) -> ControlledPath:
     """Inverse of ``to_modelled``; refuses support outside {One, W^i}."""
-    extra = {s for s in f.coeffs if s.kind not in ("one", "w")}
-    if extra:
-        raise ValueError(f"unexpected symbols in support: {sorted(map(repr, extra))}")
+    _check_jet_support(f, "unexpected symbols in support")
     if f.reference is None:
         raise ValueError("modelled distribution lacks a reference driver")
     return ControlledPath(*_jet_arrays(f, f.reference.dim), f.reference)
@@ -208,31 +213,22 @@ def md_norm_star(f: ModelledDistribution, model) -> float:
 def multiply_by_Wdot(f: ModelledDistribution, driver_component: int | None = None) -> ModelledDistribution:
     """Pointwise product of a {One, W} jet with ``Wdot^j``.
 
-    The One coefficient lands on ``Wdot^j`` and each ``W^i`` coefficient on
-    ``WWdot^{ij}``; every output homogeneity is the input one plus
-    (alpha - 1) and the result lives in ``D^(gamma + alpha - 1)``.  With a
-    multidimensional driver the component j must be named; the full vector
-    integrand is the family over j.
+    The structure's product table (:func:`structure.multiply`) sends the One
+    coefficient to ``Wdot^j`` and each ``W^i`` coefficient to ``WWdot^{ij}``;
+    every output homogeneity is the input one plus (alpha - 1) and the result
+    lives in ``D^(gamma + alpha - 1)``.  With a multidimensional driver the
+    component j must be named; the full vector integrand is the family over j.
     """
     structure = f.structure
     if not isinstance(structure, RoughStructure):
         raise ValueError("product with Wdot needs the rough-path structure")
-    extra = {s for s in f.coeffs if s.kind not in ("one", "w")}
-    if extra:
-        raise ValueError(f"support outside {{One, W}}: {sorted(map(repr, extra))}")
-    n = structure.dim
+    _check_jet_support(f)
     if driver_component is None:
-        if n != 1:
+        if structure.dim != 1:
             raise ValueError("driver_component required when the driver has dim > 1")
         driver_component = 0
-    j = int(driver_component)
-    coeffs: dict[Symbol, np.ndarray] = {}
-    if ONE in f.coeffs:
-        coeffs[Wdot(j)] = f.coeffs[ONE]
-    for i in range(n):
-        c = f.coeffs.get(W(i))
-        if c is not None:
-            coeffs[WWdot(i, j)] = c
+    noise = ModelSpaceVector({Wdot(int(driver_component)): 1.0})
+    coeffs = multiply(ModelSpaceVector(f.coeffs), noise, structure).coeffs
     return ModelledDistribution(
         f.gamma + structure.alpha - 1.0, coeffs, f.grid, structure, f.reference
     )
@@ -338,9 +334,7 @@ def compose(F: FunctionDescriptor, f: ModelledDistribution) -> ModelledDistribut
     """
     if not isinstance(f.structure, RoughStructure):
         raise ValueError("composition is defined over the rough-path structure")
-    extra = {s for s in f.coeffs if s.kind not in ("one", "w")}
-    if extra:
-        raise ValueError(f"support outside {{One, W}}: {sorted(map(repr, extra))}")
+    _check_jet_support(f)
     n = f.structure.dim
     if F.scalar and (np.ndim(f.coeffs[ONE]) != 1 or n != 1):
         raise ValueError(f"{F.name} is scalar; jet has d > 1 or driver dim > 1")

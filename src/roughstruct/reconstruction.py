@@ -274,13 +274,6 @@ def wavelet_integrator(rp: RoughPath, basis: WaveletBasis | None = None,
     return integral
 
 
-def wavelet_integral(g: np.ndarray, dg: np.ndarray, rp: RoughPath,
-                     basis: WaveletBasis | None = None,
-                     trunc_level: int | None = None) -> np.ndarray:
-    """``int_0^t g dW`` on every node, (num_nodes, d): :func:`wavelet_integrator` once."""
-    return wavelet_integrator(rp, basis, trunc_level)(g, dg)
-
-
 def wavelet_rough_integral(
     cp: ControlledPath,
     rp: RoughPath,
@@ -288,10 +281,10 @@ def wavelet_rough_integral(
     trunc_level: int | None = None,
 ) -> SampledPath:
     """Rough integral of a scalar controlled path through reconstruction:
-    :func:`wavelet_integral` of its one-form ``y (x) I_n``, so the integral
+    :func:`wavelet_integrator` of its one-form ``y (x) I_n``, so the integral
     path (I(0) = 0) has one column ``int y dW^j`` per driver direction.  Its
     three-point certificate is :func:`integration.three_point_defect`."""
-    return SampledPath(cp.grid, wavelet_integral(*scalar_one_form(cp), rp, basis, trunc_level))
+    return SampledPath(cp.grid, wavelet_integrator(rp, basis, trunc_level)(*scalar_one_form(cp)))
 
 
 def wavelet_lift(

@@ -85,14 +85,10 @@ class RoughPath:
         return out
 
     def pair(self, i: int, j: int) -> np.ndarray:
-        """``WW_{t_i, t_j}`` in O(1) via the prefix table (Chen-equivalent)."""
+        """``WW_{t_i, t_j}``: :meth:`pairs` at one pair (Chen-equivalent)."""
         if i > j:
             raise ValueError(f"need i <= j, got {i} > {j}")
-        ov = self.second.pair_overrides.get((i, j))
-        if ov is not None:
-            return ov.copy()
-        w = self.path.values
-        return self._prefix[j] - self._prefix[i] - np.outer(w[i] - w[0], w[j] - w[i])
+        return self.pairs(np.array([i]), np.array([j]))[0]
 
     def pairs(self, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
         """Vectorized ``pair`` over index arrays; overrides applied afterwards."""

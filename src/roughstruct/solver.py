@@ -166,7 +166,7 @@ def solve_rde(
     start = 0
     current = xi.copy()
     while start < grid.num_intervals:
-        window_level = min(window_level, _max_level(grid.num_intervals - start))
+        window_level = min(window_level, (grid.num_intervals - start).bit_length() - 1)
         span = 1 << window_level
         sub = rp.restrict(start, window_level)
         integral = _integrator(sub, cfg)  # raises below the wavelet base level
@@ -197,13 +197,6 @@ def solve_rde(
     solution = ControlledPath(y_full, yp_full, rp.path)
     residual = solution_residual(solution, xi, F, rp)
     return solution, {"windows": windows, "residual": residual}
-
-
-def _max_level(intervals: int) -> int:
-    level = 0
-    while (2 << level) <= intervals:
-        level += 1
-    return level
 
 
 def solution_residual(

@@ -47,14 +47,18 @@ def test_usage_error_exits_one(capsys):
     assert main(["gen", "--kind", "nonsense"]) == 1
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("lift", "--mode"),
-    ("integrate", "--lift-mode"),
-    ("reconstruct", "--lift-mode"),
-    ("solve", "--lift-mode"),
+@pytest.mark.parametrize("command, flag, mode", [
+    pytest.param("lift", "--mode", "spline", id="lift---mode"),
+    pytest.param("integrate", "--lift-mode", "spline", id="integrate---lift-mode"),
+    pytest.param("reconstruct", "--lift-mode", "spline", id="reconstruct---lift-mode"),
+    pytest.param("solve", "--lift-mode", "spline", id="solve---lift-mode"),
+    # only lift has the --coeffs a polynomial lift needs
+    ("integrate", "--lift-mode", "polynomial"),
+    ("reconstruct", "--lift-mode", "polynomial"),
+    ("solve", "--lift-mode", "polynomial"),
 ])
-def test_unknown_lift_mode_exits_one(capsys, command, flag):
-    assert main([command, "w.csv", flag, "spline"]) == 1
+def test_unknown_lift_mode_exits_one(capsys, command, flag, mode):
+    assert main([command, "w.csv", flag, mode]) == 1
     assert "invalid choice" in capsys.readouterr().err
 
 
