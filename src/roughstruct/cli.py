@@ -200,6 +200,8 @@ def _cmd_lift(args) -> dict:
 def _cmd_chen(args) -> dict:
     from .roughpath import chen_defect, read_rough_path_json
 
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     rp = read_rough_path_json(args.rough_json)
     defect = chen_defect(rp)
     w_inf = float(np.abs(rp.path.values).max())
@@ -272,9 +274,14 @@ def _cmd_solve(args) -> dict:
     from .modelled import builtin_descriptor
     from .solver import SolverConfig, SolverError, solve_rde
 
+    try:
+        xi = np.array([float(v) for v in args.xi.split(",")])
+    except ValueError:
+        xi = np.array([np.nan])
+    if not np.isfinite(xi).all():
+        raise ValueError(f"--xi takes comma-separated finite numbers, got {args.xi!r}")
     path = read_path_csv(args.path_csv)
     rp = _make_lift(args, path, args.lift_mode)
-    xi = np.array([float(v) for v in args.xi.split(",")])
     if path.dim != 1:
         raise NumericFailure("builtin CLI functions drive scalar-noise equations; "
                              "use the API for matrix-valued F")

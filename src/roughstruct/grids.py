@@ -16,6 +16,8 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._fmt17 import format_g17
+
 MAX_GRID_LEVEL = 24
 
 #: Seminorm scans visit all node pairs up to these grid levels, aligned
@@ -36,8 +38,8 @@ class TimeGrid:
     level: int
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0 <= self.level <= MAX_GRID_LEVEL:
             raise ValueError(f"level must be in [0, {MAX_GRID_LEVEL}], got {self.level}")
 
@@ -409,22 +411,25 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 # CSV tables: a header line, then rows of comma-separated ``%.17g`` values
 
-#: Cells per ``%``-format of :func:`write_table`, which bounds its temporaries
+#: Rows of :func:`write_table`'s stacked blocks: ``TABLE_BLOCK_ROWS // width``
 TABLE_BLOCK_ROWS = 2**16
 
 
 def write_table(filename: str, header: str, *columns) -> None:
     """The one CSV writer: ``header``, then one ``%.17g`` row per row of the
-    ``(N,)`` or ``(N, k)`` columns side by side, stacked and formatted in
-    blocks of ``TABLE_BLOCK_ROWS // width`` rows (a ``range`` column too)."""
+    ``(N,)`` or ``(N, k)`` columns side by side (a ``range`` column too),
+    stacked in blocks of ``TABLE_BLOCK_ROWS // width`` rows and formatted by
+    numpy in whole rows of about 2**12 cells (:func:`format_g17`)."""
     width = np.column_stack([c[:1] for c in columns]).shape[1]
-    row = ",".join(["%.17g"] * width) + "\n"
     rows = max(1, TABLE_BLOCK_ROWS // width)
-    with open(filename, "w", newline="") as fh:
-        fh.write(header + "\n")
+    cells = max(1, 2**12 // width) * width
+    with open(filename, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), rows):
             block = np.column_stack([c[start : start + rows] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            block = block.astype(float, copy=False).ravel()
+            for lo in range(0, len(block), cells):
+                fh.write(format_g17(block[lo : lo + cells], width))
 
 
 def read_table(filename: str) -> np.ndarray:

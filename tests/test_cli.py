@@ -99,6 +99,41 @@ def test_chen_violation_exits_two(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+def _exit_and_error(capsys, *argv) -> tuple[int, str]:
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_gen_rejects_non_finite_horizon(tmp_path, capsys, horizon):
+    # an infinite horizon wrote nan node rows that every reader refuses
+    code, err = _exit_and_error(capsys, "--horizon", horizon, "--out", str(tmp_path / "w.csv"),
+                                "gen", "--kind", "sin_cos")
+    assert code == 1 and "horizon must be finite and positive" in err
+    assert not (tmp_path / "w.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_chen_rejects_non_finite_or_negative_tolerance(tmp_path, capsys, tol):
+    # nan passed every defect and printed "tolerance": NaN, which is not JSON
+    w, rp = tmp_path / "w.csv", tmp_path / "rp.json"
+    _run(capsys, "--grid-level", "6", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
+    _run(capsys, "--out", str(rp), "lift", str(w))
+    code, err = _exit_and_error(capsys, "chen", str(rp), "--tol", tol)
+    assert code == 1 and "--tol must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf", "abc", "1,,2", ""])
+def test_solve_rejects_unparsable_or_non_finite_xi(tmp_path, capsys, xi):
+    # nan and inf failed as "window at node 0 failed to contract" (exit 2)
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "6", "--out", str(w), "gen", "--kind", "sin_cos")
+    code, err = _exit_and_error(capsys, "--out", str(tmp_path / "sol.csv"), "solve", str(w),
+                                "--xi", xi)
+    assert code == 1 and "--xi takes comma-separated finite numbers" in err
+    assert not (tmp_path / "sol.csv").exists()
+
+
 def _drop_key(key):
     def corrupt(rp_json, second_csv):
         payload = json.loads(rp_json.read_text())

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,14 +21,19 @@ from roughstruct import (
     read_path_csv,
     write_path_csv,
 )
+from roughstruct import _fmt17
 from roughstruct.grids import (
+    TABLE_BLOCK_ROWS,
     fgn_from_normals,
     profile_c1_norm,
     profile_integral,
     write_table,
 )
+from roughstruct.reconstruction import wavelet_lift
+from roughstruct.roughpath import lift_piecewise_smooth
 
 from reference_impl import fbm_covariance, holder_lag_scan
+from test_io_golden import _reference_table
 
 
 def test_smallest_grid():
@@ -229,6 +237,13 @@ def test_wide_table_write_memory_is_blocked_by_cells(tmp_path):
     assert _traced_peak(lambda: write_table(str(tmp_path / "wide.csv"), header, data)) < 8 * 2**20
 
 
+def test_one_table_block_write_memory_is_bounded(tmp_path):
+    # one block of 2^16 cells (0.5 MiB stacked) formatted in sub-blocks of
+    # 2^12 cells: 4.31 MiB when one %-format held every cell's float and text
+    data = np.random.default_rng(1).standard_normal((2**15, 2))
+    assert _traced_peak(lambda: write_table(str(tmp_path / "t.csv"), "a,b", data)) <= 2.5 * 2**20
+
+
 def test_path_csv_read_memory_is_linear(tmp_path):
     # np.genfromtxt's per-cell Python objects took 119 MiB at J = 18
     path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
@@ -403,3 +418,62 @@ def test_csv_header_format(tmp_path):
     write_path_csv(path, str(fname))
     header = fname.read_text().splitlines()[0]
     assert header == "t,x1,x2"
+
+
+def _ties(n: int) -> np.ndarray:
+    """Exact rounding ties of %.17g: 1e15 + j + 1/4 has 18 digits, the last a 5."""
+    return (4e15 + 2 * np.arange(n) + 1) / 4
+
+
+def _table_bytes(tmp_path, header: str, *columns) -> bytes:
+    write_table(str(tmp_path / "t.csv"), header, *columns)
+    return (tmp_path / "t.csv").read_bytes()
+
+
+def test_table_matches_row_formatter_on_every_float_class(tmp_path):
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64, size=2**15, dtype=np.uint64).view(float)
+    powers = 10.0 ** np.arange(-300, 301)
+    cells = np.concatenate([
+        bits[np.isfinite(bits)],
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers,
+        *(_ties(3000) * 2.0**-k for k in range(0, 60, 6)), -_ties(100),
+        np.arange(-20000, 20001), 2.0 ** np.arange(-1074, 1024, 7),
+        [1e-251, 1e-250, 1e250, 1e251, 1e-300, -1e300, np.nan, np.inf, -np.inf],
+    ])
+    cells = np.resize(rng.permutation(cells), (len(cells) + 2) // 3 * 3).reshape(-1, 3)
+    assert _table_bytes(tmp_path, "a,b,c", cells) == _reference_table("a,b,c", cells)
+
+
+@pytest.mark.parametrize("width", [2, 3, 5])
+def test_table_straddling_sub_block_and_block_matches_row_formatter(tmp_path, width):
+    sub_rows, block_rows = 2**12 // width, TABLE_BLOCK_ROWS // width  # 2^12-cell sub-blocks
+    data = np.random.default_rng(width).standard_normal((block_rows + sub_rows + 3, width - 1))
+    edges = [sub_rows - 1, sub_rows, block_rows - 1, block_rows, block_rows + sub_rows]
+    data[edges, 0] = _ties(len(edges))
+    header = ",".join(["k"] + [f"c{i}" for i in range(width - 1)])
+    expected = _reference_table(header, np.column_stack([np.arange(len(data)), data]))
+    assert _table_bytes(tmp_path, header, range(len(data)), data) == expected
+
+
+def test_fast_path_leaves_no_workload_cell_to_python():
+    # ties and cells outside [1e-250, 1e250] go to %; none is in these tables
+    path = generate_path("fbm", make_dyadic_grid(1.0, 12), dim=2, hurst=0.5, seed=0)
+    linear = lift_piecewise_smooth(path, "linear", 0.45).second.increments
+    smooth = generate_path("sin_cos", make_dyadic_grid(1.0, 13), dim=2)
+    wavelet = wavelet_lift(smooth, 0.45).second.increments
+    for table in (np.column_stack([path.grid.nodes, path.values]),
+                  np.column_stack([np.arange(len(linear)), linear.reshape(len(linear), -1)]),
+                  np.column_stack([np.arange(len(wavelet)), wavelet.reshape(len(wavelet), -1)])):
+        assert not _fmt17._digits(table.ravel())[3].any()
+
+
+def test_formatter_tables_are_built_on_first_write_only(tmp_path):
+    code = ("import sys, roughstruct, roughstruct.grids; roughstruct.daubechies_basis(4); "
+            "print(sys.modules['roughstruct._fmt17']._tables.cache_info().currsize)")
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(_fmt17.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.split() == ["0"]
