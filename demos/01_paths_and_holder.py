@@ -42,10 +42,10 @@ print("(the fBm quotient blows up past its Hurst index: that IS the regularity)"
 qv = float(np.sum(generate_path("fbm", grid, hurst=0.5, seed=1).increments() ** 2))
 print(f"\nH=1/2 quadratic variation over [0,1]: {qv:.3f} (Brownian scaling gives 1)")
 
-# localized test functions: same profile, shrinking scale
+# localized test functions: one bump, shrinking scale
 print("\nlocalized bump eta_s^lambda at s = 0.5:")
 for lam in (0.5, 0.1, 0.02):
-    probe = TestFunction("bump", center=0.5, scale=lam)
+    probe = TestFunction(center=0.5, scale=lam)
     x = np.linspace(*probe.support, 7)
     peak = probe(0.5)
     print(f"  lambda = {lam:5.2f}: support {probe.support}, peak {peak:7.3f}")

@@ -42,7 +42,7 @@ _EXPORTS = {
     "structure": (
         "ONE", "ModelSpaceVector", "PolynomialModel", "PolynomialStructure", "ReducedModel",
         "RoughModel", "RoughStructure", "StructureGroupElement", "Symbol", "W", "Wdot",
-        "WWdot", "X", "gamma_apply", "model_bound_estimate", "multiply", "pi_pair",
+        "WWdot", "X", "gamma_apply", "multiply", "pi_pair",
     ),
     "wavelets": (
         "CoefficientTable", "StieltjesMeasure", "WaveletBasis", "cascade_evaluate",

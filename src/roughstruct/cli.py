@@ -30,7 +30,12 @@ from .grids import (
     write_path_csv,
     write_table,
 )
-from .integration import convergence_order_fit, rough_integral_path, three_point_defect
+from .integration import (
+    convergence_order_fit,
+    rough_integral_path,
+    three_point_defect,
+    young_integral,
+)
 
 if TYPE_CHECKING:
     from .modelled import ControlledPath
@@ -159,13 +164,9 @@ def _default_controlled(path: SampledPath) -> ControlledPath:
 def _cmd_gen(args) -> dict:
     grid = make_dyadic_grid(args.horizon, args.grid_level)
     kwargs = {}
-    if args.kind == "polynomial":
-        if args.coeffs is None:
-            raise NumericFailure("polynomial kind needs --coeffs")
+    if args.kind == "polynomial" and args.coeffs is not None:
         kwargs["coeffs"] = _parse_coeffs(args.coeffs)
-    if args.kind == "piecewise_linear":
-        if args.knots is None:
-            raise NumericFailure("piecewise_linear kind needs --knots")
+    if args.kind == "piecewise_linear" and args.knots is not None:
         kwargs["knots"] = _parse_knots(args.knots)
     path = generate_path(args.kind, grid, args.dim, hurst=args.hurst,
                          seed=args.seed, **kwargs)
@@ -216,27 +217,23 @@ def _load_controlled(args, path: SampledPath) -> ControlledPath:
         return _default_controlled(path)
     from .modelled import ControlledPath
 
-    y = read_path_csv(args.y_csv)
     if args.y_prime_csv is None:
-        raise NumericFailure("--y-csv requires --y-prime-csv")
+        raise ValueError("--y-csv requires --y-prime-csv")
+    y = read_path_csv(args.y_csv)
     yp = read_path_csv(args.y_prime_csv)
     return ControlledPath(y.values[:, 0], yp.values, path)
 
 
 def _cmd_integrate(args) -> dict:
     if args.certificate is not None and args.route == "young":
-        raise NumericFailure("the Young route has no three-point certificate")
+        raise ValueError("the Young route has no three-point certificate")
     path = read_path_csv(args.path_csv)
+    cp = _load_controlled(args, path)
     out = args.out or "integral.csv"
     if args.route == "young":
-        cp = _load_controlled(args, path)
-        # left-point Riemann-Stieltjes sums, all windows [0, t_k] at once
-        vals = np.zeros((path.grid.num_nodes, path.dim))
-        vals[1:] = np.cumsum(cp.y[:-1, :1] * path.increments(), axis=0)
-        integral = SampledPath(path.grid, vals)
+        integral = SampledPath(path.grid, young_integral(SampledPath(path.grid, cp.y[:, :1]), path))
     else:
         rp = _make_lift(args, path, args.lift_mode)
-        cp = _load_controlled(args, path)
         if args.route == "rough-riemann":
             integral = SampledPath(path.grid, rough_integral_path(cp, rp))
         else:
@@ -280,14 +277,14 @@ def _cmd_solve(args) -> dict:
         xi = np.array([np.nan])
     if not np.isfinite(xi).all():
         raise ValueError(f"--xi takes comma-separated finite numbers, got {args.xi!r}")
-    path = read_path_csv(args.path_csv)
-    rp = _make_lift(args, path, args.lift_mode)
-    if path.dim != 1:
-        raise NumericFailure("builtin CLI functions drive scalar-noise equations; "
-                             "use the API for matrix-valued F")
-    F = builtin_descriptor(args.func, dim=xi.size)
     if xi.size > 1 and args.func != "linear":
-        raise NumericFailure(f"builtin {args.func} is scalar; xi must be scalar")
+        raise ValueError(f"builtin {args.func} is scalar; xi must be scalar")
+    path = read_path_csv(args.path_csv)
+    if path.dim != 1:
+        raise ValueError("builtin CLI functions drive scalar-noise equations; "
+                         "use the API for matrix-valued F")
+    rp = _make_lift(args, path, args.lift_mode)
+    F = builtin_descriptor(args.func, dim=xi.size)
     cfg = SolverConfig(alpha=args.alpha, beta=args.beta, integral_route=args.route)
     try:
         sol, diag = solve_rde(xi if xi.size > 1 else float(xi[0]), F, rp, cfg)

@@ -1,4 +1,4 @@
-"""Dyadic time grids, sampled paths and localized test functions.
+"""Dyadic time grids, sampled paths, the one pair scan and the localized bump.
 
 Everything downstream (lifts, wavelet pairings, integrals, the RDE solver)
 works on uniform dyadic grids: ``t_k = k * T * 2**-J``.  Dyadic grids keep
@@ -9,8 +9,8 @@ exact at the nodes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -20,12 +20,12 @@ from ._fmt17 import format_g17
 
 MAX_GRID_LEVEL = 24
 
-#: Seminorm scans visit all node pairs up to these grid levels, aligned
-#: dyadic pairs beyond (:func:`pair_scan`).  Path increments: the pruned
-#: exact scan of :func:`holder_seminorm`; the level fixes which pairs count.
+#: :func:`holder_seminorm` scans all node pairs up to this grid level,
+#: exactly and pruned, and :func:`pair_scan`'s aligned dyadic pairs beyond.
 PATH_PAIR_LEVEL = 12
-#: Second-order tensors and jets gather a matrix per pair: all pairs would
-#: take seconds at level 12 (a rough-path seminorm: 2-3 s instead of 3 ms).
+#: :func:`pair_scan` visits all node pairs up to this grid level, aligned
+#: dyadic pairs beyond: tensors and jets gather a matrix per pair, and all pairs
+#: would take seconds at level 12 (a rough-path seminorm: 2-3 s, not 3 ms).
 JET_PAIR_LEVEL = 8
 PAIR_CHUNK = 1 << 18
 
@@ -62,12 +62,6 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         t = self.nodes
         return 0.5 * (t[:-1] + t[1:])
-
-    def subgrid(self, level: int) -> "TimeGrid":
-        """Coarser grid over the same horizon (``level <= self.level``)."""
-        if level > self.level:
-            raise ValueError("subgrid level exceeds grid level")
-        return TimeGrid(self.horizon, level)
 
 
 def make_dyadic_grid(horizon: float, level: int) -> TimeGrid:
@@ -126,16 +120,16 @@ def euclidean_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", flat, flat))
 
 
-def pair_scan(grid: TimeGrid, all_pairs_level: int, norms: Callable, exponents) -> np.ndarray:
+def pair_scan(grid: TimeGrid, norms: Callable, exponents) -> np.ndarray:
     """Per exponent ``theta``, the max over node pairs ``s < t`` of
     ``norms(s, t) / ((t - s) * h)**theta``, with exact lags.
 
-    Pairs: all of them up to grid level ``all_pairs_level``, else the
+    Pairs: all of them up to grid level ``JET_PAIR_LEVEL``, else the
     aligned dyadic ``(k 2**m, (k+1) 2**m)`` of every scale m.  ``norms`` gets
     at most ``PAIR_CHUNK`` at once, returns ``(len(exponents), P)`` or ``(P,)``.
     """
     n_int = grid.num_intervals
-    if grid.level <= all_pairs_level:
+    if grid.level <= JET_PAIR_LEVEL:
         lags = np.arange(1, n_int + 1)
         strides = np.ones_like(lags)
     else:
@@ -173,8 +167,7 @@ def holder_seminorm(path: SampledPath, alpha: float) -> float:
         raise ValueError("path values must be finite")
     if path.grid.level > PATH_PAIR_LEVEL:
         z = path.values
-        return float(pair_scan(path.grid, PATH_PAIR_LEVEL,
-                               lambda s, t: euclidean_norms(z[t] - z[s]), alpha)[0])
+        return float(pair_scan(path.grid, lambda s, t: euclidean_norms(z[t] - z[s]), alpha)[0])
     n_int = path.grid.num_intervals
     x = np.ascontiguousarray(path.values.T)
     den = (np.arange(1, n_int + 1) * path.grid.step) ** alpha
@@ -291,6 +284,8 @@ def generate_path(
     memory (:func:`fgn_from_normals`); at ``hurst = 0.5`` the path is
     ``sqrt(h) * cumsum(z)``, the Cholesky factor of ``h * min(i, j)`` on ``z``.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     t = grid.nodes
     if kind == "sin_cos":
         return SampledPath(grid, _sin_cos_values(t, dim))
@@ -336,51 +331,10 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _odd_bump(u: np.ndarray) -> np.ndarray:
-    return u * _bump(u)
-
-
-@cache
-def profile_c1_norm(name: str) -> float:
-    """Numerical ``sup|eta| + sup|eta'|`` of a raw profile (central differences on a fine grid)."""
-    u = np.linspace(-1.0, 1.0, 200001)
-    v = _RAW_PROFILES[name](u)
-    return float(np.max(np.abs(v)) + np.max(np.abs(np.gradient(v, u))))
-
-
-@cache
-def profile_integral(name: str) -> float:
-    u = np.linspace(-1.0, 1.0, 200001)
-    return float(np.trapezoid(_RAW_PROFILES[name](u), u))
-
-
-_RAW_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "bump": _bump,
-    "odd_bump": _odd_bump,
-}
-
-
-def profile_function(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve a profile name to its callable on [-1, 1].
-
-    Raw profiles: ``bump`` (exp(-1/(1-u^2)), the canonical choice) and
-    ``odd_bump``.  Suffix ``_b1`` rescales into the unit C^1 ball, suffix
-    ``_unit`` rescales to unit integral.
-    """
-    if name in _RAW_PROFILES:
-        return _RAW_PROFILES[name]
-    for suffix in ("_b1", "_unit"):
-        if name.endswith(suffix) and name[: -len(suffix)] in _RAW_PROFILES:
-            base = name[: -len(suffix)]
-            scale = profile_c1_norm(base) if suffix == "_b1" else profile_integral(base)
-            fn = _RAW_PROFILES[base]
-            return lambda u, fn=fn, scale=scale: fn(u) / scale
-    raise ValueError(f"unknown test-function profile {name!r}")
-
-
 @dataclass(frozen=True)
 class TestFunction:
-    """Localized test function ``t -> eta((t - center)/scale) / scale``.
+    """Localized bump ``t -> eta((t - center)/scale) / scale`` with
+    ``eta(u) = exp(-1/(1 - u^2))`` on ``(-1, 1)``.
 
     Support is ``[center - scale, center + scale]``; shrinking ``scale``
     localizes the probe while keeping its integral fixed.
@@ -388,19 +342,16 @@ class TestFunction:
 
     __test__ = False  # not a pytest case despite the domain name
 
-    profile: str = "bump"
     center: float = 0.0
     scale: float = 1.0
-    _fn: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale must be in (0, 1], got {self.scale}")
-        object.__setattr__(self, "_fn", profile_function(self.profile))
 
     def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
         t = np.asarray(t, dtype=float)
-        out = self._fn((t - self.center) / self.scale) / self.scale
+        out = _bump((t - self.center) / self.scale) / self.scale
         return out if out.ndim else float(out)
 
     @property

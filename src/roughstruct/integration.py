@@ -7,8 +7,10 @@ Riemann route's one kernel is :func:`one_form_germs`, the compensated germ
 ``g_u W_{u,v} + g'_u WW_{u,v}`` over node pairs, summed on the finest mesh
 by :func:`rough_integral`, which the Picard solver calls.  The entry points
 for a scalar controlled path y pass it the one-form ``y (x) I_n``, whose
-integral has one component ``int y dW^j`` per driver direction.  On smooth
-drivers Young sums, compensated sums and the wavelet route all agree.
+integral has one component ``int y dW^j`` per driver direction.  The Young
+route's one kernel is :func:`young_integral`, the cumulative left-point sum
+the CLI's ``integrate --route young`` writes.  On smooth drivers Young sums,
+compensated sums and the wavelet route all agree.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ def rough_integral(g: np.ndarray, dg: np.ndarray, rp: RoughPath) -> np.ndarray:
 
 
 def young_integral(y: SampledPath, w: SampledPath, s: int = 0, t: int | None = None) -> np.ndarray:
-    """Left-point Riemann-Stieltjes sum ``sum y_u W_{u,v}`` on the finest grid.
-
-    ``y`` must be scalar; the result has one component per driver column.
-    Node indices ``s <= t`` select the window.
-    """
+    """Cumulative left-point Riemann-Stieltjes sums ``sum y_u W_{u,v}`` of a
+    scalar y on the finest grid over the node window ``s <= t``: row k, over
+    ``[t_s, t_{s+k}]``, is the germ ``y_s W_{s,t_{s+k}}`` plus the sum of
+    ``(y_u - y_s) W_{u,v}`` (so a constant y telescopes exactly), one column
+    per driver component; shape ``(t - s + 1, n)``, row 0 zero."""
     if y.dim != 1:
         raise ValueError("young_integral integrates a scalar path")
     if y.grid.num_nodes != w.grid.num_nodes:
@@ -75,8 +77,11 @@ def young_integral(y: SampledPath, w: SampledPath, s: int = 0, t: int | None = N
         t = w.grid.num_intervals
     if s > t:
         raise ValueError(f"need s <= t, got {s} > {t}")
-    dw = w.values[s + 1 : t + 1] - w.values[s:t]
-    return dw.T @ y.values[s:t, 0]
+    ys, ws = y.values[s], w.values[s + 1 : t + 1]
+    out = np.zeros((t - s + 1, w.dim))
+    np.cumsum((y.values[s:t] - ys) * (ws - w.values[s:t]), axis=0, out=out[1:])
+    out[1:] += ys * (ws - w.values[s])
+    return out
 
 
 def rough_integral_sum(
@@ -137,7 +142,7 @@ def three_point_defect(integral: np.ndarray, cp: ControlledPath,
 def convergence_order_fit(
     samples: list[tuple[float, float]], drop_coarsest: int = 2
 ) -> tuple[float, float]:
-    """Least-squares slope of log|error| against log(scale), with R^2.
+    """Least-squares slope of log|error| against log(scale > 0), with R^2.
 
     The coarsest ``drop_coarsest`` scales are pre-asymptotic and excluded
     by default.  Exact zeros cannot be fitted: all-zero errors report an
@@ -147,6 +152,8 @@ def convergence_order_fit(
         raise ValueError("need at least 4 (scale, error) samples")
     scales = np.array([s for s, _ in samples], dtype=float)
     errors = np.abs(np.array([e for _, e in samples], dtype=float))
+    if not (scales > 0.0).all():
+        raise ValueError(f"scales must be positive, got {scales[~(scales > 0.0)].tolist()}")
     if scales.max() / scales.min() < 4.0:
         raise ValueError("samples must span at least two octaves")
     order = np.argsort(scales)[::-1]

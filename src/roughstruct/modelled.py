@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import JET_PAIR_LEVEL, SampledPath, TimeGrid, euclidean_norms, pair_scan
+from .grids import SampledPath, TimeGrid, euclidean_norms, pair_scan
 from .structure import (
     ONE,
     ModelSpaceVector,
@@ -89,8 +89,8 @@ class ControlledPath:
 
 def controlled_seminorm(cp: ControlledPath, alpha: float) -> tuple[float, float, float]:
     """``(|y'|_alpha, |R^y|_2alpha, their sum)`` over the pairs of
-    :func:`pair_scan` at ``JET_PAIR_LEVEL`` (the scan the graded seminorm
-    uses, so the two sides stay comparable)."""
+    :func:`pair_scan` (the scan the graded seminorm uses, so the two sides
+    stay comparable)."""
 
     def norms(s, t):
         dyp = cp.y_prime[t] - cp.y_prime[s]
@@ -98,7 +98,7 @@ def controlled_seminorm(cp: ControlledPath, alpha: float) -> tuple[float, float,
         yp = np.sqrt(np.einsum("pdn,pdn->pn", dyp, dyp)).sum(axis=1)
         return np.stack([yp, euclidean_norms(cp.remainder(s, t))])
 
-    yp_norm, rem_norm = map(float, pair_scan(cp.grid, JET_PAIR_LEVEL, norms, (alpha, 2 * alpha)))
+    yp_norm, rem_norm = map(float, pair_scan(cp.grid, norms, (alpha, 2 * alpha)))
     return yp_norm, rem_norm, yp_norm + rem_norm
 
 
@@ -182,7 +182,7 @@ def md_seminorm(f: ModelledDistribution, model) -> float:
     ``|f(t) - Gamma_{t,s} f(s)|_beta / |t-s|**(gamma-beta)``.
 
     ``Gamma_{t,s}`` is the model's own ``gamma_of(t, s)`` over index arrays,
-    applied by :func:`gamma_apply`; pairs from :func:`pair_scan` at ``JET_PAIR_LEVEL``.
+    applied by :func:`gamma_apply`; pairs from :func:`pair_scan`.
     """
     st = f.structure
     # Gamma's image has the same symbols at every shift
@@ -196,7 +196,7 @@ def md_seminorm(f: ModelledDistribution, model) -> float:
         return np.array([sum(euclidean_norms(d) for sym, d in diff.coeffs.items()
                              if st.homogeneity(sym) == lv) for lv in levels])
 
-    return float(pair_scan(f.grid, JET_PAIR_LEVEL, norms, [f.gamma - lv for lv in levels]).max())
+    return float(pair_scan(f.grid, norms, [f.gamma - lv for lv in levels]).max())
 
 
 def md_norm_star(f: ModelledDistribution, model) -> float:

@@ -66,7 +66,6 @@ from .wavelets import (
 #: The unit-time probe battery of :meth:`ReconstructionResult.error_certificate`
 CERTIFICATE_LAMBDAS = tuple(2.0**-m for m in range(1, 7))
 CERTIFICATE_CENTERS = tuple(np.linspace(0.1, 0.9, 9).tolist())
-CERTIFICATE_PROFILE = "bump"
 
 
 @dataclass
@@ -120,7 +119,7 @@ class ReconstructionResult:
         num = self._source.grid.num_intervals
         battery = [(lam, s_u) for lam in CERTIFICATE_LAMBDAS for s_u in CERTIFICATE_CENTERS
                    if s_u - lam >= 0.0 and s_u + lam <= 1.0]
-        probes = [TestFunction(CERTIFICATE_PROFILE, s_u, lam) for lam, s_u in battery]
+        probes = [TestFunction(s_u, lam) for lam, s_u in battery]
         nodes = np.rint(np.array([s_u for _, s_u in battery]) * num).astype(int)
         u_mid = (np.arange(num) + 0.5) / num
         local = pi_pairings(self._model, nodes, self._source.at(nodes),

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import JET_PAIR_LEVEL, SampledPath, TimeGrid, euclidean_norms, pair_scan
+from .grids import SampledPath, TimeGrid, euclidean_norms, pair_scan
 from .grids import read_path_csv, read_table, write_path_csv, write_table
 
 
@@ -229,12 +229,12 @@ def lift_piecewise_smooth(
 
 def _two_level_quotients(values, pairs, grid: TimeGrid, alpha: float) -> tuple[float, float, float]:
     """``(|W|_alpha, |WW|_2alpha, total)`` of path values and a pair map
-    ``WW_{s,t}`` over one :func:`pair_scan` at ``JET_PAIR_LEVEL``."""
+    ``WW_{s,t}`` over one :func:`pair_scan`."""
 
     def norms(s, t):
         return np.stack([euclidean_norms(values[t] - values[s]), euclidean_norms(pairs(s, t))])
 
-    first, second = map(float, pair_scan(grid, JET_PAIR_LEVEL, norms, (alpha, 2 * alpha)))
+    first, second = map(float, pair_scan(grid, norms, (alpha, 2 * alpha)))
     return first, second, first + second
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SampledPath, TestFunction, TimeGrid, pair_scan
+from .grids import SampledPath, TimeGrid
 from .roughpath import RoughPath
 
 
@@ -387,61 +387,3 @@ def pi_pair(model, s_idx: int, v: ModelSpaceVector, f) -> float | np.ndarray:
     out = out[0] if out.ndim else out
     return float(out) if out.ndim == 0 else out
 
-
-#: Probe battery of :func:`model_bound_estimate`: dyadic scales, unit C^1 ball bumps
-BOUND_LAMBDAS = tuple(2.0**-k for k in range(1, 8))
-BOUND_PROFILES = ("bump_b1", "odd_bump_b1")
-
-
-def model_bound_estimate(
-    model,
-    gamma: float,
-    base_level: int | None = None,
-    symbols: list[Symbol] | None = None,
-) -> tuple[float, float]:
-    """Empirical model norms ``(pi_norm, gamma_norm)``: maxima of
-    ``|Pi_s(tau)(phi_s^lambda)| / lambda^|tau|`` and
-    ``|Gamma_{s,t} tau|_beta / |t-s|^(|tau|-beta)`` over unit symbols below
-    ``gamma`` and nodes s, t of the level-``base_level`` subgrid (default
-    grid level - 4).  Probes: ``BOUND_PROFILES`` at ``BOUND_LAMBDAS`` inside
-    ``[0, T]``, by :func:`pi_pairings`.  The Gamma-norm is one ``pair_scan``
-    over all pairs s < t with exact lags: each beta-coefficient of
-    ``Gamma_h tau`` is one monomial in h, so ``Gamma_{t,s}`` has its norm."""
-    grid, structure = model.grid, model.structure
-    if base_level is None:
-        base_level = max(0, grid.level - 4)
-    stride = 1 << (grid.level - base_level)
-    syms = [s for s in (structure.symbols() if symbols is None else symbols)
-            if structure.homogeneity(s) < gamma]
-    homs = np.array([structure.homogeneity(s) for s in syms])
-
-    nodes, mids = grid.nodes, grid.midpoints()
-    battery = [(lam, s, prof) for lam in BOUND_LAMBDAS for s in range(0, grid.num_nodes, stride)
-               if nodes[s] - lam >= 0 and nodes[s] + lam <= grid.horizon for prof in BOUND_PROFILES]
-    pi_norm = 0.0
-    if battery and syms:
-        lams, s_nodes, _ = map(np.array, zip(*battery))
-        # unit symbol k as the k-th basis vector: one pairing per probe and symbol
-        unit = {sym: np.broadcast_to(e, (len(battery), len(syms)))
-                for sym, e in zip(syms, np.eye(len(syms)))}
-        samples = (TestFunction(prof, nodes[s], lam)(mids) for lam, s, prof in battery)
-        vals = pi_pairings(model, s_nodes, ModelSpaceVector(unit), samples, grid.step)
-        pi_norm = float(np.max(np.abs(vals) / lams[:, None] ** homs))
-
-    def image(g, sym):
-        return gamma_apply(g, ModelSpaceVector({sym: 1.0}), structure)
-
-    # (symbol, lower level) rows of Gamma's image: the same at every shift
-    rows = [(sym, lv) for sym, hom in zip(syms, homs)
-            for lv in image(model.gamma_of(0, 0), sym).levels(structure) if lv < hom - 1e-12]
-    if not rows:
-        return pi_norm, 0.0
-
-    def norms(s, t):
-        g = model.gamma_of(s * stride, t * stride)
-        moved = {sym: image(g, sym).coeffs for sym in syms}
-        return np.array([sum(np.abs(c) for tgt, c in moved[sym].items()
-                             if structure.homogeneity(tgt) == lv) for sym, lv in rows])
-
-    exponents = [structure.homogeneity(sym) - lv for sym, lv in rows]
-    return pi_norm, float(pair_scan(grid.subgrid(base_level), base_level, norms, exponents).max())

@@ -255,7 +255,7 @@ def test_c9_composition_lipschitz():
 def test_c10_lift_continuity(basis):
     grid = make_dyadic_grid(1.0, 9)
     w = generate_path("sin_cos", grid, dim=2)
-    bump = TestFunction("bump", 0.5, 0.4)
+    bump = TestFunction(0.5, 0.4)
     direction = np.stack([bump(grid.nodes), np.zeros(grid.num_nodes)], axis=1)
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
@@ -273,7 +273,7 @@ def test_c11_young_oracle():
     grid = make_dyadic_grid(1.0, 10)
     y = SampledPath(grid, grid.nodes)
     w = SampledPath(grid, grid.nodes**2)
-    val = float(young_integral(y, w)[0])
+    val = float(young_integral(y, w)[-1, 0])
     _report("c11", abs(val - 2.0 / 3.0) <= 1e-3, f"int t d(t^2) = {val:.6f} = 2/3 +- 1e-3")
 
 

@@ -9,7 +9,6 @@ import pytest
 import roughstruct.cli as cli
 from roughstruct.cli import main
 from roughstruct.grids import read_path_csv
-from roughstruct.integration import young_integral
 from roughstruct.roughpath import read_rough_path_json
 
 
@@ -132,6 +131,49 @@ def test_solve_rejects_unparsable_or_non_finite_xi(tmp_path, capsys, xi):
                                 "--xi", xi)
     assert code == 1 and "--xi takes comma-separated finite numbers" in err
     assert not (tmp_path / "sol.csv").exists()
+
+
+# argv after ``--out``; {w1} is a 1-D path, {w2} a 2-D one
+_USAGE_ERRORS = {
+    "zero-dim": (["gen", "--kind", "sin_cos", "--dim", "0"], "dim must be at least 1, got 0"),
+    "polynomial-without-coeffs": (["gen", "--kind", "polynomial"], "polynomial kind needs coeffs"),
+    "piecewise-linear-without-knots": (["gen", "--kind", "piecewise_linear"],
+                                       "piecewise_linear kind needs knots"),
+    "y-csv-without-y-prime": (["integrate", "{w1}", "--y-csv", "{w1}"],
+                              "--y-csv requires --y-prime-csv"),
+    "young-certificate": (["integrate", "{w1}", "--route", "young", "--certificate", "{cert}"],
+                          "the Young route has no three-point certificate"),
+    "multi-column-driver": (["solve", "{w2}"], "builtin CLI functions drive scalar-noise"),
+    "scalar-F-vector-xi": (["solve", "{w1}", "--F", "tanh", "--xi", "1,2"],
+                           "builtin tanh is scalar; xi must be scalar"),
+}
+
+
+@pytest.mark.parametrize("case", list(_USAGE_ERRORS))
+def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch, case):
+    # gen --dim 0 exited 0, writing rows every reader refused; the others
+    # exited 2 as numeric failures.  None builds a lift or writes a file.
+    w1, w2, cert, out = (tmp_path / f for f in ("w1.csv", "w2.csv", "cert.csv", "out.csv"))
+    _run(capsys, "--grid-level", "6", "--out", str(w1), "gen", "--kind", "sin_cos")
+    _run(capsys, "--grid-level", "6", "--out", str(w2), "gen", "--kind", "sin_cos", "--dim", "2")
+    lifts = []
+    monkeypatch.setattr(cli, "_make_lift", lambda *args: lifts.append(args))
+    argv, message = _USAGE_ERRORS[case]
+    code, err = _exit_and_error(capsys, "--out", str(out),
+                                *(a.format(w1=w1, w2=w2, cert=cert) for a in argv))
+    assert code == 1 and f"error: {message}" in err
+    assert lifts == [] and not out.exists() and not cert.exists()
+
+
+@pytest.mark.parametrize("scale", ["0", "-0.25"])
+def test_convergence_rejects_non_positive_scale(tmp_path, capsys, scale):
+    # 0 failed inside LAPACK ("SVD did not converge"), -0.25 as too few octaves
+    samples = tmp_path / "samples.csv"
+    rows = [f"{2.0**-k},{2.0**(-2*k)}" for k in range(6)]
+    rows[3] = f"{scale},0.01"
+    samples.write_text("\n".join(["scale,error"] + rows) + "\n")
+    code, err = _exit_and_error(capsys, "convergence", str(samples))
+    assert code == 1 and f"scales must be positive, got [{float(scale)}]" in err
 
 
 def _drop_key(key):
@@ -279,9 +321,10 @@ def test_young_integrate(tmp_path, capsys):
     assert code == 0
     assert json.loads(text)["final"][0] == pytest.approx(2.0 / 3.0, abs=1e-3)
     # every node is the left-point sum over its own window [0, t_k]
-    w_path, y_path = read_path_csv(str(w)), read_path_csv(str(y))
+    dw = read_path_csv(str(w)).increments()[:, 0]
+    y_vals = read_path_csv(str(y)).values[:, 0]
     got = read_path_csv(str(out)).values[:, 0]
-    want = [young_integral(y_path, w_path, 0, k)[0] for k in range(w_path.grid.num_nodes)]
+    want = np.array([dw[:k] @ y_vals[:k] for k in range(len(got))])
     assert np.abs(got - want).max() <= 1e-12
 
 

@@ -25,8 +25,6 @@ from roughstruct import _fmt17
 from roughstruct.grids import (
     TABLE_BLOCK_ROWS,
     fgn_from_normals,
-    profile_c1_norm,
-    profile_integral,
     write_table,
 )
 from roughstruct.reconstruction import wavelet_lift
@@ -89,7 +87,7 @@ def test_holder_rejects_bad_alpha():
 def test_holder_monotone_under_refinement():
     for level in (6, 8):
         fine = generate_path("fbm", make_dyadic_grid(1.0, level + 1), hurst=0.4, seed=5)
-        coarse = SampledPath(fine.grid.subgrid(level), fine.values[::2])
+        coarse = SampledPath(make_dyadic_grid(1.0, level), fine.values[::2])
         assert holder_seminorm(coarse, 0.35) <= holder_seminorm(fine, 0.35) + 1e-14
 
 
@@ -344,18 +342,18 @@ def test_generator_rejects_unknown_kind():
 def test_bump_value_at_center_of_half_scale():
     # localized bump, center 1, scale 0.5, evaluated at the center:
     # (1 / 0.5) * eta(0) = 2 * exp(-1)
-    f = TestFunction("bump", center=1.0, scale=0.5)
+    f = TestFunction(center=1.0, scale=0.5)
     assert f(1.0) == pytest.approx(2.0 * math.exp(-1.0))
 
 
 def test_test_function_vanishes_outside_support():
-    f = TestFunction("bump", center=0.3, scale=0.2)
+    f = TestFunction(center=0.3, scale=0.2)
     assert f(0.3 + 0.4) == 0.0
     assert f(-0.2) == 0.0
 
 
 def test_identity_scaling():
-    f = TestFunction("bump", center=0.0, scale=1.0)
+    f = TestFunction(center=0.0, scale=1.0)
     assert f(0.0) == pytest.approx(math.exp(-1.0))
 
 
@@ -363,26 +361,11 @@ def test_identity_scaling():
 def test_localized_integral_invariant(center, scale):
     # composite Simpson at step scale/64: the integral never depends on
     # where or how tightly the profile is localized
-    f = TestFunction("bump", center, scale)
+    f = TestFunction(center, scale)
     x = np.linspace(center - scale, center + scale, 129)
     val = simpson(f(x), x=x)
-    assert val == pytest.approx(profile_integral("bump"), rel=1e-6)
-
-
-def test_b1_profile_in_unit_ball():
-    norm = profile_c1_norm("bump")
-    assert norm > 1.0  # the raw bump is not in B_1; that is why we rescale
-    f = TestFunction("bump_b1", 0.0, 1.0)
-    u = np.linspace(-1, 1, 20001)
-    vals = f(u)
-    deriv = np.gradient(vals, u)
-    assert np.max(np.abs(vals)) + np.max(np.abs(deriv)) <= 1.0 + 1e-6
-
-
-def test_unit_profile_integrates_to_one():
-    f = TestFunction("bump_unit", 0.5, 0.125)
-    x = np.linspace(0.375, 0.625, 4097)
-    assert simpson(f(x), x=x) == pytest.approx(1.0, rel=1e-6)
+    u = np.linspace(-1.0, 1.0, 200001)
+    assert val == pytest.approx(np.trapezoid(TestFunction()(u), u), rel=1e-6)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -22,7 +22,7 @@ def test_young_t_against_t_squared():
     y = SampledPath(grid, grid.nodes)
     w = SampledPath(grid, grid.nodes**2)
     val = young_integral(y, w)
-    assert abs(val[0] - 2.0 / 3.0) < 1e-3
+    assert abs(val[-1, 0] - 2.0 / 3.0) < 1e-3
 
 
 def test_young_constant_telescopes_exactly():
@@ -30,7 +30,7 @@ def test_young_constant_telescopes_exactly():
     w = generate_path("fbm", grid, dim=2, hurst=0.5, seed=14)
     one = SampledPath(grid, np.ones(grid.num_nodes))
     val = young_integral(one, w)
-    assert np.array_equal(val, w.values[-1] - w.values[0])
+    assert np.array_equal(val[-1], w.values[-1] - w.values[0])
 
 
 def test_young_w_dw_smooth_closed_form():
@@ -39,7 +39,7 @@ def test_young_w_dw_smooth_closed_form():
     val = young_integral(SampledPath(grid, w.values[:, 0]), w)
     w0, w1 = w.values[0, 0], w.values[-1, 0]
     expect = (w1**2 - w0**2) / 2
-    assert abs(val[0] - expect) < 2.0 ** -9
+    assert abs(val[-1, 0] - expect) < 2.0 ** -9
 
 
 def test_young_rejects_reversed_window():
@@ -122,7 +122,7 @@ def test_young_and_rough_agree_on_smooth_driver():
     rp = lift_piecewise_smooth(w, "sin_cos", 0.5)
     cp = _nonlinear_cp(w)
     rough = rough_integral_sum(cp, rp)[0]
-    young = young_integral(SampledPath(grid, cp.y[:, 0]), w)[0]
+    young = young_integral(SampledPath(grid, cp.y[:, 0]), w)[-1, 0]
     assert rough == pytest.approx(young, rel=1e-3)
 
 

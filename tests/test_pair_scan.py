@@ -48,7 +48,9 @@ def _lags(grid, s, t) -> np.ndarray:
     return (t - s) * grid.step
 
 
-@pytest.mark.parametrize("level, all_pairs_level", [(0, 8), (3, 8), (8, 8), (9, 8), (4, 3), (13, 12)])
+# (13, 12): above level 12, holder_seminorm's fallback scan gets the pairs
+# its own all-pairs level would pick, the aligned dyadic ones
+@pytest.mark.parametrize("level, all_pairs_level", [(0, 8), (3, 8), (8, 8), (9, 8), (13, 12)])
 def test_pair_scan_visits_policy_pairs_in_chunks(monkeypatch, level, all_pairs_level):
     monkeypatch.setattr(grids, "PAIR_CHUNK", 37)
     grid = make_dyadic_grid(HORIZON, level)
@@ -59,7 +61,7 @@ def test_pair_scan_visits_policy_pairs_in_chunks(monkeypatch, level, all_pairs_l
         seen.append(np.stack([s, t], axis=1))
         return np.stack([np.ones(len(s)), (t - s).astype(float)])
 
-    best = grids.pair_scan(grid, all_pairs_level, norms, (0.5, 1.0))
+    best = grids.pair_scan(grid, norms, (0.5, 1.0))
     visited = np.concatenate(seen)
     s, t = _pairs(level, all_pairs_level)
     expected = np.stack([s, t], axis=1)

@@ -40,7 +40,7 @@ from roughstruct import (
     to_modelled,
     wavelet_coefficients,
 )
-from roughstruct.reconstruction import CERTIFICATE_PROFILE, ReconstructionPlan
+from roughstruct.reconstruction import ReconstructionPlan
 
 ALPHA = 0.45
 GRID_LEVEL = 9
@@ -291,7 +291,7 @@ def _reference_certificate(rr, f, model) -> list[tuple[float, float, float]]:
             if s_u - lam < 0.0 or s_u + lam > 1.0:
                 continue
             s_node = int(round(s_u * num))
-            probe = TestFunction("bump", float(s_u), float(lam))
+            probe = TestFunction(float(s_u), float(lam))
             fm = probe(u_mid)
             local = 0.0
             for sym, coeff in f.coeffs.items():
@@ -371,6 +371,6 @@ def test_certificate_probes_are_paired_on_their_support(level, horizon):
     assert len(got) == len(want) == len(whole) == 40
     for (lam, s_u, a), (_, _, b), pairing in zip(got, want, whole):
         assert abs(a - b) * lam**rr.gamma <= 1e-12 * abs(pairing)
-        probe = _SizeRecordingProbe(TestFunction(CERTIFICATE_PROFILE, s_u, lam))
+        probe = _SizeRecordingProbe(TestFunction(s_u, lam))
         assert rr.pair(probe) == pytest.approx(pairing, rel=1e-12, abs=0.0)
         assert probe.sizes == [pytest.approx(2 * lam * n, abs=2)]

@@ -306,7 +306,7 @@ def test_lift_uniqueness_split(basis):
 def test_lift_continuity_gap_stable(basis):
     grid = make_dyadic_grid(1.0, 9)
     w = generate_path("sin_cos", grid, dim=2)
-    bump = TestFunction("bump", 0.5, 0.4)
+    bump = TestFunction(0.5, 0.4)
     direction = np.stack([bump(grid.nodes), np.zeros(grid.num_nodes)], axis=1)
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
@@ -320,7 +320,7 @@ def test_lift_continuity_gap_divides_by_its_own_first_level(basis):
     # denominator |W - W~|_alpha must come from the same pairs
     grid = make_dyadic_grid(1.0, 10)
     w = generate_path("sin_cos", grid, dim=2)
-    bump = TestFunction("bump", 0.5, 0.4)
+    bump = TestFunction(0.5, 0.4)
     w_tilde = SampledPath(grid, w.values + 1e-3 * np.outer(bump(grid.nodes), [1.0, 0.0]))
     first, _, total = rough_path_distance(
         wavelet_lift(w, ALPHA, basis, trunc_level=7),

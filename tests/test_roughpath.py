@@ -201,7 +201,7 @@ def test_perturbation_closure_with_smooth_bump():
     # keeps Chen's relation (second-order processes are never unique)
     path = generate_path("fbm", make_dyadic_grid(1.0, 6), dim=2, hurst=0.5, seed=12)
     rp = lift_piecewise_smooth(path, "linear", 0.45)
-    bump = TestFunction("bump", 0.5, 0.4)
+    bump = TestFunction(0.5, 0.4)
     f_vals = np.array([bump(t) for t in path.grid.nodes])
     pert = rp.second.increments + np.diff(f_vals)[:, None, None] * np.ones((2, 2))
     from roughstruct import RoughPath, SecondOrderProcess

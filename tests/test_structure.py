@@ -20,10 +20,8 @@ from roughstruct import (
     X,
     gamma_apply,
     generate_path,
-    holder_seminorm,
     lift_piecewise_smooth,
     make_dyadic_grid,
-    model_bound_estimate,
     multiply,
     pi_pair,
 )
@@ -190,7 +188,7 @@ def test_model_algebraic_identity(smooth_rough_model):
             v = ModelSpaceVector({sym: 1.0})
             moved = gamma_apply(g, v, st)
             for lam in (0.25, 0.125):
-                probe = TestFunction("bump", 0.5, lam)
+                probe = TestFunction(0.5, lam)
                 lhs = pi_pair(m, s_idx, moved, probe)
                 rhs = pi_pair(m, t_idx, v, probe)
                 worst = max(worst, abs(lhs - rhs))
@@ -198,17 +196,20 @@ def test_model_algebraic_identity(smooth_rough_model):
 
 
 def test_pi_pair_constant_symbol_unit_profile(smooth_rough_model):
-    # localized probes of unit integral pair the constant symbol to ~1
-    probe = TestFunction("bump_unit", 0.5, 0.125)
+    # the constant symbol pairs a localized probe to its integral: the bump's
+    # integral over (-1, 1), whatever the centre and scale
+    u = np.linspace(-1.0, 1.0, 200001)
+    bump_integral = np.trapezoid(TestFunction()(u), u)
+    probe = TestFunction(0.5, 0.125)
     val = pi_pair(smooth_rough_model, 0, ModelSpaceVector({ONE: 1.0}), probe)
-    assert val == pytest.approx(1.0, abs=1e-6)
+    assert val / bump_integral == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pi_pair_odd_moment_vanishes():
     grid = make_dyadic_grid(1.0, 10)
     w = SampledPath(grid, grid.nodes)
     m = RoughModel(lift_piecewise_smooth(w, "linear", 0.5))
-    probe = TestFunction("bump", 0.5, 0.25)
+    probe = TestFunction(0.5, 0.25)
     val = pi_pair(m, grid.num_intervals // 2, ModelSpaceVector({W(0): 1.0}), probe)
     assert abs(val) < 1e-6
 
@@ -218,7 +219,7 @@ def test_pi_pair_lebesgue_noise_equals_constant():
     grid = make_dyadic_grid(1.0, 10)
     w = SampledPath(grid, grid.nodes)
     m = RoughModel(lift_piecewise_smooth(w, "linear", 0.5))
-    probe = TestFunction("bump", 0.3, 0.2)
+    probe = TestFunction(0.3, 0.2)
     a = pi_pair(m, 0, ModelSpaceVector({Wdot(0): 1.0}), probe)
     b = pi_pair(m, 0, ModelSpaceVector({ONE: 1.0}), probe)
     assert a == pytest.approx(b, abs=1e-9)
@@ -232,31 +233,13 @@ def test_pi_pair_missing_second_order():
         pi_pair(reduced, 0, ModelSpaceVector({WWdot(0, 0): 1.0}), TestFunction())
 
 
-def test_polynomial_gamma_quotient_is_one():
-    grid = make_dyadic_grid(1.0, 6)
-    pm = PolynomialModel(grid, max_degree=3)
-    _, gamma_norm = model_bound_estimate(pm, gamma=2.0)
-    assert gamma_norm == pytest.approx(1.0)
-
-
-def test_rough_gamma_quotient_equals_holder_seminorm():
-    # for tau = W at n = 1 the level-0 quotient is |W_{t,s}| / |t-s|^alpha:
-    # maximized over all pairs it reproduces the Hölder seminorm exactly
-    grid = make_dyadic_grid(1.0, 6)
-    w = generate_path("fbm", grid, hurst=0.5, seed=1)
-    m = RoughModel(lift_piecewise_smooth(w, "linear", 0.45))
-    _, gamma_norm = model_bound_estimate(
-        m, gamma=0.9, base_level=grid.level, symbols=[W(0)]
-    )
-    assert gamma_norm == pytest.approx(holder_seminorm(w, 0.45), rel=1e-12)
-
-
 def test_zero_path_noise_contribution_vanishes():
     grid = make_dyadic_grid(1.0, 6)
     w = SampledPath(grid, np.zeros(grid.num_nodes))
     m = RoughModel(lift_piecewise_smooth(w, "linear", 0.45))
-    pi_norm, _ = model_bound_estimate(m, gamma=0.9, symbols=[Wdot(0)])
-    assert pi_norm == 0.0
+    for s_idx, lam in [(0, 0.5), (16, 0.25), (40, 0.125), (64, 1.0)]:
+        probe = TestFunction(grid.nodes[s_idx], lam)
+        assert pi_pair(m, s_idx, ModelSpaceVector({Wdot(0): 1.0}), probe) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +339,7 @@ def _direct_pair(model, s_idx: int, sym, probe) -> float:
 def test_pi_pair_matches_direct_realization(name):
     model = _REEXPANSION_MODELS[name]
     for s_idx, lam in [(0, 0.5), (37, 0.25), (64, 0.125), (128, 1.0)]:
-        probe = TestFunction("bump", model.grid.nodes[s_idx], lam)
+        probe = TestFunction(model.grid.nodes[s_idx], lam)
         for sym in model.structure.symbols():
             want = _direct_pair(model, s_idx, sym, probe)
             got = pi_pair(model, s_idx, ModelSpaceVector({sym: 1.0}), probe)
@@ -370,66 +353,9 @@ def test_pi_pair_vector_coefficients_match_scalar_calls(value_shape):
     model = _REEXPANSION_MODELS["rough"]
     rng = np.random.default_rng(3)
     jet = {sym: rng.standard_normal(value_shape) for sym in model.structure.symbols()}
-    probe = TestFunction("odd_bump", 0.6, 0.3)
+    probe = TestFunction(0.6, 0.3)
     got = pi_pair(model, 50, ModelSpaceVector(jet), probe)
     assert np.shape(got) == value_shape
     for pos in np.ndindex(*value_shape):
         one = ModelSpaceVector({sym: float(c[pos]) for sym, c in jet.items()})
         assert got[pos] == pytest.approx(pi_pair(model, 50, one, probe), rel=1e-13, abs=1e-15)
-
-
-def _reference_model_bounds(model, gamma: float, base_points: np.ndarray) -> tuple[float, float]:
-    """The probe battery by direct realization at each base point, and the
-    Gamma-norm as a double loop over ordered base-point pairs with exact lags."""
-    grid = model.grid
-    st = model.structure
-    syms = [s for s in st.symbols() if st.homogeneity(s) < gamma]
-    pi_norm = 0.0
-    for lam in (2.0**-k for k in range(1, 8)):
-        for s_idx in base_points:
-            s_time = grid.nodes[s_idx]
-            if s_time - lam < 0 or s_time + lam > grid.horizon:
-                continue
-            for prof in ("bump_b1", "odd_bump_b1"):
-                probe = TestFunction(prof, s_time, lam)
-                for sym in syms:
-                    val = _direct_pair(model, int(s_idx), sym, probe)
-                    pi_norm = max(pi_norm, abs(val) / lam ** st.homogeneity(sym))
-    gamma_norm = 0.0
-    for s_idx in base_points:
-        for t_idx in base_points:
-            if s_idx == t_idx:
-                continue
-            g = model.gamma_of(int(s_idx), int(t_idx))
-            lag = abs(int(t_idx) - int(s_idx)) * grid.step
-            for sym in syms:
-                hom = st.homogeneity(sym)
-                moved = gamma_apply(g, ModelSpaceVector({sym: 1.0}), st)
-                for level in moved.levels(st):
-                    if level < hom - 1e-12:
-                        gamma_norm = max(gamma_norm, moved.level_norm(st, level) / lag ** (hom - level))
-    return pi_norm, gamma_norm
-
-
-@pytest.mark.parametrize("horizon", [1.0, 1.3])
-@pytest.mark.parametrize("name, gamma", [("rough", 0.9), ("reduced", 0.9), ("polynomial", 2.5)])
-def test_model_bound_estimate_matches_reference(name, gamma, horizon):
-    model = _models_for_reexpansion(horizon)[name]
-    for base_level in (None, 4):
-        stride = 1 << (7 - (3 if base_level is None else base_level))
-        want_pi, want_gamma = _reference_model_bounds(model, gamma, np.arange(0, 129, stride))
-        got_pi, got_gamma = model_bound_estimate(model, gamma, base_level=base_level)
-        assert got_pi == pytest.approx(want_pi, rel=1e-12)
-        assert got_gamma == pytest.approx(want_gamma, rel=1e-14)
-
-
-@pytest.mark.parametrize("horizon", [1.0, 1.3])
-def test_polynomial_pi_norm_drift_is_reexpansion_cancellation(horizon):
-    # Pi_0 Gamma_{0,s} X^k sums binomial terms of size up to (2T)^k for a
-    # pairing of size lambda^k: the pi-norm may move by eps (2T/lambda)^k
-    # against the direct realization at s, and by no more
-    model = _models_for_reexpansion(horizon)["polynomial"]
-    want_pi, want_gamma = _reference_model_bounds(model, 4.5, np.arange(0, 129, 16))
-    got_pi, got_gamma = model_bound_estimate(model, 4.5)
-    assert abs(got_pi - want_pi) <= np.finfo(float).eps * (2 * horizon * 2**7) ** 4
-    assert got_gamma == pytest.approx(want_gamma, rel=1e-14)
