@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate a path and write it as CSV")
     g.add_argument("--kind", required=True,
                    choices=["sin_cos", "polynomial", "fbm", "piecewise_linear"])
-    g.add_argument("--dim", type=int, default=1)
+    g.add_argument("--dim", type=int, default=None, help="default 1, or set by --coeffs/--knots")
     g.add_argument("--hurst", type=float, default=0.5)
     g.add_argument("--coeffs", type=str, default=None,
                    help="per-component ascending coefficients, e.g. '0,1;1,0,2'")
@@ -168,8 +168,10 @@ def _cmd_gen(args) -> dict:
         kwargs["coeffs"] = _parse_coeffs(args.coeffs)
     if args.kind == "piecewise_linear" and args.knots is not None:
         kwargs["knots"] = _parse_knots(args.knots)
-    path = generate_path(args.kind, grid, args.dim, hurst=args.hurst,
+    path = generate_path(args.kind, grid, 1 if args.dim is None else args.dim, hurst=args.hurst,
                          seed=args.seed, **kwargs)
+    if args.dim is not None and args.dim != path.dim:  # --coeffs and --knots set the dim
+        raise ValueError(f"--dim {args.dim} does not match dim {path.dim} of --coeffs or --knots")
     out = args.out or "path.csv"
     write_path_csv(path, out)
     return {"out": out, "nodes": path.grid.num_nodes, "dim": path.dim}
@@ -228,11 +230,12 @@ def _cmd_integrate(args) -> dict:
     if args.certificate is not None and args.route == "young":
         raise ValueError("the Young route has no three-point certificate")
     path = read_path_csv(args.path_csv)
-    cp = _load_controlled(args, path)
     out = args.out or "integral.csv"
-    if args.route == "young":
-        integral = SampledPath(path.grid, young_integral(SampledPath(path.grid, cp.y[:, :1]), path))
+    if args.route == "young":  # y' plays no part in a Young sum
+        y = read_path_csv(args.y_csv) if args.y_csv is not None else path
+        integral = SampledPath(path.grid, young_integral(y.component(0), path))
     else:
+        cp = _load_controlled(args, path)
         rp = _make_lift(args, path, args.lift_mode)
         if args.route == "rough-riemann":
             integral = SampledPath(path.grid, rough_integral_path(cp, rp))

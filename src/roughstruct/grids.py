@@ -27,6 +27,8 @@ PATH_PAIR_LEVEL = 12
 #: dyadic pairs beyond: tensors and jets gather a matrix per pair, and all pairs
 #: would take seconds at level 12 (a rough-path seminorm: 2-3 s, not 3 ms).
 JET_PAIR_LEVEL = 8
+#: Working memory in floats: one dense block of :func:`holder_seminorm`; the pair,
+#: triple and germ scans give each temporary an eighth of it (:func:`scan_chunks`).
 PAIR_CHUNK = 1 << 18
 
 
@@ -88,7 +90,8 @@ class SampledPath:
             raise ValueError(
                 f"values must have shape ({self.grid.num_nodes}, n), got {vals.shape}"
             )
-        object.__setattr__(self, "values", vals)
+        # C-contiguous, so row gathers (np.take) never copy the whole table
+        object.__setattr__(self, "values", np.ascontiguousarray(vals))
 
     @property
     def dim(self) -> int:
@@ -120,13 +123,24 @@ def euclidean_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", flat, flat))
 
 
-def pair_scan(grid: TimeGrid, norms: Callable, exponents) -> np.ndarray:
+def scan_chunks(count: int, width: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds covering ``range(count)`` in chunks of ``PAIR_CHUNK //
+    8 // width`` rows (at least 2) of ``width`` floats.  A one-row tail joins the
+    chunk before: einsum sums one row in another order, not bit-exactly."""
+    rows = max(2, PAIR_CHUNK // 8 // width)
+    bounds = [*range(0, count, rows), count]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
+def pair_scan(grid: TimeGrid, norms: Callable, exponents, width: int = 1) -> np.ndarray:
     """Per exponent ``theta``, the max over node pairs ``s < t`` of
     ``norms(s, t) / ((t - s) * h)**theta``, with exact lags.
 
     Pairs: all of them up to grid level ``JET_PAIR_LEVEL``, else the
-    aligned dyadic ``(k 2**m, (k+1) 2**m)`` of every scale m.  ``norms`` gets
-    at most ``PAIR_CHUNK`` at once, returns ``(len(exponents), P)`` or ``(P,)``.
+    aligned dyadic ``(k 2**m, (k+1) 2**m)`` of every scale m.  ``norms`` gets the
+    :func:`scan_chunks` of its ``width`` floats a pair, returns ``(len(exponents), P)`` or ``(P,)``.
     """
     n_int = grid.num_intervals
     if grid.level <= JET_PAIR_LEVEL:
@@ -140,8 +154,8 @@ def pair_scan(grid: TimeGrid, norms: Callable, exponents) -> np.ndarray:
     den = np.array([[(lag * grid.step) ** float(th) for lag in lags.tolist()]
                     for th in np.atleast_1d(exponents)])
     best = np.zeros(len(den))
-    for lo in range(0, first[-1], PAIR_CHUNK):
-        k = np.arange(lo, min(lo + PAIR_CHUNK, first[-1]))
+    for lo, hi in scan_chunks(int(first[-1]), width):
+        k = np.arange(lo, hi)
         row = np.searchsorted(first, k, side="right") - 1
         s = (k - first[row]) * strides[row]
         q = norms(s, s + lags[row]) / den[:, row]
@@ -167,7 +181,8 @@ def holder_seminorm(path: SampledPath, alpha: float) -> float:
         raise ValueError("path values must be finite")
     if path.grid.level > PATH_PAIR_LEVEL:
         z = path.values
-        return float(pair_scan(path.grid, lambda s, t: euclidean_norms(z[t] - z[s]), alpha)[0])
+        return float(pair_scan(path.grid, lambda s, t: euclidean_norms(z[t] - z[s]), alpha,
+                               z.shape[1])[0])
     n_int = path.grid.num_intervals
     x = np.ascontiguousarray(path.values.T)
     den = (np.arange(1, n_int + 1) * path.grid.step) ** alpha

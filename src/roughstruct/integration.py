@@ -19,37 +19,40 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .grids import scan_chunks
+
 if TYPE_CHECKING:
     from .grids import SampledPath
     from .modelled import ControlledPath
     from .roughpath import RoughPath
 
 
-def scalar_one_form(cp: ControlledPath) -> tuple[np.ndarray, np.ndarray]:
-    """The one-form ``(y I_n, y' (x) I_n)`` of a scalar controlled path, whose
-    integral is ``int y dW^j`` in component j.  Zero-filled with the diagonal
-    assigned, so no ``-0.0`` products enter the sums."""
+def scalar_one_form(cp: ControlledPath, nodes=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The one-form ``(y I_n, y' (x) I_n)`` at ``nodes`` of a scalar controlled
+    path, whose integral is ``int y dW^j`` in component j.  Zero-filled with
+    the diagonal assigned, so no ``-0.0`` products enter the sums."""
     if cp.dim != 1:
         raise ValueError("a scalar one-form needs a scalar controlled path")
-    nodes, n = cp.y.shape[0], cp.y_prime.shape[2]
+    y, yp = cp.y[nodes], cp.y_prime[nodes]
+    rows, n = y.shape[0], yp.shape[2]
     diag = np.arange(n)
-    g = np.zeros((nodes, n, n))
-    g[:, diag, diag] = cp.y
-    dg = np.zeros((nodes, n, n, n))
-    dg[:, diag, diag, :] = cp.y_prime
+    g = np.zeros((rows, n, n))
+    g[:, diag, diag] = y
+    dg = np.zeros((rows, n, n, n))
+    dg[:, diag, diag, :] = yp
     return g, dg
 
 
 def one_form_germs(g: np.ndarray, dg: np.ndarray, rp: RoughPath,
                    u: np.ndarray | None = None, v: np.ndarray | None = None) -> np.ndarray:
-    """The compensated germs ``g_u W_{u,v} + g'_u WW_{u,v}`` of the one-form
-    ``(g, g')`` over node pairs ``(u, v)``, shape (P, d).  Without pairs, the
-    finest intervals ``(k, k+1)``, read through views and the rough path's
-    cached fine tensors."""
+    """The compensated germs ``g_u W_{u,v} + g'_u WW_{u,v}`` over node pairs
+    ``(u, v)`` of the one-form ``(g, g')`` given at u, shape (P, d).  Without
+    pairs, the one-form at every node and the finest intervals ``(k, k+1)``,
+    read through views and the rough path's cached fine tensors."""
     if u is None:
         g, dg, dw, ww = g[:-1], dg[:-1], rp.path.increments(), rp.fine_pairs
     else:
-        g, dg, dw, ww = g[u], dg[u], rp.path.values[v] - rp.path.values[u], rp.pairs(u, v)
+        dw, ww = rp.path.values[v] - rp.path.values[u], rp.pairs(u, v)
     germs = np.einsum("pdj,pj->pd", g, dw)
     germs += np.einsum("pdji,pij->pd", dg, ww)
     return germs
@@ -109,7 +112,7 @@ def rough_integral_sum(
     if mesh_level > grid.level:
         raise ValueError(f"mesh level {mesh_level} finer than grid level {grid.level}")
     pts = np.append(np.arange(s, t, 1 << (grid.level - mesh_level)), t)
-    return one_form_germs(*scalar_one_form(cp), rp, pts[:-1], pts[1:]).sum(axis=0)
+    return one_form_germs(*scalar_one_form(cp, pts[:-1]), rp, pts[:-1], pts[1:]).sum(axis=0)
 
 
 def rough_integral_path(cp: ControlledPath, rp: RoughPath) -> np.ndarray:
@@ -122,21 +125,23 @@ def three_point_defect(integral: np.ndarray, cp: ControlledPath,
                        rp: RoughPath) -> list[tuple[float, float]]:
     """Max over aligned dyadic pairs of
     ``|I_{s,t} - y_s W_{s,t} - y'_s WW_{s,t}|`` per interval length
-    ``2^m``, ``1 <= m < J``.
+    ``2^m``, ``1 <= m < J``, each length scanned in chunks.
 
     ``integral`` is a cumulative node table (num_nodes, n).  Returns
     ``(length_in_time, max_defect)`` rows for the convergence fit.
     """
     grid = rp.path.grid
-    lengths = [1 << m for m in range(1, grid.level)]
-    starts = [np.arange(0, grid.num_intervals - span + 1, span) for span in lengths]
-    counts = [s.size for s in starts]
-    u = np.concatenate(starts)
-    v = u + np.repeat(np.asarray(lengths, dtype=int), counts)
-    pred = one_form_germs(*scalar_one_form(cp), rp, u, v)  # every length in one call
-    defect = np.linalg.norm(integral[v] - integral[u] - pred, axis=1)
-    parts = np.split(defect, np.cumsum(counts)[:-1])
-    return [(span * grid.step, float(part.max())) for span, part in zip(lengths, parts)]
+    rows = []
+    for span in (1 << m for m in range(1, grid.level)):
+        starts = np.arange(0, grid.num_intervals - span + 1, span)
+        worst = 0.0
+        for lo, hi in scan_chunks(len(starts), rp.dim**3):
+            u = starts[lo:hi]
+            pred = one_form_germs(*scalar_one_form(cp, u), rp, u, u + span)
+            gap = integral[u + span] - integral[u] - pred
+            worst = np.maximum(worst, np.linalg.norm(gap, axis=1).max())
+        rows.append((span * grid.step, float(worst)))
+    return rows
 
 
 def convergence_order_fit(
@@ -166,14 +171,15 @@ def convergence_order_fit(
     scales, errors = scales[keep], errors[keep]
     if len(scales) < 2:
         return float("inf"), 1.0
-    x = np.log(scales)
-    z = np.log(errors)
-    slope, intercept = np.polyfit(x, z, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((z - fitted) ** 2))
-    ss_tot = float(np.sum((z - z.mean()) ** 2))
+    # closed-form least squares on centred sums: np.polyfit would page in LAPACK
+    x, z = np.log(scales), np.log(errors)
+    x -= x.mean()
+    z -= z.mean()
+    slope = float(np.sum(x * z) / np.sum(x * x))
+    ss_res = float(np.sum((z - slope * x) ** 2))
+    ss_tot = float(np.sum(z**2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    return slope, r2
 
 
 def refinement_errors(

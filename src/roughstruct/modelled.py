@@ -98,7 +98,8 @@ def controlled_seminorm(cp: ControlledPath, alpha: float) -> tuple[float, float,
         yp = np.sqrt(np.einsum("pdn,pdn->pn", dyp, dyp)).sum(axis=1)
         return np.stack([yp, euclidean_norms(cp.remainder(s, t))])
 
-    yp_norm, rem_norm = map(float, pair_scan(cp.grid, norms, (alpha, 2 * alpha)))
+    yp_norm, rem_norm = map(float, pair_scan(cp.grid, norms, (alpha, 2 * alpha),
+                                             cp.y_prime[0].size))
     return yp_norm, rem_norm, yp_norm + rem_norm
 
 
@@ -196,7 +197,8 @@ def md_seminorm(f: ModelledDistribution, model) -> float:
         return np.array([sum(euclidean_norms(d) for sym, d in diff.coeffs.items()
                              if st.homogeneity(sym) == lv) for lv in levels])
 
-    return float(pair_scan(f.grid, norms, [f.gamma - lv for lv in levels]).max())
+    width = sum(np.size(c[0]) for c in f.coeffs.values())
+    return float(pair_scan(f.grid, norms, [f.gamma - lv for lv in levels], width).max())
 
 
 def md_norm_star(f: ModelledDistribution, model) -> float:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import SampledPath, TimeGrid, euclidean_norms, pair_scan
+from .grids import SampledPath, TimeGrid, euclidean_norms, pair_scan, scan_chunks
 from .grids import read_path_csv, read_table, write_path_csv, write_table
 
 
@@ -74,14 +74,13 @@ class RoughPath:
 
     @cached_property
     def _prefix(self) -> np.ndarray:
-        """``WW_{t_0, t_k}`` for every node k (one left-to-right Chen fold)."""
-        n = self.dim
-        out = np.zeros((self.path.grid.num_nodes, n, n))
-        w0 = self.path.values[0]
-        wrel = self.path.values - w0
-        dw = self.path.increments()
-        cross = np.einsum("ki,kj->kij", wrel[:-1], dw)
-        out[1:] = np.cumsum(self.second.increments + cross, axis=0)
+        """``WW_{t_0, t_k}`` for every node k (one left-to-right Chen fold,
+        summed in place)."""
+        w = self.path.values
+        out = np.zeros((self.path.grid.num_nodes, self.dim, self.dim))
+        np.einsum("ki,kj->kij", w[:-1] - w[0], np.diff(w, axis=0), out=out[1:])
+        out[1:] += self.second.increments
+        np.cumsum(out[1:], axis=0, out=out[1:])
         return out
 
     def pair(self, i: int, j: int) -> np.ndarray:
@@ -93,11 +92,10 @@ class RoughPath:
     def pairs(self, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
         """Vectorized ``pair`` over index arrays; overrides applied afterwards."""
         w = self.path.values
-        out = (
-            self._prefix[j_idx]
-            - self._prefix[i_idx]
-            - np.einsum("ki,kj->kij", w[i_idx] - w[0], w[j_idx] - w[i_idx])
-        )
+        wi = np.take(w, i_idx, axis=0)
+        out = np.take(self._prefix, j_idx, axis=0)
+        out -= np.take(self._prefix, i_idx, axis=0)
+        out -= np.einsum("ki,kj->kij", wi - w[0], np.take(w, j_idx, axis=0) - wi)
         for (i, j), ov in self.second.pair_overrides.items():
             out[(i_idx == i) & (j_idx == j)] = ov
         return out
@@ -120,6 +118,21 @@ class RoughPath:
         return RoughPath(sub_path, second, self.alpha)
 
 
+def _chen_triples(rp: RoughPath):
+    """:func:`chen_defect`'s triples: per dyadic scale, adjacent, per override and role."""
+    n_int = rp.path.grid.num_intervals
+    for m in range(rp.path.grid.level):
+        s = np.arange(0, n_int, 2 << m)
+        yield s, s + (1 << m), s + (2 << m)
+    k = np.arange(n_int - 1)
+    yield k, k + 1, k + 2
+    for i, j in rp.second.pair_overrides:
+        if 0 <= i < j <= n_int:
+            yield np.broadcast_arrays(i, np.arange(i + 1, j), j)
+            yield np.broadcast_arrays(i, j, np.arange(j + 1, n_int + 1))
+            yield np.broadcast_arrays(np.arange(i), i, j)
+
+
 def chen_defect(rp: RoughPath) -> float:
     """Max over scanned triples ``s < u < t`` of the Chen-relation defect
     ``|WW_{s,t} - WW_{s,u} - WW_{u,t} - W_{s,u} (x) W_{u,t}|`` (Frobenius).
@@ -129,31 +142,19 @@ def chen_defect(rp: RoughPath) -> float:
     three roles, outer ``(i, u, j)``, left inner ``(i, j, t)`` and right inner
     ``(s, i, j)``.  Round-off is probed on the aligned dyadic triples
     ``(k 2^(m+1), k 2^(m+1) + 2^m, (k+1) 2^(m+1))`` of every scale m and the
-    adjacent ``(k, k+1, k+2)``: O((K + 1) N) triples for K overrides.
+    adjacent ``(k, k+1, k+2)``: O((K + 1) N) triples for K overrides, chunked.
     """
-    n_int = rp.path.grid.num_intervals
-    triples = []
-    for m in range(rp.path.grid.level):
-        s = np.arange(0, n_int, 2 << m)
-        triples.append((s, s + (1 << m), s + (2 << m)))
-    k = np.arange(n_int - 1)
-    triples.append((k, k + 1, k + 2))
-    for i, j in rp.second.pair_overrides:
-        if 0 <= i < j <= n_int:
-            triples += [
-                np.broadcast_arrays(i, np.arange(i + 1, j), j),
-                np.broadcast_arrays(i, j, np.arange(j + 1, n_int + 1)),
-                np.broadcast_arrays(np.arange(i), i, j),
-            ]
-    s, u, t = (np.concatenate(part) for part in zip(*triples))
     w = rp.path.values
-    d = (
-        rp.pairs(s, t)
-        - rp.pairs(s, u)
-        - rp.pairs(u, t)
-        - np.einsum("ki,kj->kij", w[u] - w[s], w[t] - w[u])
-    )
-    return float(np.sqrt(np.einsum("kij,kij->k", d, d).max(initial=0.0)))
+    best = 0.0
+    for part in _chen_triples(rp):
+        for lo, hi in scan_chunks(len(part[0]), rp.dim**2):
+            s, u, t = (a[lo:hi] for a in part)
+            d = rp.pairs(s, t)
+            d -= rp.pairs(s, u)
+            d -= rp.pairs(u, t)
+            d -= np.einsum("ki,kj->kij", w[u] - w[s], w[t] - w[u])
+            best = np.maximum(best, np.einsum("kij,kij->k", d, d).max())
+    return float(np.sqrt(best))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def _two_level_quotients(values, pairs, grid: TimeGrid, alpha: float) -> tuple[f
     def norms(s, t):
         return np.stack([euclidean_norms(values[t] - values[s]), euclidean_norms(pairs(s, t))])
 
-    first, second = map(float, pair_scan(grid, norms, (alpha, 2 * alpha)))
+    first, second = map(float, pair_scan(grid, norms, (alpha, 2 * alpha), values.shape[1] ** 2))
     return first, second, first + second
 
 

@@ -178,10 +178,10 @@ class WaveletBasis:
 
     @cached_property
     def father_center_of_mass(self) -> float:
-        """``int t phi(t) dt`` of the centered scaling function (table quadrature)."""
-        t = np.arange(-self.center_shift, self.taps - 1 - self.center_shift + 1e-9,
-                      self.table_step)
-        return float(np.trapezoid(self.evaluate("father", t) * t, t))
+        """``int t phi(t) dt`` of the centered scaling function, exactly: by the
+        two-scale relation, ``sum_k k h_k / sqrt2`` on ``[0, taps - 1]``."""
+        moment = float(np.arange(self.taps) @ self.scaling_filter) / math.sqrt(2.0)
+        return moment - self.center_shift
 
     def _table(self, which: str, cumulative: bool = False) -> np.ndarray:
         if which == "father":
@@ -248,9 +248,11 @@ def _daubechies_basis(vanishing_moments: int, table_level: int) -> WaveletBasis:
     h = np.array(DAUBECHIES_FILTERS[vanishing_moments])
     phi = _cascade(h, table_level)
     psi = _mother_from_phi(h, phi, table_level)
-    step = 2.0 ** -table_level
-    phi_cum = np.concatenate([[0.0], np.cumsum(0.5 * (phi[:-1] + phi[1:]) * step)])
-    psi_cum = np.concatenate([[0.0], np.cumsum(0.5 * (psi[:-1] + psi[1:]) * step)])
+    phi_cum, psi_cum = np.zeros(phi.size), np.zeros(psi.size)
+    for f, cum in ((phi, phi_cum[1:]), (psi, psi_cum[1:])):  # trapezoid sums, in place
+        np.add(f[:-1], f[1:], out=cum)
+        cum *= 0.5 * 2.0 ** -table_level  # a power-of-two scale, so exact
+        np.cumsum(cum, out=cum)
     for table in (h, phi, psi, phi_cum, psi_cum):
         table.setflags(write=False)
     return WaveletBasis(

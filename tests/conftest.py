@@ -1,10 +1,23 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from roughstruct import daubechies_basis, generate_path, lift_piecewise_smooth, make_dyadic_grid
 from roughstruct import reconstruction
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc traces while ``fn()`` runs (import it with
+    ``from conftest import traced_peak``)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -316,7 +316,7 @@ def test_young_integrate(tmp_path, capsys):
     out = tmp_path / "I.csv"
     code, text = _run(
         capsys, "--json", "--out", str(out), "integrate", str(w),
-        "--route", "young", "--y-csv", str(y), "--y-prime-csv", str(y),
+        "--route", "young", "--y-csv", str(y),
     )
     assert code == 0
     assert json.loads(text)["final"][0] == pytest.approx(2.0 / 3.0, abs=1e-3)
@@ -326,6 +326,63 @@ def test_young_integrate(tmp_path, capsys):
     got = read_path_csv(str(out)).values[:, 0]
     want = np.array([dw[:k] @ y_vals[:k] for k in range(len(got))])
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_young_integrate_does_not_read_y_prime(tmp_path, capsys):
+    # y' plays no part in a Young sum: a --y-prime-csv that does not exist is
+    # not opened, and the integral is the one without it
+    w, y = tmp_path / "w.csv", tmp_path / "y.csv"
+    _run(capsys, "--grid-level", "6", "--out", str(w), "gen", "--kind", "fbm", "--dim", "2")
+    _run(capsys, "--grid-level", "6", "--out", str(y), "gen", "--kind", "sin_cos")
+    texts = []
+    for extra in ([], ["--y-prime-csv", str(tmp_path / "missing.csv")]):
+        out = tmp_path / f"I{len(texts)}.csv"
+        code, _ = _run(capsys, "--out", str(out), "integrate", str(w), "--route", "young",
+                       "--y-csv", str(y), *extra)
+        assert code == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("route", ["rough-riemann", "rough-wavelet"])
+def test_rough_routes_refuse_y_csv_alone(tmp_path, capsys, route):
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "6", "--out", str(w), "gen", "--kind", "sin_cos")
+    code, err = _exit_and_error(capsys, "--out", str(tmp_path / "I.csv"), "integrate", str(w),
+                                "--route", route, "--y-csv", str(w))
+    assert code == 1 and "error: --y-csv requires --y-prime-csv" in err
+    assert not (tmp_path / "I.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "polynomial", "--dim", "3", "--coeffs", "0,1"],
+     "--dim 3 does not match dim 1 of --coeffs or --knots"),
+    (["--kind", "polynomial", "--dim", "1", "--coeffs", "0,1;1,0,2"],
+     "--dim 1 does not match dim 2 of --coeffs or --knots"),
+    (["--kind", "piecewise_linear", "--dim", "1", "--knots", "0:0,1;1:1,2"],
+     "--dim 1 does not match dim 2 of --coeffs or --knots"),
+    (["--kind", "piecewise_linear", "--dim", "3", "--knots", "0:0,1;1:1,2"],
+     "--dim 3 does not match dim 2 of --coeffs or --knots"),
+])
+def test_gen_refuses_a_dim_the_data_does_not_have(tmp_path, capsys, argv, message):
+    # --dim 3 --coeffs 0,1 wrote one column and reported dim 1
+    out = tmp_path / "w.csv"
+    code, err = _exit_and_error(capsys, "--grid-level", "4", "--out", str(out), "gen", *argv)
+    assert code == 1 and f"error: {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "polynomial", "--coeffs", "0,1;1,0,2"],
+    ["--kind", "polynomial", "--dim", "2", "--coeffs", "0,1;1,0,2"],
+    ["--kind", "piecewise_linear", "--knots", "0:0,1;1:1,2"],
+    ["--kind", "piecewise_linear", "--dim", "2", "--knots", "0:0,1;1:1,2"],
+])
+def test_gen_dim_follows_the_data(tmp_path, capsys, argv):
+    out = tmp_path / "w.csv"
+    code, text = _run(capsys, "--json", "--grid-level", "4", "--out", str(out), "gen", *argv)
+    assert code == 0 and json.loads(text)["dim"] == 2
+    assert read_path_csv(str(out)).dim == 2
 
 
 def test_solve_exponential(tmp_path, capsys):

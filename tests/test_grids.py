@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from roughstruct.grids import (
 from roughstruct.reconstruction import wavelet_lift
 from roughstruct.roughpath import lift_piecewise_smooth
 
+from conftest import traced_peak
 from reference_impl import fbm_covariance, holder_lag_scan
 from test_io_golden import _reference_table
 
@@ -141,7 +141,7 @@ def test_holder_scan_memory_is_linear():
     path = generate_path("fbm", make_dyadic_grid(1.0, 12), dim=2, hurst=0.5, seed=0)
     line = SampledPath(path.grid, np.outer(path.grid.nodes, [1.0, -0.5]))
     for p, alpha in ((path, 0.45), (line, 1.0)):
-        assert _traced_peak(lambda: holder_seminorm(p, alpha)) < 16 * 2**20
+        assert traced_peak(lambda: holder_seminorm(p, alpha)) < 16 * 2**20
 
 
 def _adversarial_path(case: str, grid, dim: int) -> tuple[np.ndarray, float]:
@@ -211,20 +211,11 @@ def test_holder_rejects_non_finite_values(level, bad):
         holder_seminorm(SampledPath(grid, values), 0.45)
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_path_csv_write_memory_is_blocked(tmp_path):
     # one %-format of the whole J = 18 table peaks at 52 MiB, one block of
     # TABLE_BLOCK_ROWS rows at 17 MiB
     path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
-    assert _traced_peak(lambda: write_path_csv(path, str(tmp_path / "w.csv"))) < 24 * 2**20
+    assert traced_peak(lambda: write_path_csv(path, str(tmp_path / "w.csv"))) < 24 * 2**20
 
 
 def test_wide_table_write_memory_is_blocked_by_cells(tmp_path):
@@ -232,21 +223,21 @@ def test_wide_table_write_memory_is_blocked_by_cells(tmp_path):
     # float and text at once (tens of MiB), blocks of 2^16 cells a few MiB
     data = np.random.default_rng(0).standard_normal((2**15, 32))
     header = ",".join(f"c{i}" for i in range(32))
-    assert _traced_peak(lambda: write_table(str(tmp_path / "wide.csv"), header, data)) < 8 * 2**20
+    assert traced_peak(lambda: write_table(str(tmp_path / "wide.csv"), header, data)) < 8 * 2**20
 
 
 def test_one_table_block_write_memory_is_bounded(tmp_path):
     # one block of 2^16 cells (0.5 MiB stacked) formatted in sub-blocks of
     # 2^12 cells: 4.31 MiB when one %-format held every cell's float and text
     data = np.random.default_rng(1).standard_normal((2**15, 2))
-    assert _traced_peak(lambda: write_table(str(tmp_path / "t.csv"), "a,b", data)) <= 2.5 * 2**20
+    assert traced_peak(lambda: write_table(str(tmp_path / "t.csv"), "a,b", data)) <= 2.5 * 2**20
 
 
 def test_path_csv_read_memory_is_linear(tmp_path):
     # np.genfromtxt's per-cell Python objects took 119 MiB at J = 18
     path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
     write_path_csv(path, str(tmp_path / "w.csv"))
-    assert _traced_peak(lambda: read_path_csv(str(tmp_path / "w.csv"))) < 16 * 2**20
+    assert traced_peak(lambda: read_path_csv(str(tmp_path / "w.csv"))) < 16 * 2**20
 
 
 def test_sin_cos_generator():
@@ -305,13 +296,9 @@ def test_brownian_draw_is_cholesky_of_min_covariance():
 def test_fbm_draw_memory_is_linear():
     # an N x N covariance would need about 34 GB at J = 16
     grid = make_dyadic_grid(1.0, 16)
-    tracemalloc.start()
-    try:
-        path = generate_path("fbm", grid, dim=2, hurst=0.4, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.values.shape == (grid.num_nodes, 2)
+    paths = []
+    peak = traced_peak(lambda: paths.append(generate_path("fbm", grid, dim=2, hurst=0.4, seed=0)))
+    assert paths[0].values.shape == (grid.num_nodes, 2)
     assert peak < 64 * 2**20
 
 

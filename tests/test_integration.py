@@ -160,3 +160,33 @@ def test_fit_preconditions():
         convergence_order_fit([(1.0, 0.1), (0.5, 0.01)])
     with pytest.raises(ValueError):
         convergence_order_fit([(1.0, 0.1), (0.9, 0.09), (0.8, 0.08), (0.7, 0.07)])
+
+
+def _polyfit_slope_r2(samples, drop_coarsest: int = 2) -> tuple[float, float]:
+    """The former fit: ``np.polyfit`` (LAPACK least squares) after the same
+    ordering, dropping and zero filtering."""
+    scales, errors = map(np.array, zip(*sorted(samples, reverse=True)))
+    x, z = np.log(scales[drop_coarsest:]), np.log(errors[drop_coarsest:])
+    slope, intercept = np.polyfit(x, z, 1)
+    ss_res = np.sum((z - (slope * x + intercept)) ** 2)
+    return float(slope), float(1.0 - ss_res / np.sum((z - z.mean()) ** 2))
+
+
+def test_convergence_fit_is_closed_form_least_squares(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(300):
+        k = int(rng.integers(4, 14))
+        scales = rng.uniform(0.5, 2.0) * 2.0 ** -np.arange(k)
+        errors = scales ** rng.uniform(0.2, 3.0) * np.exp(0.3 * rng.standard_normal(k))
+        samples = list(zip(scales.tolist(), errors.tolist()))
+        cases.append((samples, _polyfit_slope_r2(samples)))
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the fit called LAPACK least squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    for samples, (slope, r2) in cases:
+        got_slope, got_r2 = convergence_order_fit(samples)
+        assert got_slope == pytest.approx(slope, rel=1e-13, abs=1e-13)
+        assert got_r2 == pytest.approx(r2, rel=1e-12, abs=1e-12)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from roughstruct import (
 )
 from roughstruct.grids import TestFunction
 
+from conftest import traced_peak
 from reference_impl import chen_extend
 
 
@@ -305,12 +305,8 @@ def test_rough_path_json_write_memory_is_blocked(tmp_path):
     # of TABLE_BLOCK_ROWS intervals at 16 MiB
     rp = lift_piecewise_smooth(generate_path("fbm", make_dyadic_grid(1.0, 17), hurst=0.5, seed=0),
                                "linear", 0.45)
-    tracemalloc.start()
-    try:
-        write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv")))
     assert peak < 24 * 2**20
 
 
@@ -319,12 +315,8 @@ def test_rough_path_json_write_memory_is_blocked_by_floats(tmp_path):
     # at 27.6 MiB here (J = 15), blocks of 2^16 floats at 8.6 MiB
     path = generate_path("fbm", make_dyadic_grid(1.0, 15), dim=3, hurst=0.5, seed=0)
     rp = lift_piecewise_smooth(path, "linear", 0.45)
-    tracemalloc.start()
-    try:
-        write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv")))
     assert peak < 24 * 2**20
 
 
@@ -334,12 +326,7 @@ def test_rough_path_json_read_memory_is_linear(tmp_path):
     path = generate_path("fbm", make_dyadic_grid(1.0, 16), dim=2, hurst=0.5, seed=0)
     write_rough_path_json(lift_piecewise_smooth(path, "linear", 0.45),
                           str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
-    tracemalloc.start()
-    try:
-        read_rough_path_json(str(tmp_path / "rp.json"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: read_rough_path_json(str(tmp_path / "rp.json")))
     assert peak < 8 * 2**20
 
 
@@ -349,12 +336,8 @@ def test_rough_path_write_memory_is_blocked(tmp_path):
     # the path CSV too, so its peak covers both) at 13.8 MiB
     path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
     rp = lift_piecewise_smooth(path, "linear", 0.45)
-    tracemalloc.start()
-    try:
-        write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: write_rough_path_json(rp, str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv")))
     assert peak < 8 * 2**20
 
 

@@ -227,3 +227,17 @@ def test_coefficients_reject_overfine_levels(basis):
         wavelet_coefficients(xi, basis, max_level=7)
     with pytest.raises(ValueError):
         wavelet_coefficients(xi, basis, base_level=0, max_level=5)
+
+
+@pytest.mark.parametrize("vm", sorted(DAUBECHIES_FILTERS))
+def test_father_center_of_mass_is_the_exact_first_moment(vm):
+    # the closed form sum_k k h_k / sqrt2 - c against trapezoid quadrature
+    # of t phi(t) on the level-14 table, whose error is below 5e-12 here
+    basis = daubechies_basis(vm)
+    t = np.arange(-basis.center_shift, basis.taps - 1 - basis.center_shift + 1e-9,
+                  basis.table_step)
+    quadrature = float(np.trapezoid(basis.evaluate("father", t) * t, t))
+    assert basis.father_center_of_mass == pytest.approx(quadrature, rel=0.0, abs=5e-12)
+    h = basis.scaling_filter
+    exact = sum(k * hk for k, hk in enumerate(h)) / math.sqrt(2.0) - basis.center_shift
+    assert basis.father_center_of_mass == pytest.approx(exact, rel=0.0, abs=1e-15)
