@@ -1,4 +1,4 @@
-"""``%.17g`` of float arrays by numpy, byte for byte as Python's ``%``.
+"""``%.17g`` of float arrays by numpy, byte for byte as Python's ``%``, and the file writer.
 
 The 17 digits ``round(|v| * 10**(16 - X))``, ``X = floor(log10 |v|)``, come
 from a double-double product (Dekker 1971) exact to 1e-13, so they are
@@ -6,6 +6,8 @@ correctly rounded (Gay 1990) unless within 1e-9 of a tie.  Those cells, nan,
 inf and ``|v|`` outside ``[1e-250, 1e250]`` (0 excepted) go to ``%``.
 """
 
+import os
+import stat
 from functools import cache
 
 import numpy as np
@@ -134,3 +136,16 @@ def format_g17(v: np.ndarray, width: int) -> bytes:
         out[i] = 0
         out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out.tobytes().translate(None, b"\0")
+
+
+def write_output(filename: str, chunks) -> None:
+    """The one file writer: byte ``chunks`` over ``filename`` in place, then a
+    regular file cut to length.  Keeps inode, mode and links as ``open(filename,
+    "wb")`` but does not truncate to zero first (that waits on writeback), so a
+    process killed mid-write may leave the new head before the old tail."""
+    with open(os.open(filename, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
+        try:
+            fh.writelines(chunks)  # drops each chunk before the next is made
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()

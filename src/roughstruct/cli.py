@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -27,6 +28,7 @@ from .grids import (
     make_dyadic_grid,
     read_path_csv,
     read_table,
+    write_output,
     write_path_csv,
     write_table,
 )
@@ -193,7 +195,7 @@ def _cmd_lift(args) -> dict:
     coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
     rp = _make_lift(args, path, args.mode, coeffs)
     out = args.out or "rough_path.json"
-    csv_out = out.rsplit(".", 1)[0] + "_path.csv"
+    csv_out = os.path.splitext(out)[0] + "_path.csv"
     second_csv = write_rough_path_json(rp, out, csv_out)
     first, second, total = rough_path_seminorm(rp)
     return {"out": out, "path_csv": csv_out, "second_order_csv": second_csv, "alpha": rp.alpha,
@@ -298,9 +300,8 @@ def _cmd_solve(args) -> dict:
     header = ("t," + ",".join(f"y{i+1}" for i in range(d)) + ","
               + ",".join(f"yp{i+1}{j+1}" for i in range(d) for j in range(n)))
     write_table(out, header, path.grid.nodes, sol.y, sol.y_prime.reshape(len(sol.y), -1))
-    diag_out = args.diagnostics or (out.rsplit(".", 1)[0] + "_diag.json")
-    with open(diag_out, "w") as fh:
-        json.dump(diag, fh, default=float)
+    diag_out = args.diagnostics or os.path.splitext(out)[0] + "_diag.json"
+    write_output(diag_out, [json.dumps(diag, default=float).encode()])
     return {"out": out, "diagnostics": diag_out,
             "final": [float(v) for v in sol.y[-1]],
             "residual": diag["residual"],

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._fmt17 import format_g17
+from ._fmt17 import format_g17, write_output
 
 MAX_GRID_LEVEL = 24
 
@@ -384,18 +384,19 @@ TABLE_BLOCK_ROWS = 2**16
 def write_table(filename: str, header: str, *columns) -> None:
     """The one CSV writer: ``header``, then one ``%.17g`` row per row of the
     ``(N,)`` or ``(N, k)`` columns side by side (a ``range`` column too),
-    stacked in blocks of ``TABLE_BLOCK_ROWS // width`` rows and formatted by
-    numpy in whole rows of about 2**12 cells (:func:`format_g17`)."""
+    stacked in blocks of ``TABLE_BLOCK_ROWS // width`` rows, formatted by numpy
+    in rows of about 2**12 cells (:func:`format_g17`) and written one by one."""
     width = np.column_stack([c[:1] for c in columns]).shape[1]
     rows = max(1, TABLE_BLOCK_ROWS // width)
     cells = max(1, 2**12 // width) * width
-    with open(filename, "wb") as fh:
-        fh.write(header.encode() + b"\n")
+
+    def chunks():
+        yield header.encode() + b"\n"
         for start in range(0, len(columns[0]), rows):
             block = np.column_stack([c[start : start + rows] for c in columns])
             block = block.astype(float, copy=False).ravel()
-            for lo in range(0, len(block), cells):
-                fh.write(format_g17(block[lo : lo + cells], width))
+            yield from (format_g17(block[lo : lo + cells], width) for lo in range(0, len(block), cells))
+    write_output(filename, chunks())
 
 
 def read_table(filename: str) -> np.ndarray:

@@ -43,16 +43,16 @@ def scalar_one_form(cp: ControlledPath, nodes=slice(None)) -> tuple[np.ndarray, 
     return g, dg
 
 
-def one_form_germs(g: np.ndarray, dg: np.ndarray, rp: RoughPath,
-                   u: np.ndarray | None = None, v: np.ndarray | None = None) -> np.ndarray:
+def one_form_germs(g: np.ndarray, dg: np.ndarray, rp: RoughPath, u: np.ndarray | slice | None = None,
+                   v: np.ndarray | slice | None = None) -> np.ndarray:
     """The compensated germs ``g_u W_{u,v} + g'_u WW_{u,v}`` over node pairs
-    ``(u, v)`` of the one-form ``(g, g')`` given at u, shape (P, d).  Without
-    pairs, the one-form at every node and the finest intervals ``(k, k+1)``,
-    read through views and the rough path's cached fine tensors."""
+    ``(u, v)`` of the one-form ``(g, g')`` given at u, shape (P, d).  Slices
+    ``u = lo:hi``, ``v = lo+1:hi+1`` (by default every finest interval, the
+    one-form given at every node) read views and the cached fine tensors."""
     if u is None:
-        g, dg, dw, ww = g[:-1], dg[:-1], rp.path.increments(), rp.fine_pairs
-    else:
-        dw, ww = rp.path.values[v] - rp.path.values[u], rp.pairs(u, v)
+        g, dg, u, v = g[:-1], dg[:-1], slice(0, len(g) - 1), slice(1, len(g))
+    dw = rp.path.values[v] - rp.path.values[u]
+    ww = rp.fine_pairs[u] if isinstance(u, slice) else rp.pairs(u, v)
     germs = np.einsum("pdj,pj->pd", g, dw)
     germs += np.einsum("pdji,pij->pd", dg, ww)
     return germs
@@ -117,8 +117,15 @@ def rough_integral_sum(
 
 def rough_integral_path(cp: ControlledPath, rp: RoughPath) -> np.ndarray:
     """Cumulative compensated sum at the finest mesh: ``I(t_k)`` for every
-    node, shape (num_nodes, n), with I(0) = 0."""
-    return rough_integral(*scalar_one_form(cp), rp)
+    node, shape (num_nodes, n), with I(0) = 0, by :func:`scan_chunks` chunks whose
+    first germ carries the sum before it: bit for bit :func:`rough_integral`."""
+    out = np.zeros((rp.path.grid.num_nodes, rp.dim))
+    for lo, hi in scan_chunks(rp.path.grid.num_intervals, rp.dim**3):
+        u = slice(lo, hi)
+        germs = one_form_germs(*scalar_one_form(cp, u), rp, u, slice(lo + 1, hi + 1))
+        germs[0] += out[lo]  # + 0.0 changes no bit at lo = 0: einsum sums are never -0.0
+        np.cumsum(germs, axis=0, out=out[lo + 1 : hi + 1])
+    return out
 
 
 def three_point_defect(integral: np.ndarray, cp: ControlledPath,

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import SampledPath, TimeGrid, euclidean_norms, pair_scan, scan_chunks
-from .grids import read_path_csv, read_table, write_path_csv, write_table
+from .grids import read_path_csv, read_table, write_output, write_path_csv, write_table
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,8 @@ def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> str:
     cells = [f"ww{i + 1}{j + 1}" for i in range(rp.dim) for j in range(rp.dim)]
     inc = rp.second.increments
     write_table(second_csv, ",".join(["k", *cells]), range(len(inc)), inc.reshape(len(inc), -1))
-    with open(json_file, "w") as fh:
-        json.dump({"alpha": rp.alpha, "path_csv": path_csv, "second_order_csv": second_csv}, fh)
+    payload = {"alpha": rp.alpha, "path_csv": path_csv, "second_order_csv": second_csv}
+    write_output(json_file, [json.dumps(payload).encode()])
     return second_csv
 
 

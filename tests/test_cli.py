@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import numpy as np
@@ -488,3 +489,58 @@ def test_cached_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert outcomes() == cached
     assert [code for code, *_ in cached] == [0, 0, 1, 0, 1, 0, 1, 0, 0]
+
+
+# sibling files: lift writes <stem>_path.csv and <stem>_second.csv beside its
+# JSON, solve <stem>_diag.json beside its solution, <stem> from os.path.splitext;
+# a stem cut at the last dot put them in the cwd for a dotted directory
+
+
+def _assert_only_these_in_the_cwd(cwd, *files) -> None:
+    assert all(os.path.isfile(cwd / name) for name in files)
+    top = {os.path.normpath(name).split(os.sep)[0] for name in files}
+    assert sorted(p.name for p in cwd.iterdir()) == sorted(top | {"res.v2"})
+
+
+@pytest.mark.parametrize("out, stem", [
+    ("res.v2/rp", "res.v2/rp"), ("./rp", "./rp"), ("res.v2/rp.json", "res.v2/rp"),
+])
+def test_lift_writes_its_tables_beside_the_json(tmp_path, capsys, monkeypatch, out, stem):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.v2").mkdir()
+    _run(capsys, "--grid-level", "5", "--out", "w.csv", "gen", "--kind", "sin_cos", "--dim", "2")
+    code, text = _run(capsys, "--json", "--out", out, "lift", "w.csv")
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["path_csv"], payload["second_order_csv"]) == (stem + "_path.csv",
+                                                                  stem + "_second.csv")
+    _assert_only_these_in_the_cwd(tmp_path, "w.csv", out, stem + "_path.csv", stem + "_second.csv")
+    back = read_rough_path_json(out)
+    assert np.array_equal(back.path.values, read_path_csv("w.csv").values)
+
+
+@pytest.mark.parametrize("out, diag", [
+    ("res.v2/sol", "res.v2/sol_diag.json"), ("./sol", "./sol_diag.json"),
+    ("res.v2/sol.csv", "res.v2/sol_diag.json"),
+])
+def test_solve_writes_its_diagnostics_beside_the_solution(tmp_path, capsys, monkeypatch, out, diag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.v2").mkdir()
+    _run(capsys, "--grid-level", "5", "--out", "w.csv", "gen", "--kind", "polynomial", "--coeffs=0,1")
+    code, text = _run(capsys, "--json", "--out", out, "solve", "w.csv")
+    assert code == 0 and json.loads(text)["diagnostics"] == diag
+    assert json.loads((tmp_path / diag).read_text())["windows"]
+    _assert_only_these_in_the_cwd(tmp_path, "w.csv", out, diag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "d/", "gen", "--kind", "sin_cos"],
+    ["--out", "d/", "lift", "w.csv"],
+    ["--out", "sol.csv", "solve", "w.csv", "--diagnostics", "d/"],
+], ids=["gen", "lift", "solve"])
+def test_output_naming_a_directory_exits_one(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    _run(capsys, "--grid-level", "4", "--out", "w.csv", "gen", "--kind", "sin_cos")
+    code, err = _exit_and_error(capsys, "--grid-level", "4", *argv)
+    assert code == 1 and err.startswith("error: ") and "'d/'" in err

@@ -2,19 +2,24 @@
 
 The reference is the row-by-row ``f"{v:.17g}"`` formatter that the
 vectorised table writer replaced; every CSV must match it byte for byte,
-and the rough-path JSON must match ``json.dump`` of its three keys.
+and the rough-path JSON must match ``json.dump`` of its three keys.  Every
+file goes through ``write_output``, which rewrites a file in place and cuts
+it to length, keeping what ``open(name, "wb")`` keeps.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 import roughstruct.cli as cli
 import roughstruct.solver
+from roughstruct import grids
 from roughstruct import (
     RoughPath,
     SampledPath,
@@ -25,7 +30,7 @@ from roughstruct import (
     write_path_csv,
     write_rough_path_json,
 )
-from roughstruct.grids import TABLE_BLOCK_ROWS
+from roughstruct.grids import TABLE_BLOCK_ROWS, write_output, write_table
 from roughstruct.reconstruction import ReconstructionResult
 from roughstruct.roughpath import SecondOrderProcess
 
@@ -158,3 +163,84 @@ def test_cli_certificates_match_row_formatter(tmp_path, monkeypatch, dim):
     (defect,), (certificate,) = defects, rows
     assert cert.read_bytes() == _reference_table("scale,error", defect)
     assert recon.read_bytes() == _reference_table("lambda,s,ratio", certificate)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cli_diagnostics_json_matches_json_dump(tmp_path, monkeypatch, d):
+    solves = _spy(monkeypatch, roughstruct.solver, "solve_rde")
+    w, out = tmp_path / "t.csv", tmp_path / "sol.csv"
+    _run("--grid-level", 7, "--out", w, "gen", "--kind", "polynomial", "--coeffs=0.3,1")
+    _run("--out", out, "solve", w, "--F", "linear", "--xi", ",".join(["1.5"] * d))
+    (_, diag), = solves
+    reference = io.StringIO()
+    json.dump(diag, reference, default=float)
+    assert (tmp_path / "sol_diag.json").read_bytes() == reference.getvalue().encode()
+
+
+# ---------------------------------------------------------------------------
+# the one writer rewrites in place and cuts to length, as open(name, "wb") would
+
+
+def _rows(n: int) -> np.ndarray:
+    return np.random.default_rng(n).standard_normal((n, 2)) * 1e3
+
+
+def test_shorter_rewrite_leaves_no_stale_tail(tmp_path):
+    out = tmp_path / "t.csv"
+    write_table(str(out), "a,b", _rows(3000))
+    write_table(str(out), "a,b", _rows(5))
+    assert out.read_bytes() == _reference_table("a,b", _rows(5))
+
+
+def test_rewrite_keeps_inode_mode_and_hard_links(tmp_path):
+    out, link = tmp_path / "t.csv", tmp_path / "link.csv"
+    write_table(str(out), "a,b", _rows(300))
+    os.chmod(out, 0o640)
+    os.link(out, link)
+    inode = out.stat().st_ino
+    write_table(str(out), "a,b", _rows(40))
+    assert out.stat().st_ino == inode and stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert link.read_bytes() == out.read_bytes() == _reference_table("a,b", _rows(40))
+
+
+def test_first_write_mode_matches_open(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_output(str(tmp_path / "new"), [b"x"])
+        with open(tmp_path / "by_open", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("new", "by_open")}
+    assert modes == {0o666 & ~0o027}
+
+
+def test_symlinked_output_updates_its_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"9" * 100_000)
+    link.symlink_to(target)
+    write_table(str(link), "a,b", _rows(7))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _reference_table("a,b", _rows(7))
+
+
+def test_devnull_is_an_output():
+    write_table(os.devnull, "a,b", _rows(3000))
+    write_output(os.devnull, [b"{}"])
+
+
+def test_error_mid_write_leaves_the_bytes_written(tmp_path, monkeypatch):
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"9" * 2**20)  # an older, longer file
+    original, cells = grids.format_g17, []
+
+    def fail_second_call(v, width):
+        cells.append(len(v))
+        if len(cells) == 2:
+            raise RuntimeError("formatter failed")
+        return original(v, width)
+
+    monkeypatch.setattr(grids, "format_g17", fail_second_call)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        write_table(str(out), "a,b", _rows(3000))
+    assert out.read_bytes() == _reference_table("a,b", _rows(3000)[: cells[0] // 2])

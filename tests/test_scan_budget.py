@@ -30,6 +30,7 @@ from roughstruct import (
     write_path_csv,
 )
 from roughstruct import grids, wavelets
+from roughstruct.integration import rough_integral, scalar_one_form
 
 from conftest import traced_peak
 
@@ -96,6 +97,7 @@ def _cases(dim: int, horizon: float) -> dict:
         "controlled-all-pairs": (dim, lambda: controlled_seminorm(cp, ALPHA)),
         "controlled-dyadic": (dim, lambda: controlled_seminorm(_controlled(large), ALPHA)),
         "three-point": (dim**3, lambda: three_point_defect(integral, cp, _fresh(small))),
+        "integral": (dim**3, lambda: rough_integral_path(cp, _fresh(small)).tobytes()),
     }
 
 
@@ -111,6 +113,18 @@ def test_scans_are_bit_exact_across_chunk_budgets(monkeypatch, dim, horizon):
             assert got == want, (name, rows)
 
 
+@pytest.mark.parametrize("horizon", [1.0, 1.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_chunked_integral_is_the_unchunked_sum(monkeypatch, dim, horizon):
+    rp = _fbm_lift(7, dim, horizon, seed=dim)
+    cp = _controlled(rp)
+    want = rough_integral(*scalar_one_form(cp), rp).tobytes()
+    for rows in (2, 3, 5):
+        with monkeypatch.context() as patch:
+            patch.setattr(grids, "PAIR_CHUNK", 8 * rows * dim**3)
+            assert rough_integral_path(cp, _fresh(rp)).tobytes() == want, rows
+
+
 def test_read_path_csv_values_are_c_contiguous(tmp_path):
     # a strided data[:, 1:] view made every np.take gather copy the whole table
     path = generate_path("fbm", make_dyadic_grid(1.0, 6), dim=3, hurst=0.5, seed=1)
@@ -121,8 +135,8 @@ def test_read_path_csv_values_are_c_contiguous(tmp_path):
 
 
 # J = 16, dim 2: the path is 1 MiB and each cache of the rough path 2 MiB;
-# the unchunked scans peaked at 24.0 (Chen), 19.0 (seminorm) and 24.5 MiB
-# (three-point), and the basis with its quadrature centre of mass at 9.6 MiB
+# the unchunked scans peaked at 24.0 (Chen), 19.0 (seminorm), 24.5 MiB
+# (three-point) and 10.0 MiB (the integral, fine tensors cached), and the basis with its quadrature centre of mass at 9.6 MiB
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +156,13 @@ def test_three_point_defect_memory_is_chunked(fbm_j16):
     cp = _controlled(fbm_j16)
     integral = rough_integral_path(cp, fbm_j16)
     assert traced_peak(lambda: three_point_defect(integral, cp, _fresh(fbm_j16))) <= 8 * MIB
+
+
+def test_rough_integral_path_memory_is_chunked(fbm_j16):
+    # the fine tensors are the rough path's cache; the one-form over every
+    # node, (N, n, n) and (N, n, n, n), traced 10.0 MiB
+    cp, _ = _controlled(fbm_j16), fbm_j16.fine_pairs
+    assert traced_peak(lambda: rough_integral_path(cp, fbm_j16)) <= 2.5 * MIB
 
 
 def test_basis_build_memory_is_its_tables():
