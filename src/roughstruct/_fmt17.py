@@ -138,6 +138,12 @@ def format_g17(v: np.ndarray, width: int) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
+def check_outputs(*names) -> None:  # every output name, before the first file is written
+    for name in filter(None, names):
+        if os.path.isdir(name) or not os.path.isdir(os.path.dirname(name) or "."):
+            raise ValueError(f"cannot write {name!r}: a directory, or its directory is missing")
+
+
 def write_output(filename: str, chunks) -> None:
     """The one file writer: byte ``chunks`` over ``filename`` in place, then a
     regular file cut to length.  Keeps inode, mode and links as ``open(filename,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .grids import (
     SampledPath,
+    check_outputs,
     generate_path,
     holder_seminorm,
     make_dyadic_grid,
@@ -191,11 +192,10 @@ def _cmd_holder(args) -> dict:
 def _cmd_lift(args) -> dict:
     from .roughpath import rough_path_seminorm, write_rough_path_json
 
-    path = read_path_csv(args.path_csv)
-    coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
-    rp = _make_lift(args, path, args.mode, coeffs)
     out = args.out or "rough_path.json"
     csv_out = os.path.splitext(out)[0] + "_path.csv"
+    coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
+    rp = _make_lift(args, read_path_csv(args.path_csv), args.mode, coeffs)
     second_csv = write_rough_path_json(rp, out, csv_out)
     first, second, total = rough_path_seminorm(rp)
     return {"out": out, "path_csv": csv_out, "second_order_csv": second_csv, "alpha": rp.alpha,
@@ -231,8 +231,9 @@ def _load_controlled(args, path: SampledPath) -> ControlledPath:
 def _cmd_integrate(args) -> dict:
     if args.certificate is not None and args.route == "young":
         raise ValueError("the Young route has no three-point certificate")
-    path = read_path_csv(args.path_csv)
     out = args.out or "integral.csv"
+    check_outputs(out, args.certificate)
+    path = read_path_csv(args.path_csv)
     if args.route == "young":  # y' plays no part in a Young sum
         y = read_path_csv(args.y_csv) if args.y_csv is not None else path
         integral = SampledPath(path.grid, young_integral(y.component(0), path))
@@ -284,6 +285,9 @@ def _cmd_solve(args) -> dict:
         raise ValueError(f"--xi takes comma-separated finite numbers, got {args.xi!r}")
     if xi.size > 1 and args.func != "linear":
         raise ValueError(f"builtin {args.func} is scalar; xi must be scalar")
+    out = args.out or "solution.csv"
+    diag_out = args.diagnostics or os.path.splitext(out)[0] + "_diag.json"
+    check_outputs(out, diag_out)
     path = read_path_csv(args.path_csv)
     if path.dim != 1:
         raise ValueError("builtin CLI functions drive scalar-noise equations; "
@@ -295,12 +299,10 @@ def _cmd_solve(args) -> dict:
         sol, diag = solve_rde(xi if xi.size > 1 else float(xi[0]), F, rp, cfg)
     except SolverError as exc:
         raise NumericFailure(str(exc)) from exc
-    out = args.out or "solution.csv"
     d, n = sol.y.shape[1], sol.y_prime.shape[2]
     header = ("t," + ",".join(f"y{i+1}" for i in range(d)) + ","
               + ",".join(f"yp{i+1}{j+1}" for i in range(d) for j in range(n)))
     write_table(out, header, path.grid.nodes, sol.y, sol.y_prime.reshape(len(sol.y), -1))
-    diag_out = args.diagnostics or os.path.splitext(out)[0] + "_diag.json"
     write_output(diag_out, [json.dumps(diag, default=float).encode()])
     return {"out": out, "diagnostics": diag_out,
             "final": [float(v) for v in sol.y[-1]],

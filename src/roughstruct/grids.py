@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._fmt17 import format_g17, write_output
+from ._fmt17 import check_outputs, format_g17, write_output
 
 MAX_GRID_LEVEL = 24
 

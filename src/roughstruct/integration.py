@@ -4,10 +4,10 @@ Every rough integral is ``int g dW`` of a controlled one-form ``(g, g')``,
 shapes (nodes, d, n) and (nodes, d, n, n), the last axis of ``g'`` the
 direction of the derivative (Gubinelli 2004; Friz & Hairer, ch. 4).  The
 Riemann route's one kernel is :func:`one_form_germs`, the compensated germ
-``g_u W_{u,v} + g'_u WW_{u,v}`` over node pairs, summed on the finest mesh
-by :func:`rough_integral`, which the Picard solver calls.  The entry points
-for a scalar controlled path y pass it the one-form ``y (x) I_n``, whose
-integral has one component ``int y dW^j`` per driver direction.  The Young
+``g_u W_{u,v} + g'_u WW_{u,v}`` over node pairs.  One chunked loop sums it on
+the finest mesh, with the stored tensors, for :func:`rough_integral` (the
+solver's) and :func:`rough_integral_path`, whose one-form ``y (x) I_n`` of a
+scalar controlled path y integrates to ``int y dW^j`` in component j.  The Young
 route's one kernel is :func:`young_integral`, the cumulative left-point sum
 the CLI's ``integrate --route young`` writes.  On smooth drivers Young sums,
 compensated sums and the wavelet route all agree.
@@ -15,7 +15,7 @@ compensated sums and the wavelet route all agree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -43,27 +43,34 @@ def scalar_one_form(cp: ControlledPath, nodes=slice(None)) -> tuple[np.ndarray, 
     return g, dg
 
 
-def one_form_germs(g: np.ndarray, dg: np.ndarray, rp: RoughPath, u: np.ndarray | slice | None = None,
-                   v: np.ndarray | slice | None = None) -> np.ndarray:
+def one_form_germs(g: np.ndarray, dg: np.ndarray, rp: RoughPath, u: np.ndarray | slice,
+                   v: np.ndarray | slice) -> np.ndarray:
     """The compensated germs ``g_u W_{u,v} + g'_u WW_{u,v}`` over node pairs
     ``(u, v)`` of the one-form ``(g, g')`` given at u, shape (P, d).  Slices
-    ``u = lo:hi``, ``v = lo+1:hi+1`` (by default every finest interval, the
-    one-form given at every node) read views and the cached fine tensors."""
-    if u is None:
-        g, dg, u, v = g[:-1], dg[:-1], slice(0, len(g) - 1), slice(1, len(g))
+    ``u = lo:hi``, ``v = lo+1:hi+1`` read views of the path and of the stored
+    fine tensors; index arrays take ``WW`` from :meth:`RoughPath.pairs`."""
     dw = rp.path.values[v] - rp.path.values[u]
-    ww = rp.fine_pairs[u] if isinstance(u, slice) else rp.pairs(u, v)
+    ww = rp.second.increments[u] if isinstance(u, slice) else rp.pairs(u, v)
     germs = np.einsum("pdj,pj->pd", g, dw)
     germs += np.einsum("pdji,pij->pd", dg, ww)
     return germs
 
 
+def _cumulative_sum(rp: RoughPath, d: int, one_form: Callable[[slice], tuple]) -> np.ndarray:
+    """The finest germs summed cumulatively, (num_nodes, d), ``one_form(u)`` on chunk u."""
+    out = np.zeros((rp.path.grid.num_nodes, d))
+    for lo, hi in scan_chunks(rp.path.grid.num_intervals, rp.dim**3):
+        u = slice(lo, hi)
+        germs = one_form_germs(*one_form(u), rp, u, slice(lo + 1, hi + 1))
+        germs[0] += out[lo]  # + 0.0 changes no bit at lo = 0: einsum sums are never -0.0
+        np.cumsum(germs, axis=0, out=out[lo + 1 : hi + 1])
+    return out
+
+
 def rough_integral(g: np.ndarray, dg: np.ndarray, rp: RoughPath) -> np.ndarray:
     """Cumulative compensated sum of the one-form ``(g, g')`` at the finest
     mesh: ``I(t_k) = int_0^{t_k} g dW`` on every node, (num_nodes, d)."""
-    out = np.zeros((rp.path.grid.num_nodes, g.shape[1]))
-    out[1:] = np.cumsum(one_form_germs(g, dg, rp), axis=0)
-    return out
+    return _cumulative_sum(rp, g.shape[1], lambda u: (g[u], dg[u]))
 
 
 def young_integral(y: SampledPath, w: SampledPath, s: int = 0, t: int | None = None) -> np.ndarray:
@@ -116,16 +123,8 @@ def rough_integral_sum(
 
 
 def rough_integral_path(cp: ControlledPath, rp: RoughPath) -> np.ndarray:
-    """Cumulative compensated sum at the finest mesh: ``I(t_k)`` for every
-    node, shape (num_nodes, n), with I(0) = 0, by :func:`scan_chunks` chunks whose
-    first germ carries the sum before it: bit for bit :func:`rough_integral`."""
-    out = np.zeros((rp.path.grid.num_nodes, rp.dim))
-    for lo, hi in scan_chunks(rp.path.grid.num_intervals, rp.dim**3):
-        u = slice(lo, hi)
-        germs = one_form_germs(*scalar_one_form(cp, u), rp, u, slice(lo + 1, hi + 1))
-        germs[0] += out[lo]  # + 0.0 changes no bit at lo = 0: einsum sums are never -0.0
-        np.cumsum(germs, axis=0, out=out[lo + 1 : hi + 1])
-    return out
+    """:func:`rough_integral` of a scalar controlled path's one-form, built per chunk."""
+    return _cumulative_sum(rp, rp.dim, lambda u: scalar_one_form(cp, u))
 
 
 def three_point_defect(integral: np.ndarray, cp: ControlledPath,

@@ -3,12 +3,12 @@
 A controlled path (y, y') becomes the abstract jet ``y_t One + y'_t W``;
 that map is an isomorphism and the graded seminorm of the jet equals
 ``max(|y'|_alpha, |R^y|_2alpha)`` computed directly from the pair, with
-the remainder ``R^y_{s,t} = y_{s,t} - y'_s W_{s,t}``.
+the remainder ``R^y_{s,t} = y_{s,t} - y'_s W_{s,t}``.  On both sides a
+graded component's norm is the sum over its symbols of the Euclidean norm
+of each coefficient (for a y'-increment the column sum of column norms).
 
-Norm conventions (used consistently on both sides of the isomorphism):
-a graded component's norm is the sum over its symbols of the Euclidean
-norm of each coefficient, so the alpha-level norm of a y'-increment is
-the column sum of column Euclidean norms.
+Smooth fields F have one layout, values (nodes, d, n) and Jacobians
+(nodes, d, n, d), which :func:`compose_one_form` checks.
 """
 
 from __future__ import annotations
@@ -242,18 +242,15 @@ def multiply_by_Wdot(f: ModelledDistribution, driver_component: int | None = Non
 
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    """A smooth F with the derivatives the composition theorem needs.
-
-    In scalar mode all callables map arrays elementwise.  Otherwise
-    ``value`` maps ``(..., d) -> (..., d, n)`` and ``jacobian`` maps
-    ``(..., d) -> (..., d, n, d)``.  ``box`` declares where the values are
-    valid (checked by :meth:`check_box`).
+    """A smooth field F: R^d -> L(R^n, R^d) with the derivative the
+    composition theorem needs: ``value`` maps ``(..., d) -> (..., d, n)`` and
+    ``jacobian`` maps ``(..., d) -> (..., d, n, d)``.  ``box`` declares where
+    the values are valid (checked by :meth:`check_box`).
     """
 
     name: str
     value: Callable
     jacobian: Callable
-    scalar: bool = False
     box: tuple[np.ndarray, np.ndarray] | None = None
 
     def check_box(self, y: np.ndarray) -> None:
@@ -273,8 +270,10 @@ def scalar_descriptor(
     derivative: Callable,
     box: tuple[float, float] | None = None,
 ) -> FunctionDescriptor:
+    """The 1x1 field of elementwise ``value`` and ``derivative``."""
     b = None if box is None else (np.asarray([box[0]]), np.asarray([box[1]]))
-    return FunctionDescriptor(name, value, derivative, scalar=True, box=b)
+    return FunctionDescriptor(name, lambda y: value(y)[..., None],
+                              lambda y: derivative(y)[..., None, None], b)
 
 
 def linear_descriptor(matrix: np.ndarray) -> FunctionDescriptor:
@@ -297,8 +296,6 @@ def linear_descriptor(matrix: np.ndarray) -> FunctionDescriptor:
 def builtin_descriptor(name: str, dim: int = 1) -> FunctionDescriptor:
     """CLI-facing registry: linear, sin, tanh (scalar driver)."""
     if name == "linear":
-        if dim == 1:
-            return scalar_descriptor("linear", lambda y: y, lambda y: np.ones_like(y))
         return linear_descriptor(np.eye(dim))
     if name == "sin":
         return scalar_descriptor("sin", np.sin, np.cos)
@@ -315,14 +312,14 @@ def compose_one_form(F: FunctionDescriptor, y: np.ndarray,
     """The controlled one-form ``(F(y), F'(y) y')`` of a controlled path given
     as arrays ``y: (nodes, d)``, ``y': (nodes, d, n)``: shapes (nodes, d, n)
     and (nodes, d, n, n), the last axis of the second the direction of the
-    derivative.  A scalar F acts on the first column of y."""
+    derivative.  ``ValueError`` naming F on any other shape of its value or
+    Jacobian."""
     F.check_box(y)
-    if F.scalar:
-        g = np.asarray(F.value(y[:, 0]), dtype=float)[:, None, None]
-        fp = np.asarray(F.jacobian(y[:, 0]), dtype=float)
-        return g, (fp * yp[:, 0, 0])[:, None, None, None]
     g = np.asarray(F.value(y), dtype=float)
-    jac = np.asarray(F.jacobian(y), dtype=float)  # (nodes, d, n, d)
+    jac = np.asarray(F.jacobian(y), dtype=float)
+    if g.shape != yp.shape or jac.shape != yp.shape + y.shape[1:]:
+        raise ValueError(f"{F.name} gives values {g.shape} and a Jacobian {jac.shape}, "
+                         f"not {yp.shape} and {yp.shape + y.shape[1:]}")
     return g, np.einsum("tpnq,tqi->tpni", jac, yp)
 
 
@@ -330,18 +327,17 @@ def compose(F: FunctionDescriptor, f: ModelledDistribution) -> ModelledDistribut
     """``F(y) One + F'(y) y' W`` for a jet from the controlled image, through
     :func:`compose_one_form`.
 
-    The result stays in ``D^(2 alpha)``; for a matrix-valued F the One
-    coefficient is the integrand ``F(y_t)`` of shape (d, n) and each W^i
-    coefficient its directional derivative along ``y'^(i)``.
+    The result stays in ``D^(2 alpha)``; the One coefficient is the integrand
+    ``F(y_t)`` of shape (d, n) and each W^i coefficient its directional
+    derivative along ``y'^(i)``.  A scalar jet against a scalar driver keeps
+    plain (nodes,) coefficients.
     """
     if not isinstance(f.structure, RoughStructure):
         raise ValueError("composition is defined over the rough-path structure")
     _check_jet_support(f)
     n = f.structure.dim
-    if F.scalar and (np.ndim(f.coeffs[ONE]) != 1 or n != 1):
-        raise ValueError(f"{F.name} is scalar; jet has d > 1 or driver dim > 1")
     g, dg = compose_one_form(F, *_jet_arrays(f, n))
-    if F.scalar:  # a scalar jet keeps plain (nodes,) coefficients
+    if np.ndim(f.coeffs[ONE]) == 1 and n == 1:
         g, dg = g[:, 0, 0], dg[:, 0, 0]
     coeffs = {ONE: g, **{W(i): dg[..., i] for i in range(n)}}
     return ModelledDistribution(f.gamma, coeffs, f.grid, f.structure, f.reference)

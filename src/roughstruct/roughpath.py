@@ -8,6 +8,7 @@ every coarser ``WW_{s,t}`` is assembled through Chen's relation
 so the relation holds by construction.  Query-level pair overrides exist to
 represent (and detect) a second-order process that is *not* Chen-consistent:
 ``chen_defect`` scans every triple touching one, and probes the rest in O(N).
+They move ``pairs``, not the stored tensors the finest-mesh integrals read.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import SampledPath, TimeGrid, euclidean_norms, pair_scan, scan_chunks
-from .grids import read_path_csv, read_table, write_output, write_path_csv, write_table
+from .grids import SampledPath, TimeGrid, euclidean_norms, generate_path, pair_scan, scan_chunks
+from .grids import check_outputs, read_path_csv, read_table, write_output, write_path_csv, write_table
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,9 @@ class SecondOrderProcess:
         return self.increments.shape[1]
 
     def with_pair_override(self, i: int, j: int, tensor: np.ndarray) -> "SecondOrderProcess":
-        """Copy with ``WW_{t_i, t_j}`` replaced at query level (all other pairs
-        keep their Chen-assembled values, so Chen's relation genuinely breaks)."""
+        """Copy with ``WW_{t_i, t_j}`` replaced at query level: it moves ``pairs``,
+        the Chen defect, the seminorms and the coarse germs (Chen's relation
+        genuinely breaks), not the stored ``increments`` the finest germs read."""
         overrides = dict(self.pair_overrides)
         overrides[(int(i), int(j))] = np.asarray(tensor, dtype=float)
         return SecondOrderProcess(self.grid, self.increments, overrides)
@@ -99,12 +101,6 @@ class RoughPath:
         for (i, j), ov in self.second.pair_overrides.items():
             out[(i_idx == i) & (j_idx == j)] = ov
         return out
-
-    @cached_property
-    def fine_pairs(self) -> np.ndarray:
-        """``pairs(k, k + 1)`` for every interval k, assembled once per rough path."""
-        k = np.arange(self.path.grid.num_intervals)
-        return self.pairs(k, k + 1)
 
     def restrict(self, start: int, level: int) -> "RoughPath":
         """Rough path on a dyadic window of ``2**level`` intervals from node
@@ -206,25 +202,25 @@ def lift_piecewise_smooth(
 
     ``linear`` treats the samples as a piecewise-linear path, for which the
     interval tensors are ``dW (x) dW / 2``.  ``sin_cos`` and ``polynomial``
-    use the closed-form iterated integrals of the generating formula (the
-    path values must come from the matching generator).
+    use the closed-form iterated integrals of the generating formula, and
+    refuse a path that is not that generator's on its grid.
     """
-    t = w.grid.nodes
+    if mode not in ("linear", "sin_cos", "polynomial"):
+        raise ValueError(f"unknown lift mode {mode!r}")
+    if mode == "sin_cos" and w.dim > 2:
+        raise ValueError("sin_cos analytic lift supports dim 1 or 2")
+    if mode != "linear":  # generate_path refuses a polynomial without coeffs
+        gap = generate_path(mode, w.grid, w.dim, coeffs=coeffs).values
+        tol = 1e-12 * max(1.0, w.values.max(), -w.values.min())
+        if gap.shape != w.values.shape or not np.abs(gap - w.values, out=gap).max() <= tol:
+            raise ValueError(f"{mode} lift: the path is not the {mode} generator's on its grid")
     if mode == "linear":
         dw = w.increments()
         inc = 0.5 * np.einsum("ki,kj->kij", dw, dw)
     elif mode == "sin_cos":
-        if w.dim > 2:
-            raise ValueError("sin_cos analytic lift supports dim 1 or 2")
-        inc = _sin_cos_interval_tensors(t, w.dim)
-    elif mode == "polynomial":
-        if coeffs is None:
-            raise ValueError("polynomial analytic lift needs coeffs")
-        inc = _polynomial_interval_tensors(t, coeffs)
-        if inc.shape[1] != w.dim:
-            raise ValueError("coeffs dimension does not match the path")
+        inc = _sin_cos_interval_tensors(w.grid.nodes, w.dim)
     else:
-        raise ValueError(f"unknown lift mode {mode!r}")
+        inc = _polynomial_interval_tensors(w.grid.nodes, coeffs)
     return RoughPath(w, SecondOrderProcess(w.grid, inc), alpha)
 
 
@@ -266,9 +262,10 @@ def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float
 
 def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> str:
     """Write ``path_csv``, the tensor CSV ``<json stem>_second.csv`` and the
-    JSON naming both; returns the tensor CSV's name."""
-    write_path_csv(rp.path, path_csv)
+    JSON naming both, all three names checked first; returns the tensor CSV's name."""
     second_csv = os.path.splitext(json_file)[0] + "_second.csv"
+    check_outputs(json_file, path_csv, second_csv)
+    write_path_csv(rp.path, path_csv)
     cells = [f"ww{i + 1}{j + 1}" for i in range(rp.dim) for j in range(rp.dim)]
     inc = rp.second.increments
     write_table(second_csv, ",".join(["k", *cells]), range(len(inc)), inc.reshape(len(inc), -1))

@@ -533,14 +533,42 @@ def test_solve_writes_its_diagnostics_beside_the_solution(tmp_path, capsys, monk
     _assert_only_these_in_the_cwd(tmp_path, "w.csv", out, diag)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--out", "d/", "gen", "--kind", "sin_cos"],
-    ["--out", "d/", "lift", "w.csv"],
-    ["--out", "sol.csv", "solve", "w.csv", "--diagnostics", "d/"],
-], ids=["gen", "lift", "solve"])
-def test_output_naming_a_directory_exits_one(tmp_path, capsys, monkeypatch, argv):
+def _files_under(root) -> set:
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
+
+
+# all but gen wrote the outputs named before the bad one, then exited 1
+@pytest.mark.parametrize("argv, bad", [
+    (["--out", "d/", "gen", "--kind", "sin_cos"], "d/"),
+    (["--out", "d/", "lift", "w.csv"], "d/"),
+    (["--out", "sol.csv", "solve", "w.csv", "--diagnostics", "d/"], "d/"),
+    (["--out", "d", "lift", "w.csv"], "d"),
+    (["--out", "I.csv", "integrate", "w.csv", "--certificate", "d/"], "d/"),
+    (["--out", "sol.csv", "solve", "w.csv", "--diagnostics", "no/dir/diag.json"],
+     "no/dir/diag.json"),
+], ids=["gen", "lift", "solve", "lift-stem", "integrate-certificate", "missing-directory"])
+def test_output_naming_a_directory_exits_one(tmp_path, capsys, monkeypatch, argv, bad):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     _run(capsys, "--grid-level", "4", "--out", "w.csv", "gen", "--kind", "sin_cos")
+    before = _files_under(tmp_path)
     code, err = _exit_and_error(capsys, "--grid-level", "4", *argv)
-    assert code == 1 and err.startswith("error: ") and "'d/'" in err
+    assert code == 1 and err.startswith("error: ") and f"'{bad}'" in err
+    assert _files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "w.csv", "--lift-mode", "sin_cos"],
+    ["lift", "w.csv", "--mode", "sin_cos"],
+    ["lift", "w.csv", "--mode", "polynomial", "--coeffs", "0,1"],
+], ids=["integrate-sin_cos", "lift-sin_cos", "lift-polynomial"])
+def test_closed_form_lift_of_another_path_exits_one(tmp_path, capsys, monkeypatch, argv):
+    # the closed-form tensors never read the samples: an fBm path got the
+    # sin/cos area and passed chen
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "--grid-level", "6", "--out", "w.csv", "gen", "--kind", "fbm")
+    before = _files_under(tmp_path)
+    code, err = _exit_and_error(capsys, "--out", "out.json", *argv)
+    mode = argv[argv.index("--mode" if "--mode" in argv else "--lift-mode") + 1]
+    assert code == 1 and f"{mode} lift" in err
+    assert _files_under(tmp_path) == before

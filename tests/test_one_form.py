@@ -18,6 +18,7 @@ from roughstruct import (
     FunctionDescriptor,
     ModelledDistribution,
     RoughModel,
+    RoughPath,
     SolverConfig,
     W,
     Wdot,
@@ -30,25 +31,28 @@ from roughstruct import (
     picard_step,
     reconstruct,
     rough_integral_path,
+    rough_integral_sum,
     solve_rde,
     three_point_defect,
     to_modelled,
 )
+from roughstruct.integration import rough_integral
 from roughstruct.structure import ONE
 
 # ---------------------------------------------------------------------------
 # references
 
 
-def ref_germ(cp, rp, u, v):
+def ref_germ(cp, rp, u, v, ww=None):
     dw = rp.path.values[v] - rp.path.values[u]
-    return cp.y[u, 0, None] * dw + np.einsum("pi,pij->pj", cp.y_prime[u, 0, :], rp.pairs(u, v))
+    ww = rp.pairs(u, v) if ww is None else ww
+    return cp.y[u, 0, None] * dw + np.einsum("pi,pij->pj", cp.y_prime[u, 0, :], ww)
 
 
 def ref_rough_integral_path(cp, rp):
     k = np.arange(rp.path.grid.num_intervals)
     out = np.zeros((rp.path.grid.num_nodes, rp.dim))
-    out[1:] = np.cumsum(ref_germ(cp, rp, k, k + 1), axis=0)
+    out[1:] = np.cumsum(ref_germ(cp, rp, k, k + 1, rp.second.increments), axis=0)
     return out
 
 
@@ -65,21 +69,18 @@ def ref_three_point_defect(integral, cp, rp):
 
 
 def ref_integrand(F, y, yp):
-    if F.scalar:
-        g = np.asarray(F.value(y[:, 0]), dtype=float)[:, None, None]
-        fp = np.asarray(F.jacobian(y[:, 0]), dtype=float)
-        return g, (fp * yp[:, 0, 0])[:, None, None, None]
     g = np.asarray(F.value(y), dtype=float)
     jac = np.asarray(F.jacobian(y), dtype=float)
+    if g.shape[1:] == (1, 1):  # a 1x1 field: the direct product
+        return g, (jac[:, 0, 0, 0] * yp[:, 0, 0])[:, None, None, None]
     return g, np.einsum("tpnq,tqi->tpni", jac, yp)
 
 
 def ref_integrate(g, dg, rp, route):
     grid = rp.path.grid
     if route == "riemann":
-        k = np.arange(grid.num_intervals)
         steps = np.einsum("tpj,tj->tp", g[:-1], rp.path.increments())
-        steps += np.einsum("tpji,tij->tp", dg[:-1], rp.pairs(k, k + 1))
+        steps += np.einsum("tpji,tij->tp", dg[:-1], rp.second.increments)
         out = np.zeros((grid.num_nodes, g.shape[1]))
         out[1:] = np.cumsum(steps, axis=0)
         return out
@@ -168,6 +169,9 @@ def test_compose_matches_the_array_form(d, n):
         [Y.coeffs[W(i)].reshape(-1, d) for i in range(n)], axis=-1)
     val, cols = ref_compose(F, y, yp)
     out = compose(F, Y)
+    if (d, n) == (1, 1):  # a scalar jet against a scalar driver keeps (nodes,) coefficients
+        assert out.coeffs[ONE].shape == out.coeffs[W(0)].shape == (len(y),)
+        val, cols = val.reshape(-1), [c.reshape(-1) for c in cols]
     _same(out.coeffs[ONE], val, max(d, n))
     for i in range(n):
         _same(out.coeffs[W(i)], cols[i], max(d, n))
@@ -229,3 +233,51 @@ def test_driver_dim_two_solve_matches_closed_form(route, tol):
     c, s = np.cos(dw[:, 1]), np.sin(dw[:, 1])
     exact = np.exp(dw[:, :1] / 2) * np.stack([c * xi[0] - s * xi[1], s * xi[0] + c * xi[1]], axis=1)
     assert np.abs(sol.y - exact).max() <= tol
+
+
+# ---------------------------------------------------------------------------
+# one field layout, one finest-mesh sum
+
+
+@pytest.mark.parametrize("route", ["riemann", "wavelet"])
+@pytest.mark.parametrize("n, xi", [(1, [1.0, 2.0]), (2, 1.0)])
+def test_solver_refuses_a_field_of_the_wrong_shape(route, n, xi):
+    # a 1x1 field is not a (2, 1) one, nor a (1, 2) one on a 2-D driver
+    with pytest.raises(ValueError, match="tanh"):
+        solve_rde(xi, builtin_descriptor("tanh"), _rough(n),
+                  SolverConfig(0.4, 0.5, integral_route=route))
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1.3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_finest_sum_reads_the_stored_tensors(n, horizon):
+    # g = 0 and g' selecting WW^{ij} in component (i, j): the sum of the
+    # stored interval tensors, bit for bit
+    w = generate_path("fbm", make_dyadic_grid(horizon, 9), dim=n, hurst=0.45, seed=20 + n)
+    rp = lift_piecewise_smooth(w, "linear", 0.45)
+    nodes = rp.path.grid.num_nodes
+    dg = np.zeros((nodes, n * n, n, n))
+    for i in range(n):
+        for j in range(n):
+            dg[:, i * n + j, j, i] = 1.0
+    got = rough_integral(np.zeros((nodes, n * n, n)), dg, rp)
+    assert not got[0].any()
+    for i in range(n):
+        for j in range(n):
+            assert np.array_equal(got[1:, i * n + j], np.cumsum(rp.second.increments[:, i, j]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_finest_sums_ignore_a_pair_override(n):
+    # overrides are query-level: the finest Riemann sums read the stored
+    # tensors, the compensated sum over the finest pairs reads the override
+    rp = _rough(n, level=6)
+    k = 17
+    second = rp.second.with_pair_override(k, k + 1, rp.pair(k, k + 1) + 0.25)
+    bumped = RoughPath(rp.path, second, rp.alpha)
+    cp = ControlledPath(np.cos(rp.path.values[:, 0]), np.ones((rp.path.grid.num_nodes, 1, n)), rp.path)
+    assert np.array_equal(rough_integral_path(cp, bumped), rough_integral_path(cp, rp))
+    g, dg = np.ones((len(cp.y), 1, n)), np.ones((len(cp.y), 1, n, n))
+    assert np.array_equal(rough_integral(g, dg, bumped), rough_integral(g, dg, rp))
+    moved = rough_integral_sum(cp, bumped) - rough_integral_sum(cp, rp)
+    assert np.allclose(moved, 0.25 * n)

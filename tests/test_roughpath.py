@@ -13,8 +13,10 @@ from roughstruct import (
     generate_path,
     lift_piecewise_smooth,
     make_dyadic_grid,
+    read_path_csv,
     read_rough_path_json,
     rough_path_seminorm,
+    write_path_csv,
     write_rough_path_json,
 )
 from roughstruct.grids import TestFunction
@@ -255,6 +257,32 @@ def test_analytic_lift_rejects_unknown_form():
         lift_piecewise_smooth(w, "fourier", 0.45)
     with pytest.raises(ValueError):
         lift_piecewise_smooth(w, "polynomial", 0.45)  # coeffs missing
+
+
+def test_closed_form_lift_refuses_another_path():
+    # the closed-form tensors never read the samples: an fBm path got the
+    # sin/cos area, Chen-consistent by construction
+    grid = make_dyadic_grid(1.0, 6)
+    fbm = generate_path("fbm", grid, dim=2, hurst=0.5, seed=4)
+    coeffs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    with pytest.raises(ValueError, match="sin_cos lift"):
+        lift_piecewise_smooth(fbm, "sin_cos", 0.45)
+    with pytest.raises(ValueError, match="polynomial lift"):
+        lift_piecewise_smooth(fbm, "polynomial", 0.45, coeffs=coeffs)
+    near = generate_path("sin_cos", grid, dim=2)
+    near.values[7, 1] += 1e-9
+    with pytest.raises(ValueError, match="sin_cos lift"):
+        lift_piecewise_smooth(near, "sin_cos", 0.45)
+
+
+def test_closed_form_lift_accepts_its_generator_after_a_csv_round_trip(tmp_path):
+    w = generate_path("sin_cos", make_dyadic_grid(1.3, 7), dim=2)
+    write_path_csv(w, str(tmp_path / "w.csv"))
+    back = read_path_csv(str(tmp_path / "w.csv"))
+    rp = lift_piecewise_smooth(back, "sin_cos", 0.45)
+    want = lift_piecewise_smooth(w, "sin_cos", 0.45).second.increments
+    assert np.array_equal(rp.second.increments, want)
+    assert chen_defect(rp) <= 1e-12
 
 
 def test_seminorm_of_linear_path():
