@@ -124,18 +124,25 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _finite_numbers(text: str, option: str) -> list[float]:
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = [np.nan]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{option} takes comma-separated finite numbers, got {text!r}")
+    return vals
+
+
 def _parse_coeffs(text: str) -> np.ndarray:
-    rows = [[float(v) for v in part.split(",")] for part in text.split(";")]
+    rows = [_finite_numbers(part, "--coeffs") for part in text.split(";")]
     width = max(map(len, rows))
     return np.array([r + [0.0] * (width - len(r)) for r in rows])
 
 
 def _parse_knots(text: str) -> list[tuple[float, np.ndarray]]:
-    knots = []
-    for part in text.split(";"):
-        t_str, v_str = part.split(":")
-        knots.append((float(t_str), np.array([float(v) for v in v_str.split(",")])))
-    return knots
+    sides = [[_finite_numbers(s, "--knots") for s in part.split(":")] for part in text.split(";")]
+    return [(t, np.array(v)) for (t,), v in sides]
 
 
 def _emit(args, payload: dict) -> None:
@@ -171,8 +178,12 @@ def _cmd_gen(args) -> dict:
         kwargs["coeffs"] = _parse_coeffs(args.coeffs)
     if args.kind == "piecewise_linear" and args.knots is not None:
         kwargs["knots"] = _parse_knots(args.knots)
-    path = generate_path(args.kind, grid, 1 if args.dim is None else args.dim, hurst=args.hurst,
-                         seed=args.seed, **kwargs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        path = generate_path(args.kind, grid, 1 if args.dim is None else args.dim,
+                             hurst=args.hurst, seed=args.seed, **kwargs)
+    if not np.isfinite(path.values).all():
+        option = "--knots" if args.kind == "piecewise_linear" else "--coeffs"
+        raise ValueError(f"{option} give non-finite path values on [0, {grid.horizon}]")
     if args.dim is not None and args.dim != path.dim:  # --coeffs and --knots set the dim
         raise ValueError(f"--dim {args.dim} does not match dim {path.dim} of --coeffs or --knots")
     out = args.out or "path.csv"
@@ -223,9 +234,19 @@ def _load_controlled(args, path: SampledPath) -> ControlledPath:
 
     if args.y_prime_csv is None:
         raise ValueError("--y-csv requires --y-prime-csv")
-    y = read_path_csv(args.y_csv)
-    yp = read_path_csv(args.y_prime_csv)
+    y = _read_integrand(args.y_csv, path, scalar=True)
+    yp = _read_integrand(args.y_prime_csv, path)
     return ControlledPath(y.values[:, 0], yp.values, path)
+
+
+def _read_integrand(filename: str, path: SampledPath, scalar: bool = False) -> SampledPath:
+    """A path CSV on the driver's grid; with ``scalar``, of one value column."""
+    y = read_path_csv(filename)
+    if y.grid != path.grid:
+        raise ValueError(f"{filename} is sampled on {y.grid}, the driver on {path.grid}")
+    if scalar and y.dim != 1:
+        raise ValueError(f"{filename}: an integrand has one value column, got {y.dim}")
+    return y
 
 
 def _cmd_integrate(args) -> dict:
@@ -235,7 +256,7 @@ def _cmd_integrate(args) -> dict:
     check_outputs(out, args.certificate)
     path = read_path_csv(args.path_csv)
     if args.route == "young":  # y' plays no part in a Young sum
-        y = read_path_csv(args.y_csv) if args.y_csv is not None else path
+        y = _read_integrand(args.y_csv, path, scalar=True) if args.y_csv is not None else path
         integral = SampledPath(path.grid, young_integral(y.component(0), path))
     else:
         cp = _load_controlled(args, path)
@@ -277,12 +298,7 @@ def _cmd_solve(args) -> dict:
     from .modelled import builtin_descriptor
     from .solver import SolverConfig, SolverError, solve_rde
 
-    try:
-        xi = np.array([float(v) for v in args.xi.split(",")])
-    except ValueError:
-        xi = np.array([np.nan])
-    if not np.isfinite(xi).all():
-        raise ValueError(f"--xi takes comma-separated finite numbers, got {args.xi!r}")
+    xi = np.array(_finite_numbers(args.xi, "--xi"))
     if xi.size > 1 and args.func != "linear":
         raise ValueError(f"builtin {args.func} is scalar; xi must be scalar")
     out = args.out or "solution.csv"

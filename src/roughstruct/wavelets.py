@@ -1,10 +1,11 @@
 """Compactly supported wavelet bases evaluated by the cascade algorithm.
 
 The scaling function solves the two-scale relation
-``phi(t) = sqrt(2) * sum_k h_k phi(2t - k)``; its exact values at the
-integers come from the eigenvector of the downsampled filter matrix and
-dyadic refinement, one strided slice per filter tap and level, fills in
-the rest.  Both functions are stored centered, so supports are
+``phi(t) = sqrt(2) * sum_k h_k phi(2t - k)``; its values at the integers,
+the eigenvector of the downsampled filter matrix, are stored beside the
+filters (``DAUBECHIES_INTEGER_VALUES``, so no basis build calls LAPACK), and
+dyadic refinement, one strided slice per filter tap and level, fills in the
+rest.  Both functions are stored centered, so supports are
 ``[-c, c]`` with ``c = (taps - 1) / 2``.
 
 Pairings against ``dZ`` for a sampled path Z are midpoint
@@ -77,6 +78,30 @@ DAUBECHIES_FILTERS: dict[int, list[float]] = {
     ],
 }
 
+# phi(1..taps-2) per filter (phi is 0 at 0 and taps - 1): np.linalg.eig's eigenvalue-1 eigenvector
+# of the two-scale matrix sqrt2 h[2i - j], summed to 1 (Daubechies 1992, §6.5), by repr to the bit.
+DAUBECHIES_INTEGER_VALUES: dict[int, list[float]] = {
+    2: [1.3660254037829676, -0.36602540378296766],
+    3: [1.2863350694541276, -0.3858369610722947, 0.09526754600225747, 0.0042343456159095435],
+    4: [1.007169977723487, -0.03383695405113558, 0.03961046271612324, -0.011764358205538575,
+        -0.001197957596169451, 1.8829413233300164e-05],
+    5: [0.6961360550955357, 0.4490576048090956, -0.18225400531857297, 0.03723182290385146,
+        0.0015175751493272395, -0.0017267962428659377, 3.756947051289311e-05,
+        1.741331160472811e-07],
+    6: [0.4369121729456266, 0.8323089728445628, -0.3847544237773998, 0.14279841211256664,
+        -0.025507397341683287, -0.0035305203037275345, 0.0017597663395622642,
+        1.5591150717823655e-05, -2.5779244958147965e-06, 3.9542704140413995e-09],
+    7: [0.25312259274000193, 1.0097568015529064, -0.3922026570674655, 0.18459446002668428,
+        -0.0667140607457076, 0.010280947321299723, 0.0017705593881222176,
+        -0.0005441637518668896, -6.671314991004724e-05, 2.2728924642539266e-06,
+        -3.9186976206896815e-08, -1.9552559733635048e-11],
+    8: [0.13685998438601207, 0.9915315055514762, -0.16866942807027221, 0.07111402584062643,
+        -0.048906998586968474, 0.02360252908220757, -0.0062059189802457625,
+        0.0007404149961215983, -9.605196176518147e-05, 2.8278600835769893e-05,
+        1.6175870390025128e-06, 4.178359726132751e-08, -2.28702106838227e-10,
+        3.803227121617581e-14],
+}
+
 # Published Hölder smoothness estimates of the scaling functions.
 DAUBECHIES_REGULARITY: dict[int, float] = {
     2: 0.5500, 3: 1.0878, 4: 1.6179, 5: 1.9690,
@@ -84,25 +109,10 @@ DAUBECHIES_REGULARITY: dict[int, float] = {
 }
 
 
-def _integer_values(h: np.ndarray) -> np.ndarray:
-    """phi at the integers 0..taps-1 (eigenvector of the two-scale matrix)."""
-    taps = len(h)
-    inner = np.arange(1, taps - 1)
-    k = 2 * inner[:, None] - inner  # mat[i - 1, j - 1] = sqrt2 h[2i - j]
-    mat = np.where((k >= 0) & (k < taps), math.sqrt(2.0) * h[k % taps], 0.0)
-    eigvals, eigvecs = np.linalg.eig(mat)
-    idx = int(np.argmin(np.abs(eigvals - 1.0)))
-    v = np.real(eigvecs[:, idx])
-    v = v / v.sum()
-    out = np.zeros(taps)
-    out[1 : taps - 1] = v
-    return out
-
-
 def _cascade(h: np.ndarray, levels: int) -> np.ndarray:
     """phi on the dyadic grid of [0, taps-1] at resolution 2**-levels."""
     taps = len(h)
-    vals = _integer_values(h)
+    vals = np.array([0.0, *DAUBECHIES_INTEGER_VALUES[taps // 2], 0.0])
     root2 = math.sqrt(2.0)
     for p in range(1, levels + 1):
         m = vals.size - 1  # odd nodes 2i + 1 of level p, i < m

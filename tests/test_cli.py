@@ -113,6 +113,22 @@ def test_gen_rejects_non_finite_horizon(tmp_path, capsys, horizon):
     assert not (tmp_path / "w.csv").exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--kind", "polynomial", "--coeffs=nan,1"], "--coeffs"),
+    (["--kind", "piecewise_linear", "--knots", "0:1;1:nan"], "--knots"),
+    (["--kind", "piecewise_linear", "--knots", "0:1;inf:2"], "--knots"),
+    (["--kind", "polynomial", "--coeffs=1e308,1e308"], "--coeffs"),
+    (["--kind", "piecewise_linear", "--knots", "0:-1e308;1:1e308"], "--knots"),
+], ids=["nan-coeff", "nan-knot-value", "inf-knot-time", "coeffs-overflow", "knots-overflow"])
+def test_gen_refuses_non_finite_values(tmp_path, capsys, argv, option):
+    # nan cells were written, and overflow wrote inf cells with a RuntimeWarning
+    # (an error under this suite's warning filter): every reader refused them
+    out = tmp_path / "w.csv"
+    code, text = _run(capsys, "--json", "--grid-level", "4", "--out", str(out), "gen", *argv)
+    assert code == 1 and option in json.loads(text)["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_chen_rejects_non_finite_or_negative_tolerance(tmp_path, capsys, tol):
     # nan passed every defect and printed "tolerance": NaN, which is not JSON
@@ -352,6 +368,33 @@ def test_rough_routes_refuse_y_csv_alone(tmp_path, capsys, route):
     code, err = _exit_and_error(capsys, "--out", str(tmp_path / "I.csv"), "integrate", str(w),
                                 "--route", route, "--y-csv", str(w))
     assert code == 1 and "error: --y-csv requires --y-prime-csv" in err
+    assert not (tmp_path / "I.csv").exists()
+
+
+_OFF_DRIVER = {  # --y-csv, --y-prime-csv, the file refused
+    "y-on-0-2": ("long.csv", "w.csv", "long.csv"),
+    "y-two-columns": ("y2.csv", "w.csv", "y2.csv"),
+    "y-prime-on-0-2": ("y.csv", "long.csv", "long.csv"),
+}
+
+
+@pytest.mark.parametrize("route, case", [
+    *(("young", case) for case in ("y-on-0-2", "y-two-columns")),  # the Young route reads no y'
+    *((route, case) for route in ("rough-riemann", "rough-wavelet") for case in _OFF_DRIVER),
+])
+def test_integrate_refuses_an_integrand_off_the_driver(tmp_path, capsys, monkeypatch, route, case):
+    # a 65-node integrand on [0, 2] was integrated against a driver on [0, 1],
+    # and a second value column of --y-csv was dropped
+    monkeypatch.chdir(tmp_path)
+    for name, pre, post in [("w", [], []), ("y", [], []), ("y2", [], ["--dim", "2"]),
+                            ("long", ["--horizon", "2"], [])]:
+        code, _ = _run(capsys, "--grid-level", "6", *pre, "--out", f"{name}.csv",
+                       "gen", "--kind", "sin_cos", *post)
+        assert code == 0
+    y, y_prime, refused = _OFF_DRIVER[case]
+    code, err = _exit_and_error(capsys, "--out", "I.csv", "integrate", "w.csv", "--route", route,
+                                "--y-csv", y, "--y-prime-csv", y_prime)
+    assert code == 1 and err.startswith(f"error: {refused}")
     assert not (tmp_path / "I.csv").exists()
 
 

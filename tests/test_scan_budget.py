@@ -31,6 +31,7 @@ from roughstruct import (
 )
 from roughstruct import grids, wavelets
 from roughstruct.integration import rough_integral, scalar_one_form
+from roughstruct.reconstruction import wavelet_lift, wavelet_rough_integral
 
 from conftest import traced_peak
 
@@ -164,6 +165,19 @@ def test_rough_integral_path_memory_is_chunked(fbm_j16):
     # one-form over every node, (N, n, n) and (N, n, n, n), traced 10.0 MiB
     cp = _controlled(fbm_j16)
     assert traced_peak(lambda: rough_integral_path(cp, _fresh(fbm_j16))) <= 2.5 * MIB
+
+
+# the wavelet route, with its basis already built (3.5 MiB more on a first
+# call): both traced 13.4-13.6 MiB against 1.6 MiB for the Riemann integral
+def test_wavelet_lift_memory(fbm_j16):
+    wavelets.daubechies_basis(4)
+    assert traced_peak(lambda: wavelet_lift(fbm_j16.path, ALPHA)) <= 16 * MIB
+
+
+def test_wavelet_rough_integral_memory(fbm_j16):
+    wavelets.daubechies_basis(4)
+    cp = _controlled(fbm_j16)
+    assert traced_peak(lambda: wavelet_rough_integral(cp, _fresh(fbm_j16))) <= 16 * MIB
 
 
 def test_basis_build_memory_is_its_tables():

@@ -14,7 +14,7 @@ from roughstruct import (
     make_dyadic_grid,
     wavelet_coefficients,
 )
-from roughstruct.wavelets import DAUBECHIES_FILTERS
+from roughstruct.wavelets import DAUBECHIES_FILTERS, DAUBECHIES_INTEGER_VALUES, _daubechies_basis
 
 
 def _masked_cascade(h: np.ndarray, levels: int) -> np.ndarray:
@@ -66,6 +66,18 @@ def test_sliced_cascade_tables_equal_masked_loop(moments):
     phi = _masked_cascade(np.array(DAUBECHIES_FILTERS[moments]), level)
     assert np.array_equal(basis._phi, phi)
     assert np.array_equal(basis._psi, _masked_mother(basis.scaling_filter, phi, level))
+
+
+def test_basis_build_calls_no_lapack(monkeypatch):
+    # phi at the integers is stored beside the filters, not solved for by eig
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the basis build called LAPACK")
+
+    for name in ("eig", "eigvals", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    for moments in sorted(DAUBECHIES_FILTERS):  # uncached, so every table is built here
+        basis = _daubechies_basis.__wrapped__(moments, 14)
+        assert basis._phi[:: 1 << 14].tolist() == [0.0, *DAUBECHIES_INTEGER_VALUES[moments], 0.0]
 
 
 @pytest.mark.parametrize("moments", sorted(DAUBECHIES_FILTERS))
