@@ -174,10 +174,12 @@ def _default_controlled(path: SampledPath) -> ControlledPath:
 def _cmd_gen(args) -> dict:
     grid = make_dyadic_grid(args.horizon, args.grid_level)
     kwargs = {}
-    if args.kind == "polynomial" and args.coeffs is not None:
-        kwargs["coeffs"] = _parse_coeffs(args.coeffs)
-    if args.kind == "piecewise_linear" and args.knots is not None:
-        kwargs["knots"] = _parse_knots(args.knots)
+    for option, kind, parse in (("coeffs", "polynomial", _parse_coeffs),
+                                ("knots", "piecewise_linear", _parse_knots)):
+        if getattr(args, option) is not None:
+            if args.kind != kind:
+                raise ValueError(f"--{option} is for --kind {kind}, not {args.kind}")
+            kwargs[option] = parse(getattr(args, option))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
         path = generate_path(args.kind, grid, 1 if args.dim is None else args.dim,
                              hurst=args.hurst, seed=args.seed, **kwargs)
@@ -234,18 +236,18 @@ def _load_controlled(args, path: SampledPath) -> ControlledPath:
 
     if args.y_prime_csv is None:
         raise ValueError("--y-csv requires --y-prime-csv")
-    y = _read_integrand(args.y_csv, path, scalar=True)
-    yp = _read_integrand(args.y_prime_csv, path)
+    y = _read_integrand(args.y_csv, path, 1)
+    yp = _read_integrand(args.y_prime_csv, path, path.dim)
     return ControlledPath(y.values[:, 0], yp.values, path)
 
 
-def _read_integrand(filename: str, path: SampledPath, scalar: bool = False) -> SampledPath:
-    """A path CSV on the driver's grid; with ``scalar``, of one value column."""
+def _read_integrand(filename: str, path: SampledPath, width: int) -> SampledPath:
+    """A path CSV on the driver's grid with ``width`` value columns."""
     y = read_path_csv(filename)
     if y.grid != path.grid:
         raise ValueError(f"{filename} is sampled on {y.grid}, the driver on {path.grid}")
-    if scalar and y.dim != 1:
-        raise ValueError(f"{filename}: an integrand has one value column, got {y.dim}")
+    if y.dim != width:
+        raise ValueError(f"{filename} has {y.dim} value columns, need {width}")
     return y
 
 
@@ -256,7 +258,7 @@ def _cmd_integrate(args) -> dict:
     check_outputs(out, args.certificate)
     path = read_path_csv(args.path_csv)
     if args.route == "young":  # y' plays no part in a Young sum
-        y = _read_integrand(args.y_csv, path, scalar=True) if args.y_csv is not None else path
+        y = _read_integrand(args.y_csv, path, 1) if args.y_csv is not None else path
         integral = SampledPath(path.grid, young_integral(y.component(0), path))
     else:
         cp = _load_controlled(args, path)

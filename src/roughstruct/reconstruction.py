@@ -109,7 +109,7 @@ class ReconstructionResult:
         lo, hi = getattr(fn, "support", (0.0, 1.0))
         a, b = max(int(np.floor(lo * n)), 0), min(int(np.ceil(hi * n)), n)
         vals = np.asarray(fn((np.arange(a, b) + 0.5) / n), dtype=float)
-        return float(np.dot(vals, self._density[a:b]) / n)
+        return float(np.einsum("i,i", vals, self._density[a:b]) / n)  # not BLAS: no threads
 
     def error_certificate(self) -> list[tuple[float, float, float]]:
         """Rows ``(lambda, s, |<R f - Pi_s f(s), eta_s^lam>| / lam^gamma)`` over

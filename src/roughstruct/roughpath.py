@@ -210,7 +210,8 @@ def lift_piecewise_smooth(
     if mode == "sin_cos" and w.dim > 2:
         raise ValueError("sin_cos analytic lift supports dim 1 or 2")
     if mode != "linear":  # generate_path refuses a polynomial without coeffs
-        gap = generate_path(mode, w.grid, w.dim, coeffs=coeffs).values
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is refused below
+            gap = generate_path(mode, w.grid, w.dim, coeffs=coeffs).values
         tol = 1e-12 * max(1.0, w.values.max(), -w.values.min())
         if gap.shape != w.values.shape or not np.abs(gap - w.values, out=gap).max() <= tol:
             raise ValueError(f"{mode} lift: the path is not the {mode} generator's on its grid")

@@ -364,7 +364,8 @@ def pi_pairings(model, s_idx, v: ModelSpaceVector, samples, cell: float) -> np.n
     (midpoint rule for function symbols; measures pair with increments).
     ``s_idx`` is one node, or one per probe with a leading probe axis on
     every coefficient.  One batched Gamma moves the jets to node 0, each
-    image symbol is realized once, probes are paired one at a time."""
+    image symbol is realized once, probes are paired one at a time by
+    einsum, whose sums, unlike BLAS's, do not depend on the thread count."""
     moved = gamma_apply(model.gamma_of(0, s_idx), v, model.structure).coeffs
     realized = np.empty((len(moved), model.grid.num_intervals))
     for row, sym in zip(realized, moved):
@@ -373,7 +374,7 @@ def pi_pairings(model, s_idx, v: ModelSpaceVector, samples, cell: float) -> np.n
             row[:] = 0.5 * (g[:-1] + g[1:]) * cell
         else:
             row[:] = model.pi_measure(0, sym)
-    paired = np.array([realized @ np.asarray(fm, dtype=float) for fm in samples])
+    paired = np.array([np.einsum("sn,n", realized, np.asarray(fm, float)) for fm in samples])
     out = 0.0
     for col, c in zip(paired.T, moved.values()):
         out = out + col.reshape(col.shape + (1,) * (np.ndim(c) - np.ndim(s_idx))) * c

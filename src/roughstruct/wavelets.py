@@ -140,7 +140,19 @@ def _mother_from_phi(h: np.ndarray, phi_vals: np.ndarray, levels: int) -> np.nda
         kn = k << levels
         lo, hi = kn // 2, min(size, (size - 1 + kn) // 2 + 1)
         out[lo:hi] += g[k] * phi_vals[2 * lo - kn : 2 * hi - kn - 1 : 2]
-    return math.sqrt(2.0) * out
+    out *= math.sqrt(2.0)
+    out.setflags(write=False)
+    return out
+
+
+def _cumulative(f: np.ndarray, levels: int) -> np.ndarray:
+    """Read-only trapezoid running integral of a table, summed in place."""
+    cum = np.zeros(f.size)
+    np.add(f[:-1], f[1:], out=cum[1:])
+    cum[1:] *= 0.5 * 2.0 ** -levels  # a power-of-two scale, so exact
+    np.cumsum(cum[1:], out=cum[1:])
+    cum.setflags(write=False)
+    return cum
 
 
 @dataclass(frozen=True)
@@ -149,7 +161,8 @@ class WaveletBasis:
 
     ``vanishing_moments`` >= 2 is required by every consumer here; the
     regularity attribute carries the standard smoothness estimate so
-    callers can enforce ``r > |alpha_*|`` preconditions.
+    callers can enforce ``r > |alpha_*|`` preconditions.  phi and its
+    cumulative table are built with the basis, psi and its own on first read.
     """
 
     family: str
@@ -158,9 +171,7 @@ class WaveletBasis:
     regularity: float
     dyadic_table_level: int
     _phi: np.ndarray = field(repr=False, compare=False)
-    _psi: np.ndarray = field(repr=False, compare=False)
     _phi_cum: np.ndarray = field(repr=False, compare=False)
-    _psi_cum: np.ndarray = field(repr=False, compare=False)
 
     @property
     def taps(self) -> int:
@@ -193,6 +204,14 @@ class WaveletBasis:
         moment = float(np.arange(self.taps) @ self.scaling_filter) / math.sqrt(2.0)
         return moment - self.center_shift
 
+    @cached_property
+    def _psi(self) -> np.ndarray:
+        return _mother_from_phi(self.scaling_filter, self._phi, self.dyadic_table_level)
+
+    @cached_property
+    def _psi_cum(self) -> np.ndarray:
+        return _cumulative(self._psi, self.dyadic_table_level)
+
     def _table(self, which: str, cumulative: bool = False) -> np.ndarray:
         if which == "father":
             return self._phi_cum if cumulative else self._phi
@@ -202,17 +221,11 @@ class WaveletBasis:
 
     def evaluate(self, which: str, t: np.ndarray | float) -> np.ndarray | float:
         """Centered phi or psi at ``t`` by linear interpolation in the table."""
-        table = self._table(which)
-        x = (np.asarray(t, dtype=float) + self.center_shift) / self.table_step
-        out = _interp_table(table, x)
-        return out if out.ndim else float(out)
+        return _interp_table(self, self._table(which), t)
 
     def integral(self, which: str, t: np.ndarray | float) -> np.ndarray | float:
         """``int_{-inf}^{t}`` of the centered phi or psi (cumulative table)."""
-        table = self._table(which, cumulative=True)
-        x = (np.asarray(t, dtype=float) + self.center_shift) / self.table_step
-        out = _interp_table(table, x, clamp=True)
-        return out if out.ndim else float(out)
+        return _interp_table(self, self._table(which, cumulative=True), t, clamp=True)
 
     def index_set(self, j: int, horizon: float = 1.0) -> np.ndarray:
         """Shift indices whose level-j function meets ``[0, horizon]``:
@@ -222,16 +235,17 @@ class WaveletBasis:
         return np.arange(-c, hi + c + 1)
 
 
-def _interp_table(table: np.ndarray, x: np.ndarray, clamp: bool = False) -> np.ndarray:
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _interp_table(basis: WaveletBasis, table: np.ndarray, t, clamp: bool = False):
+    x = (np.asarray(t, dtype=float) + basis.center_shift) / basis.table_step
+    shape = x.shape
+    x = np.atleast_1d(x)
     xq = np.clip(x, 0.0, table.size - 1.0) if clamp else x
     lo = np.clip(np.floor(xq).astype(int), 0, table.size - 2)
     w = xq - lo
     out = table[lo] * (1.0 - w) + table[lo + 1] * w
     if not clamp:
         out[(x < 0.0) | (x > table.size - 1.0)] = 0.0
-    return out.reshape(shape)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def daubechies_basis(vanishing_moments: int = 4, table_level: int = 14) -> WaveletBasis:
@@ -257,13 +271,7 @@ def _daubechies_basis(vanishing_moments: int, table_level: int) -> WaveletBasis:
         raise ValueError("table_level must be at least 6")
     h = np.array(DAUBECHIES_FILTERS[vanishing_moments])
     phi = _cascade(h, table_level)
-    psi = _mother_from_phi(h, phi, table_level)
-    phi_cum, psi_cum = np.zeros(phi.size), np.zeros(psi.size)
-    for f, cum in ((phi, phi_cum[1:]), (psi, psi_cum[1:])):  # trapezoid sums, in place
-        np.add(f[:-1], f[1:], out=cum)
-        cum *= 0.5 * 2.0 ** -table_level  # a power-of-two scale, so exact
-        np.cumsum(cum, out=cum)
-    for table in (h, phi, psi, phi_cum, psi_cum):
+    for table in (h, phi):
         table.setflags(write=False)
     return WaveletBasis(
         family=f"db{vanishing_moments}",
@@ -272,9 +280,7 @@ def _daubechies_basis(vanishing_moments: int, table_level: int) -> WaveletBasis:
         regularity=DAUBECHIES_REGULARITY[vanishing_moments],
         dyadic_table_level=table_level,
         _phi=phi,
-        _psi=psi,
-        _phi_cum=phi_cum,
-        _psi_cum=psi_cum,
+        _phi_cum=_cumulative(phi, table_level),
     )
 
 

@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughstruct
 import roughstruct.cli as cli
 from roughstruct.cli import main
 from roughstruct.grids import read_path_csv
@@ -17,6 +21,14 @@ def _run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _process(cwd, *argv, **env) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, with ``env`` added to its environment."""
+    src = str(Path(roughstruct.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "roughstruct.cli", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True)
 
 
 def test_gen_writes_expected_rows(tmp_path, capsys):
@@ -375,6 +387,7 @@ _OFF_DRIVER = {  # --y-csv, --y-prime-csv, the file refused
     "y-on-0-2": ("long.csv", "w.csv", "long.csv"),
     "y-two-columns": ("y2.csv", "w.csv", "y2.csv"),
     "y-prime-on-0-2": ("y.csv", "long.csv", "long.csv"),
+    "y-prime-two-columns": ("y.csv", "y2.csv", "y2.csv"),
 }
 
 
@@ -615,3 +628,42 @@ def test_closed_form_lift_of_another_path_exits_one(tmp_path, capsys, monkeypatc
     mode = argv[argv.index("--mode" if "--mode" in argv else "--lift-mode") + 1]
     assert code == 1 and f"{mode} lift" in err
     assert _files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("kind, option, value", [
+    *((kind, "--coeffs", "nan") for kind in ("sin_cos", "fbm", "piecewise_linear")),
+    *((kind, "--knots", "0:1;1:2") for kind in ("sin_cos", "fbm", "polynomial")),
+])
+def test_gen_refuses_an_option_its_kind_does_not_use(tmp_path, capsys, kind, option, value):
+    # gen --kind sin_cos --coeffs nan exited 0: --coeffs and --knots were
+    # ignored unparsed for the kinds that do not use them
+    out = tmp_path / "w.csv"
+    code, err = _exit_and_error(capsys, "--grid-level", "4", "--out", str(out),
+                                "gen", "--kind", kind, f"{option}={value}")
+    assert code == 1 and f"error: {option} is for --kind " in err and kind in err
+    assert not out.exists()
+
+
+def test_lift_refuses_an_overflowing_polynomial_without_a_warning(tmp_path, capsys):
+    # numpy's "RuntimeWarning: overflow encountered in add" came before the refusal
+    _run(capsys, "--grid-level", "4", "--out", str(tmp_path / "w.csv"),
+         "gen", "--kind", "polynomial", "--coeffs", "0,1")
+    proc = _process(tmp_path, "lift", "w.csv", "--mode", "polynomial", "--coeffs=1e308,1e308")
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == ("error: polynomial lift: the path is not the polynomial "
+                                    "generator's on its grid\n")
+
+
+def test_reconstruct_certificate_is_independent_of_blas_threads(tmp_path, capsys):
+    # BLAS's ddot and dgemv split their sums over threads, so the certificate
+    # moved in the last digits between one and two OpenBLAS threads
+    _run(capsys, "--grid-level", "8", "--seed", "3", "--out", str(tmp_path / "w.csv"),
+         "gen", "--kind", "fbm", "--hurst", "0.4")
+    certificates = []
+    for threads in ("1", "2"):
+        out = f"cert{threads}.csv"
+        proc = _process(tmp_path, "--out", out, "reconstruct", "w.csv",
+                        OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        certificates.append((tmp_path / out).read_bytes())
+    assert certificates[0] == certificates[1]

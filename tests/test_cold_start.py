@@ -22,15 +22,28 @@ HEAVY = {f"roughstruct.{m}" for m in
          ("modelled", "structure", "roughpath", "reconstruction", "wavelets", "solver")}
 
 
+def _last_line(code: str, cwd: Path) -> str:
+    """The last line a fresh interpreter running ``code`` prints."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1]
+
+
 def _loaded_after(code: str, cwd: Path) -> set[str]:
     """The ``roughstruct`` modules, and ``numpy``, loaded in a fresh interpreter after ``code``."""
     report = ("import sys; print(*(m for m in sys.modules "
               "if m == 'numpy' or m.split('.')[0] == 'roughstruct'))")
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], cwd=cwd, env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return set(out.splitlines()[-1].split())
+    return set(_last_line(f"{code}\n{report}", cwd).split())
+
+
+def _psi_tables_after(code: str, cwd: Path) -> list[str]:
+    """Which of the mother-wavelet tables of the one basis ``code`` built exist after it."""
+    report = ("from roughstruct import wavelets\n"
+              "assert wavelets._daubechies_basis.cache_info().currsize == 1\n"
+              "print(*sorted({'_psi', '_psi_cum'} & set(wavelets.daubechies_basis(4).__dict__)))")
+    return _last_line(f"{code}\n{report}", cwd).split()
 
 
 def test_import_loads_no_submodule_and_no_numpy(tmp_path):
@@ -63,3 +76,25 @@ def test_light_commands_skip_heavy_modules(tmp_path):
     for name, argv in commands.items():
         loaded = _loaded_after(f"from roughstruct import cli\nassert cli.main({argv!r}) == 0", tmp_path)
         assert "roughstruct.cli" in loaded and not loaded & HEAVY, (name, sorted(loaded))
+
+
+def test_wavelet_commands_leave_the_mother_tables_unbuilt(tmp_path):
+    # the lift, the rough integral, the reconstruction and the RDE solve pair
+    # jets with phi only; psi and its cumulative table were built with every basis
+    from roughstruct import cli
+
+    assert cli.main(["--grid-level", "8", "--out", str(tmp_path / "w.csv"),
+                     "gen", "--kind", "sin_cos"]) == 0
+    commands = {
+        "lift": ["--out", "rp.json", "lift", "w.csv", "--mode", "wavelet"],
+        "integrate": ["--out", "I.csv", "integrate", "w.csv", "--route", "rough-wavelet"],
+        "reconstruct": ["--out", "cert.csv", "reconstruct", "w.csv"],
+        "solve": ["--out", "sol.csv", "solve", "w.csv", "--route", "wavelet"],
+    }
+    for name, argv in commands.items():
+        code = f"from roughstruct import cli\nassert cli.main({argv!r}) == 0"
+        assert _psi_tables_after(code, tmp_path) == [], name
+    code = ("from roughstruct import grids, reconstruction, wavelets\n"
+            "xi = wavelets.StieltjesMeasure(grids.read_path_csv('w.csv'))\n"
+            "reconstruction.antiderivative_from_distribution(xi)")
+    assert _psi_tables_after(code, tmp_path) == ["_psi", "_psi_cum"]

@@ -10,6 +10,8 @@ order, so the tails must not change a bit.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,7 @@ def test_rough_integral_path_memory_is_chunked(fbm_j16):
     assert traced_peak(lambda: rough_integral_path(cp, _fresh(fbm_j16))) <= 2.5 * MIB
 
 
-# the wavelet route, with its basis already built (3.5 MiB more on a first
+# the wavelet route, with its basis already built (2.2 MiB more on a first
 # call): both traced 13.4-13.6 MiB against 1.6 MiB for the Riemann integral
 def test_wavelet_lift_memory(fbm_j16):
     wavelets.daubechies_basis(4)
@@ -181,9 +183,23 @@ def test_wavelet_rough_integral_memory(fbm_j16):
 
 
 def test_basis_build_memory_is_its_tables():
-    # phi, psi and their two cumulative tables hold 3.5 MiB at db4, level 14;
-    # the uncached builder is called so the shared basis cache stays intact
+    # phi and its cumulative table hold 1.75 MiB at db4, level 14, and the
+    # cascade peaks at 2.2 MiB (3.5 MiB while psi and its cumulative table were
+    # built too); the uncached builder is called so the shared basis cache stays intact
     def build():
         return wavelets._daubechies_basis.__wrapped__(4, 14).father_center_of_mass
 
     assert traced_peak(build) <= 3.6 * MIB
+
+
+def test_basis_keeps_the_phi_tables_only():
+    # phi and its cumulative table, 2 tables of (taps - 1) * 2**14 + 1 = 114,689
+    # floats at db4, level 14 (1.75 MiB), and 4 KiB for the objects around
+    # them: psi and its cumulative table are built on first read
+    tracemalloc.start()
+    try:
+        basis = wavelets._daubechies_basis.__wrapped__(4, 14)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert basis._phi.size == 114_689 and kept <= 2 * 114_689 * 8 + 4096
