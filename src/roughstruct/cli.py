@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--kind", required=True,
                    choices=["sin_cos", "polynomial", "fbm", "piecewise_linear"])
     g.add_argument("--dim", type=int, default=None, help="default 1, or set by --coeffs/--knots")
-    g.add_argument("--hurst", type=float, default=0.5)
+    g.add_argument("--hurst", type=float, default=None, help="fbm only, default 0.5")
     g.add_argument("--coeffs", type=str, default=None,
                    help="per-component ascending coefficients, e.g. '0,1;1,0,2'")
     g.add_argument("--knots", type=str, default=None,
@@ -175,14 +175,14 @@ def _cmd_gen(args) -> dict:
     grid = make_dyadic_grid(args.horizon, args.grid_level)
     kwargs = {}
     for option, kind, parse in (("coeffs", "polynomial", _parse_coeffs),
-                                ("knots", "piecewise_linear", _parse_knots)):
+                                ("knots", "piecewise_linear", _parse_knots), ("hurst", "fbm", float)):
         if getattr(args, option) is not None:
             if args.kind != kind:
                 raise ValueError(f"--{option} is for --kind {kind}, not {args.kind}")
             kwargs[option] = parse(getattr(args, option))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
         path = generate_path(args.kind, grid, 1 if args.dim is None else args.dim,
-                             hurst=args.hurst, seed=args.seed, **kwargs)
+                             seed=args.seed, **kwargs)
     if not np.isfinite(path.values).all():
         option = "--knots" if args.kind == "piecewise_linear" else "--coeffs"
         raise ValueError(f"{option} give non-finite path values on [0, {grid.horizon}]")
@@ -207,6 +207,8 @@ def _cmd_lift(args) -> dict:
 
     out = args.out or "rough_path.json"
     csv_out = os.path.splitext(out)[0] + "_path.csv"
+    if args.coeffs is not None and args.mode != "polynomial":
+        raise ValueError(f"--coeffs is for --mode polynomial, not {args.mode}")
     coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
     rp = _make_lift(args, read_path_csv(args.path_csv), args.mode, coeffs)
     second_csv = write_rough_path_json(rp, out, csv_out)

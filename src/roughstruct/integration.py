@@ -156,11 +156,14 @@ def convergence_order_fit(
     """Least-squares slope of log|error| against log(scale > 0), with R^2.
 
     The coarsest ``drop_coarsest`` scales are pre-asymptotic and excluded
-    by default.  Exact zeros cannot be fitted: all-zero errors report an
-    infinite slope (machine-exact convergence), isolated zeros are dropped.
+    by default; at least two must remain.  Exact zeros cannot be fitted:
+    all-zero errors report an infinite slope (machine-exact convergence),
+    isolated zeros are dropped.
     """
     if len(samples) < 4:
         raise ValueError("need at least 4 (scale, error) samples")
+    if not 0 <= drop_coarsest <= len(samples) - 2:
+        raise ValueError(f"drop_coarsest must be in [0, {len(samples) - 2}], got {drop_coarsest}")
     scales = np.array([s for s, _ in samples], dtype=float)
     errors = np.abs(np.array([e for _, e in samples], dtype=float))
     if not (scales > 0.0).all():
@@ -169,8 +172,7 @@ def convergence_order_fit(
         raise ValueError("samples must span at least two octaves")
     order = np.argsort(scales)[::-1]
     scales, errors = scales[order], errors[order]
-    if drop_coarsest:
-        scales, errors = scales[drop_coarsest:], errors[drop_coarsest:]
+    scales, errors = scales[drop_coarsest:], errors[drop_coarsest:]
     keep = errors > 0.0
     if not np.any(keep):
         return float("inf"), 1.0

@@ -283,17 +283,18 @@ def _beside(json_file: str, name) -> str:
 
 def read_rough_path_json(json_file: str) -> RoughPath:
     """Bit-exact inverse of :func:`write_rough_path_json`.  ``ValueError``
-    naming the file at fault unless the JSON has a numeric alpha and both
-    names (older files with the tensors inline are refused), and the tensor
-    CSV has the rows k = 0..N-1, in order, of n*n finite floats."""
+    naming the file at fault unless the JSON has a numeric alpha in (1/3, 1/2]
+    and both names (older files with inline tensors are refused), and the
+    tensor CSV has the rows k = 0..N-1, in order, of n*n finite floats."""
     with open(json_file) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not {"alpha", "path_csv", "second_order_csv"} <= set(payload):
         raise ValueError(f"{json_file}: needs the keys alpha, path_csv and second_order_csv")
-    try:
-        alpha = float(payload["alpha"])
-    except (TypeError, ValueError):
-        raise ValueError(f"{json_file}: alpha is not a number") from None
+    alpha = payload["alpha"]
+    if type(alpha) not in (int, float):  # a JSON number: not a string, a bool or null
+        raise ValueError(f"{json_file}: alpha is not a number")
+    if not 1 / 3 < alpha <= 0.5:
+        raise ValueError(f"{json_file}: alpha must be in (1/3, 1/2], got {alpha}")
     path = read_path_csv(_beside(json_file, payload["path_csv"]))
     second_csv = _beside(json_file, payload["second_order_csv"])
     table, n, n_int = read_table(second_csv), path.dim, path.grid.num_intervals

@@ -129,9 +129,12 @@ def _cascade(h: np.ndarray, levels: int) -> np.ndarray:
     return vals
 
 
-def _mother_from_phi(h: np.ndarray, phi_vals: np.ndarray, levels: int) -> np.ndarray:
-    """psi on the same dyadic grid, from psi(t) = sqrt2 sum_k g_k phi(2t - k)."""
+def _mother_from_phi(h: np.ndarray, phi_vals: np.ndarray, levels: int,
+                     cumulative: bool = False) -> np.ndarray:
+    """psi on the same dyadic grid, from psi(t) = sqrt2 sum_k g_k phi(2t - k), or with ``cumulative``
+    its primitive sum_k g_k Phi(2t - k) / sqrt2 from phi's primitive Phi (past the table its last entry)."""
     taps = len(h)
+    tail = phi_vals[-1]
     g = np.array([(-1) ** k * h[taps - 1 - k] for k in range(taps)])
     size = phi_vals.size
     out = np.zeros(size)
@@ -140,7 +143,9 @@ def _mother_from_phi(h: np.ndarray, phi_vals: np.ndarray, levels: int) -> np.nda
         kn = k << levels
         lo, hi = kn // 2, min(size, (size - 1 + kn) // 2 + 1)
         out[lo:hi] += g[k] * phi_vals[2 * lo - kn : 2 * hi - kn - 1 : 2]
-    out *= math.sqrt(2.0)
+        if cumulative:
+            out[hi:] += g[k] * tail
+    out *= math.sqrt(0.5 if cumulative else 2.0)
     out.setflags(write=False)
     return out
 
@@ -161,8 +166,9 @@ class WaveletBasis:
 
     ``vanishing_moments`` >= 2 is required by every consumer here; the
     regularity attribute carries the standard smoothness estimate so
-    callers can enforce ``r > |alpha_*|`` preconditions.  phi and its
-    cumulative table are built with the basis, psi and its own on first read.
+    callers can enforce ``r > |alpha_*|`` preconditions.  The basis keeps
+    phi and its cumulative table only; every table is read at the dyadic level
+    its caller needs, phi's as strided views and psi's made from them.
     """
 
     family: str
@@ -204,28 +210,25 @@ class WaveletBasis:
         moment = float(np.arange(self.taps) @ self.scaling_filter) / math.sqrt(2.0)
         return moment - self.center_shift
 
-    @cached_property
-    def _psi(self) -> np.ndarray:
-        return _mother_from_phi(self.scaling_filter, self._phi, self.dyadic_table_level)
-
-    @cached_property
-    def _psi_cum(self) -> np.ndarray:
-        return _cumulative(self._psi, self.dyadic_table_level)
-
-    def _table(self, which: str, cumulative: bool = False) -> np.ndarray:
+    def _table(self, which: str, cumulative: bool, level: int | None) -> np.ndarray:
+        """phi, psi or a primitive on the dyadic grid of ``level`` (default the table level)."""
+        level = self.dyadic_table_level if level is None else level
+        phi = (self._phi_cum if cumulative else self._phi)[:: 1 << (self.dyadic_table_level - level)]
         if which == "father":
-            return self._phi_cum if cumulative else self._phi
+            return phi
         if which == "mother":
-            return self._psi_cum if cumulative else self._psi
+            return _mother_from_phi(self.scaling_filter, phi, level, cumulative)
         raise ValueError(f"which must be 'father' or 'mother', got {which!r}")
 
-    def evaluate(self, which: str, t: np.ndarray | float) -> np.ndarray | float:
-        """Centered phi or psi at ``t`` by linear interpolation in the table."""
-        return _interp_table(self, self._table(which), t)
+    def evaluate(self, which: str, t: np.ndarray | float,
+                 table_level: int | None = None) -> np.ndarray | float:
+        """Centered phi or psi at ``t`` by linear interpolation in its table of ``table_level``."""
+        return _interp_table(self, self._table(which, False, table_level), t)
 
-    def integral(self, which: str, t: np.ndarray | float) -> np.ndarray | float:
-        """``int_{-inf}^{t}`` of the centered phi or psi (cumulative table)."""
-        return _interp_table(self, self._table(which, cumulative=True), t, clamp=True)
+    def integral(self, which: str, t: np.ndarray | float,
+                 table_level: int | None = None) -> np.ndarray | float:
+        """``int_{-inf}^{t}`` of the centered phi or psi (cumulative table of ``table_level``)."""
+        return _interp_table(self, self._table(which, True, table_level), t, clamp=True)
 
     def index_set(self, j: int, horizon: float = 1.0) -> np.ndarray:
         """Shift indices whose level-j function meets ``[0, horizon]``:
@@ -236,7 +239,8 @@ class WaveletBasis:
 
 
 def _interp_table(basis: WaveletBasis, table: np.ndarray, t, clamp: bool = False):
-    x = (np.asarray(t, dtype=float) + basis.center_shift) / basis.table_step
+    # (table.size - 1) // (taps - 1) = 2**level nodes per unit, an exact scale
+    x = (np.asarray(t, dtype=float) + basis.center_shift) * ((table.size - 1) // (basis.taps - 1))
     shape = x.shape
     x = np.atleast_1d(x)
     xq = np.clip(x, 0.0, table.size - 1.0) if clamp else x
@@ -285,12 +289,13 @@ def _daubechies_basis(vanishing_moments: int, table_level: int) -> WaveletBasis:
 
 
 def cascade_evaluate(
-    basis: WaveletBasis, which: str, level: int, shift: int, t: np.ndarray | float
+    basis: WaveletBasis, which: str, level: int, shift: int, t: np.ndarray | float,
+    table_level: int | None = None,
 ) -> np.ndarray | float:
-    """``2**(j/2) * phi(2**j t - k)`` (resp. psi) via table lookup."""
+    """``2**(j/2) * phi(2**j t - k)`` (resp. psi) via lookup in the table of ``table_level``."""
     scale = 2.0 ** (level / 2.0)
     t = np.asarray(t, dtype=float)
-    return scale * basis.evaluate(which, (1 << level) * t - shift)
+    return scale * basis.evaluate(which, (1 << level) * t - shift, table_level)
 
 
 def stencil(
@@ -303,17 +308,21 @@ def stencil(
     midpoint sample ``cascade_evaluate(..., (r + 1/2) / 2**grid_level)``, or
     with ``cumulative`` the integral of the function over the interval (from
     the cumulative table, whose end is pinned to the exact total, 1 for phi
-    and 0 for psi).  Shifting by k moves the table by ``k s`` intervals.
+    and 0 for psi).  Shifting by k moves the table by ``k s`` intervals.  Both
+    read the basis tables at the dyadic level of their points (midpoints one
+    finer than the ends), in ``[1, dyadic_table_level]``.
     """
     c = int(basis.support_radius)
     s = 1 << (grid_level - level)
+    top = basis.dyadic_table_level
     if cumulative:
-        ends = basis.integral(which, np.arange(-c * s, c * s + 1) / s)
+        ends = basis.integral(which, np.arange(-c * s, c * s + 1) / s,
+                              min(max(grid_level - level, 1), top))
         ends[-1] = 1.0 if which == "father" else 0.0
         vals = 2.0 ** (-level / 2.0) * np.diff(ends)
     else:
         mids = (np.arange(-c * s, c * s) + 0.5) / (1 << grid_level)
-        vals = cascade_evaluate(basis, which, level, 0, mids)
+        vals = cascade_evaluate(basis, which, level, 0, mids, min(grid_level - level + 1, top))
     return vals.reshape(2 * c, s)
 
 

@@ -633,10 +633,11 @@ def test_closed_form_lift_of_another_path_exits_one(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("kind, option, value", [
     *((kind, "--coeffs", "nan") for kind in ("sin_cos", "fbm", "piecewise_linear")),
     *((kind, "--knots", "0:1;1:2") for kind in ("sin_cos", "fbm", "polynomial")),
+    *((kind, "--hurst", "7") for kind in ("sin_cos", "polynomial", "piecewise_linear")),
 ])
 def test_gen_refuses_an_option_its_kind_does_not_use(tmp_path, capsys, kind, option, value):
-    # gen --kind sin_cos --coeffs nan exited 0: --coeffs and --knots were
-    # ignored unparsed for the kinds that do not use them
+    # gen --kind sin_cos --coeffs nan exited 0: --coeffs, --knots and --hurst
+    # were ignored unparsed for the kinds that do not use them
     out = tmp_path / "w.csv"
     code, err = _exit_and_error(capsys, "--grid-level", "4", "--out", str(out),
                                 "gen", "--kind", kind, f"{option}={value}")
@@ -667,3 +668,43 @@ def test_reconstruct_certificate_is_independent_of_blas_threads(tmp_path, capsys
         assert proc.returncode == 0, proc.stderr
         certificates.append((tmp_path / out).read_bytes())
     assert certificates[0] == certificates[1]
+
+
+@pytest.mark.parametrize("mode, coeffs", [("linear", "0,1"), ("sin_cos", "1"), ("wavelet", "0,1")])
+def test_lift_refuses_coeffs_its_mode_does_not_use(tmp_path, capsys, mode, coeffs):
+    # lift --mode linear --coeffs 0,1 exited 0 and ignored --coeffs
+    _run(capsys, "--grid-level", "4", "--out", str(tmp_path / "w.csv"), "gen", "--kind", "sin_cos")
+    rp = tmp_path / "rp.json"
+    code, err = _exit_and_error(capsys, "--out", str(rp), "lift", str(tmp_path / "w.csv"),
+                                "--mode", mode, f"--coeffs={coeffs}")
+    assert code == 1 and f"error: --coeffs is for --mode polynomial, not {mode}" in err
+    assert not rp.exists()
+
+
+@pytest.mark.parametrize("drop", ["-1", "5", "-7"])
+def test_convergence_refuses_a_drop_that_leaves_no_fit(tmp_path, capsys, drop):
+    # -1 and 5 printed "slope": Infinity with exit 0, -7 dropped nothing
+    samples = tmp_path / "s.csv"
+    samples.write_text("scale,error\n" + "".join(f"{4.0**-k},{2.0**-k}\n" for k in range(6)))
+    assert json.loads(_run(capsys, "--json", "convergence", str(samples),
+                           "--drop-coarsest", "4")[1])["slope"] == pytest.approx(0.5)
+    code, err = _exit_and_error(capsys, "convergence", str(samples), f"--drop-coarsest={drop}")
+    assert code == 1 and f"error: drop_coarsest must be in [0, 4], got {drop}" in err
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (0.9, "alpha must be in (1/3, 1/2], got 0.9"),
+    ("0.4", "alpha is not a number"),
+    (True, "alpha is not a number"),
+])
+def test_rough_path_json_alpha_is_a_number_in_range(tmp_path, capsys, alpha, message):
+    # 0.9 was refused without naming the file, "0.4" and true were read as numbers
+    w, rp = tmp_path / "w.csv", tmp_path / "rp.json"
+    _run(capsys, "--grid-level", "4", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
+    _run(capsys, "--out", str(rp), "lift", str(w))
+    rp.write_text(json.dumps({**json.loads(rp.read_text()), "alpha": alpha}))
+    with pytest.raises(ValueError) as exc:
+        read_rough_path_json(str(rp))
+    assert str(exc.value) == f"{rp}: {message}"
+    code, err = _exit_and_error(capsys, "chen", str(rp))
+    assert code == 1 and f"error: {rp}: {message}" in err

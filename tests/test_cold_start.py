@@ -38,11 +38,12 @@ def _loaded_after(code: str, cwd: Path) -> set[str]:
     return set(_last_line(f"{code}\n{report}", cwd).split())
 
 
-def _psi_tables_after(code: str, cwd: Path) -> list[str]:
-    """Which of the mother-wavelet tables of the one basis ``code`` built exist after it."""
+def _tables_after(code: str, cwd: Path) -> list[str]:
+    """The arrays besides the filter that the one basis ``code`` built holds after it."""
     report = ("from roughstruct import wavelets\n"
               "assert wavelets._daubechies_basis.cache_info().currsize == 1\n"
-              "print(*sorted({'_psi', '_psi_cum'} & set(wavelets.daubechies_basis(4).__dict__)))")
+              "print(*sorted(k for k, v in wavelets.daubechies_basis(4).__dict__.items()\n"
+              "              if hasattr(v, 'shape') and k != 'scaling_filter'))")
     return _last_line(f"{code}\n{report}", cwd).split()
 
 
@@ -80,7 +81,8 @@ def test_light_commands_skip_heavy_modules(tmp_path):
 
 def test_wavelet_commands_leave_the_mother_tables_unbuilt(tmp_path):
     # the lift, the rough integral, the reconstruction and the RDE solve pair
-    # jets with phi only; psi and its cumulative table were built with every basis
+    # jets with phi only, and psi and its primitive are made from phi's tables
+    # at the level each caller reads, so no call leaves a table besides phi's two
     from roughstruct import cli
 
     assert cli.main(["--grid-level", "8", "--out", str(tmp_path / "w.csv"),
@@ -93,8 +95,10 @@ def test_wavelet_commands_leave_the_mother_tables_unbuilt(tmp_path):
     }
     for name, argv in commands.items():
         code = f"from roughstruct import cli\nassert cli.main({argv!r}) == 0"
-        assert _psi_tables_after(code, tmp_path) == [], name
+        assert _tables_after(code, tmp_path) == ["_phi", "_phi_cum"], name
     code = ("from roughstruct import grids, reconstruction, wavelets\n"
             "xi = wavelets.StieltjesMeasure(grids.read_path_csv('w.csv'))\n"
-            "reconstruction.antiderivative_from_distribution(xi)")
-    assert _psi_tables_after(code, tmp_path) == ["_psi", "_psi_cum"]
+            "reconstruction.antiderivative_from_distribution(xi)\n"
+            "basis = wavelets.daubechies_basis(4)\n"
+            "basis.evaluate('mother', 0.3), basis.integral('mother', [0.1, 0.7])")
+    assert _tables_after(code, tmp_path) == ["_phi", "_phi_cum"]

@@ -190,3 +190,13 @@ def test_convergence_fit_is_closed_form_least_squares(monkeypatch):
         got_slope, got_r2 = convergence_order_fit(samples)
         assert got_slope == pytest.approx(slope, rel=1e-13, abs=1e-13)
         assert got_r2 == pytest.approx(r2, rel=1e-12, abs=1e-12)
+
+
+def test_convergence_fit_refuses_a_drop_that_leaves_no_fit():
+    # -1 and len - 1 reported an infinite slope, -7 dropped nothing
+    samples = [(4.0**-k, 2.0**-k) for k in range(6)]
+    for drop in (-7, -1, 5, 6):
+        with pytest.raises(ValueError, match=rf"drop_coarsest must be in \[0, 4\], got {drop}"):
+            convergence_order_fit(samples, drop_coarsest=drop)
+    for drop in (0, 4):
+        assert convergence_order_fit(samples, drop_coarsest=drop)[0] == pytest.approx(0.5)

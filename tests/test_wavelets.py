@@ -65,7 +65,9 @@ def test_sliced_cascade_tables_equal_masked_loop(moments):
     level = basis.dyadic_table_level
     phi = _masked_cascade(np.array(DAUBECHIES_FILTERS[moments]), level)
     assert np.array_equal(basis._phi, phi)
-    assert np.array_equal(basis._psi, _masked_mother(basis.scaling_filter, phi, level))
+    # psi is kept by no one: made from phi's table at every node it is read
+    psi = basis.evaluate("mother", _table_grid(basis))
+    assert np.array_equal(psi, _masked_mother(basis.scaling_filter, phi, level))
 
 
 def test_basis_build_calls_no_lapack(monkeypatch):
@@ -151,7 +153,9 @@ def test_table_level_guard():
 def test_basis_is_memoised_and_read_only():
     basis = daubechies_basis(4)
     assert daubechies_basis(4) is basis
-    for table in (basis.scaling_filter, basis._phi, basis._psi, basis._phi_cum, basis._psi_cum):
+    psi_tables = [basis._table("mother", cumulative, level)
+                  for cumulative in (False, True) for level in (None, 8, 1)]
+    for table in (basis.scaling_filter, basis._phi, basis._phi_cum, *psi_tables):
         with pytest.raises(ValueError):
             table[0] = 1.0
 
