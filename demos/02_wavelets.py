@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Daubechies wavelets by the cascade algorithm.
 
-The scaling function is pinned down by its two-scale relation; exact
-values at the integers come from an eigenvector problem and dyadic
-refinement fills the table.  The mother wavelet's two vanishing moments
-are what make coefficients of smooth measures collapse.
+The scaling function is pinned down by its two-scale relation; its
+values at the integers (the eigenvector of the two-scale matrix) are
+stored beside the filters and dyadic refinement fills the table.  The
+mother wavelet is read from that table by the same relation, and its two
+vanishing moments are what make coefficients of smooth measures collapse.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from roughstruct import (
     wavelet_coefficients,
 )
 
-basis = daubechies_basis(4, table_level=14)
+basis = daubechies_basis(4)
 print(f"family {basis.family}: {basis.taps} taps, support radius {basis.support_radius},")
 print(f"regularity ~{basis.regularity}, {basis.vanishing_moments} vanishing moments")
 
@@ -47,8 +48,8 @@ for name, xi in [("dZ with density t", smooth), ("dW of fBm(0.45)", fbm)]:
     for j in range(table.base_level, 9):
         interior = [
             abs(v)
-            for (jj, k), v in table.psi.items()
-            if jj == j and k - c >= 0 and k + c <= (1 << j)
+            for k, v in zip(basis.index_set(j), table.psi_row(j))
+            if k - c >= 0 and k + c <= (1 << j)
         ]
         if interior:
             print(f"  level {j}: {max(interior):.3e}   (2^(j/2 - j*0.45) = {2**(j/2 - j*0.45):.3e})")

@@ -233,6 +233,8 @@ def _cmd_chen(args) -> dict:
 
 def _load_controlled(args, path: SampledPath) -> ControlledPath:
     if args.y_csv is None:
+        if args.y_prime_csv is not None:
+            raise ValueError("--y-prime-csv requires --y-csv")
         return _default_controlled(path)
     from .modelled import ControlledPath
 

@@ -236,14 +236,10 @@ def antiderivative_from_distribution(
         basis = daubechies_basis(4)
     table = wavelet_coefficients(xi, basis, base_level, max_level)
     grid = xi.integrator.grid
-
-    def increments(which: str, j: int, row: list[float]) -> np.ndarray:
-        return synthesise(np.array(row), stencil(basis, which, j, grid.level, cumulative=True))
-
     base = table.base_level
-    dz = increments("father", base, [table.phi[k] for k in basis.index_set(base).tolist()])
+    dz = synthesise(table.phi, stencil(basis, "father", base, grid.level, cumulative=True))
     for j in range(base, table.max_level + 1):
-        dz += increments("mother", j, [table.psi[(j, k)] for k in basis.index_set(j).tolist()])
+        dz += synthesise(table.psi_row(j), stencil(basis, "mother", j, grid.level, cumulative=True))
     return SampledPath(grid, np.concatenate([[0.0], np.cumsum(dz)]))
 
 

@@ -5,8 +5,9 @@ The scaling function solves the two-scale relation
 the eigenvector of the downsampled filter matrix, are stored beside the
 filters (``DAUBECHIES_INTEGER_VALUES``, so no basis build calls LAPACK), and
 dyadic refinement, one strided slice per filter tap and level, fills in the
-rest.  Both functions are stored centered, so supports are
-``[-c, c]`` with ``c = (taps - 1) / 2``.
+rest of its table of level ``TABLE_LEVEL``, from which the mother wavelet
+``psi(t) = sqrt(2) * sum_k g_k phi(2t - k)`` is read at the point.  Both are
+centered, so supports are ``[-c, c]`` with ``c = (taps - 1) / 2``.
 
 Pairings against ``dZ`` for a sampled path Z are midpoint
 Riemann-Stieltjes sums on the integrator grid; wavelet coefficients of a
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -102,6 +103,9 @@ DAUBECHIES_INTEGER_VALUES: dict[int, list[float]] = {
         3.803227121617581e-14],
 }
 
+# Level of the dyadic grid on which phi and its primitive are tabulated.
+TABLE_LEVEL = 14
+
 # Published Hölder smoothness estimates of the scaling functions.
 DAUBECHIES_REGULARITY: dict[int, float] = {
     2: 0.5500, 3: 1.0878, 4: 1.6179, 5: 1.9690,
@@ -129,27 +133,6 @@ def _cascade(h: np.ndarray, levels: int) -> np.ndarray:
     return vals
 
 
-def _mother_from_phi(h: np.ndarray, phi_vals: np.ndarray, levels: int,
-                     cumulative: bool = False) -> np.ndarray:
-    """psi on the same dyadic grid, from psi(t) = sqrt2 sum_k g_k phi(2t - k), or with ``cumulative``
-    its primitive sum_k g_k Phi(2t - k) / sqrt2 from phi's primitive Phi (past the table its last entry)."""
-    taps = len(h)
-    tail = phi_vals[-1]
-    g = np.array([(-1) ** k * h[taps - 1 - k] for k in range(taps)])
-    size = phi_vals.size
-    out = np.zeros(size)
-    for k in range(taps):
-        # phi(2t - k) at node i is phi_vals[2i - kn], inside the table for lo <= i < hi
-        kn = k << levels
-        lo, hi = kn // 2, min(size, (size - 1 + kn) // 2 + 1)
-        out[lo:hi] += g[k] * phi_vals[2 * lo - kn : 2 * hi - kn - 1 : 2]
-        if cumulative:
-            out[hi:] += g[k] * tail
-    out *= math.sqrt(0.5 if cumulative else 2.0)
-    out.setflags(write=False)
-    return out
-
-
 def _cumulative(f: np.ndarray, levels: int) -> np.ndarray:
     """Read-only trapezoid running integral of a table, summed in place."""
     cum = np.zeros(f.size)
@@ -167,15 +150,16 @@ class WaveletBasis:
     ``vanishing_moments`` >= 2 is required by every consumer here; the
     regularity attribute carries the standard smoothness estimate so
     callers can enforce ``r > |alpha_*|`` preconditions.  The basis keeps
-    phi and its cumulative table only; every table is read at the dyadic level
-    its caller needs, phi's as strided views and psi's made from them.
+    phi and its cumulative table on the dyadic grid of level ``TABLE_LEVEL``
+    only: psi and its primitive are read from them at the point.
     """
 
+    dyadic_table_level: ClassVar[int] = TABLE_LEVEL
+    table_step: ClassVar[float] = 2.0 ** -TABLE_LEVEL
     family: str
     scaling_filter: np.ndarray
     vanishing_moments: int
     regularity: float
-    dyadic_table_level: int
     _phi: np.ndarray = field(repr=False, compare=False)
     _phi_cum: np.ndarray = field(repr=False, compare=False)
 
@@ -195,10 +179,6 @@ class WaveletBasis:
         """Radius c with both centered supports inside ``[-c, c]``."""
         return float(max(self.center_shift, self.taps - 1 - self.center_shift))
 
-    @property
-    def table_step(self) -> float:
-        return 2.0 ** -self.dyadic_table_level
-
     def min_base_level(self) -> int:
         """Smallest l with ``2**-l * c <= 1``."""
         return max(0, math.ceil(math.log2(self.support_radius)))
@@ -210,71 +190,72 @@ class WaveletBasis:
         moment = float(np.arange(self.taps) @ self.scaling_filter) / math.sqrt(2.0)
         return moment - self.center_shift
 
-    def _table(self, which: str, cumulative: bool, level: int | None) -> np.ndarray:
-        """phi, psi or a primitive on the dyadic grid of ``level`` (default the table level)."""
-        level = self.dyadic_table_level if level is None else level
-        phi = (self._phi_cum if cumulative else self._phi)[:: 1 << (self.dyadic_table_level - level)]
+    def _read(self, which: str, t: np.ndarray | float, cumulative: bool) -> np.ndarray | float:
+        """phi or psi at ``t``, or with ``cumulative`` its primitive, from phi's tables alone.
+
+        phi (Phi) is interpolated linearly at ``x = (t + center_shift) 2**TABLE_LEVEL``; psi is
+        ``sqrt2 sum_k g_k phi(2t - k)`` (its primitive ``sum_k g_k Phi(2t - k) / sqrt2``) with
+        ``g_k = (-1)**k h_{taps-1-k}``, read at ``2x - k 2**TABLE_LEVEL``: one floor and one
+        weight serve every tap.  Reads clip to the table, where phi ends in 0 and Phi in its total.
+        """
+        table = self._phi_cum if cumulative else self._phi
+        n = 1 << TABLE_LEVEL
+        x = np.asarray(t, dtype=float) + self.center_shift
         if which == "father":
-            return phi
+            filt, x = (1.0,), x * n
+        elif which == "mother":
+            filt = [-h if k % 2 else h for k, h in enumerate(self.scaling_filter[::-1])]
+            x = x * (2 * n)
+        else:
+            raise ValueError(f"which must be 'father' or 'mother', got {which!r}")
+        lo = np.floor(x)
+        w = x - lo
+        lo = lo.astype(np.intp)
+        below = above = 0.0
+        for k, gk in enumerate(filt):
+            below = below + gk * table.take(lo - k * n, mode="clip")
+        if w.any():  # at the nodes, as for every stencil of a grid up to level 13, w is 0
+            for k, gk in enumerate(filt):
+                above = above + gk * table.take(lo - (k * n - 1), mode="clip")
+        out = below * (1.0 - w) + above * w
         if which == "mother":
-            return _mother_from_phi(self.scaling_filter, phi, level, cumulative)
-        raise ValueError(f"which must be 'father' or 'mother', got {which!r}")
+            out = out * math.sqrt(0.5 if cumulative else 2.0)
+        return float(out) if np.ndim(out) == 0 else out
 
-    def evaluate(self, which: str, t: np.ndarray | float,
-                 table_level: int | None = None) -> np.ndarray | float:
-        """Centered phi or psi at ``t`` by linear interpolation in its table of ``table_level``."""
-        return _interp_table(self, self._table(which, False, table_level), t)
+    def evaluate(self, which: str, t: np.ndarray | float) -> np.ndarray | float:
+        """Centered phi or psi at ``t``."""
+        return self._read(which, t, False)
 
-    def integral(self, which: str, t: np.ndarray | float,
-                 table_level: int | None = None) -> np.ndarray | float:
-        """``int_{-inf}^{t}`` of the centered phi or psi (cumulative table of ``table_level``)."""
-        return _interp_table(self, self._table(which, True, table_level), t, clamp=True)
+    def integral(self, which: str, t: np.ndarray | float) -> np.ndarray | float:
+        """``int_{-inf}^{t}`` of the centered phi or psi."""
+        return self._read(which, t, True)
 
-    def index_set(self, j: int, horizon: float = 1.0) -> np.ndarray:
-        """Shift indices whose level-j function meets ``[0, horizon]``:
-        ``[-floor(c), ceil(horizon * 2**j) + floor(c)]``."""
+    def index_set(self, j: int) -> np.ndarray:
+        """Shift indices whose level-j function meets ``[0, 1]``:
+        ``[-floor(c), 2**j + floor(c)]``."""
         c = int(math.floor(self.support_radius))
-        hi = int(math.ceil(horizon * (1 << j)))
-        return np.arange(-c, hi + c + 1)
+        return np.arange(-c, (1 << j) + c + 1)
 
 
-def _interp_table(basis: WaveletBasis, table: np.ndarray, t, clamp: bool = False):
-    # (table.size - 1) // (taps - 1) = 2**level nodes per unit, an exact scale
-    x = (np.asarray(t, dtype=float) + basis.center_shift) * ((table.size - 1) // (basis.taps - 1))
-    shape = x.shape
-    x = np.atleast_1d(x)
-    xq = np.clip(x, 0.0, table.size - 1.0) if clamp else x
-    lo = np.clip(np.floor(xq).astype(int), 0, table.size - 2)
-    w = xq - lo
-    out = table[lo] * (1.0 - w) + table[lo + 1] * w
-    if not clamp:
-        out[(x < 0.0) | (x > table.size - 1.0)] = 0.0
-    return out.reshape(shape) if shape else float(out[0])
-
-
-def daubechies_basis(vanishing_moments: int = 4, table_level: int = 14) -> WaveletBasis:
+def daubechies_basis(vanishing_moments: int = 4) -> WaveletBasis:
     """Build a Daubechies basis with the given number of vanishing moments.
 
     Moments >= 2 give the two vanishing moments the coefficient-decay
-    arguments need; >= 3 is C^1.  ``table_level`` controls the dyadic
-    evaluation resolution (>= 6 required downstream).  Bases are memoised
-    by value, however the arguments are spelled, and shared, so their
-    tables are read-only.
+    arguments need; >= 3 is C^1.  Bases are memoised by value, however the
+    argument is spelled, and shared, so their tables are read-only.
     """
-    return _daubechies_basis(vanishing_moments, table_level)
+    return _daubechies_basis(vanishing_moments)
 
 
 @lru_cache(maxsize=None)
-def _daubechies_basis(vanishing_moments: int, table_level: int) -> WaveletBasis:
+def _daubechies_basis(vanishing_moments: int) -> WaveletBasis:
     if vanishing_moments not in DAUBECHIES_FILTERS:
         raise ValueError(
             f"supported vanishing moments: {sorted(DAUBECHIES_FILTERS)}, "
             f"got {vanishing_moments}"
         )
-    if table_level < 6:
-        raise ValueError("table_level must be at least 6")
     h = np.array(DAUBECHIES_FILTERS[vanishing_moments])
-    phi = _cascade(h, table_level)
+    phi = _cascade(h, TABLE_LEVEL)
     for table in (h, phi):
         table.setflags(write=False)
     return WaveletBasis(
@@ -282,20 +263,18 @@ def _daubechies_basis(vanishing_moments: int, table_level: int) -> WaveletBasis:
         scaling_filter=h,
         vanishing_moments=vanishing_moments,
         regularity=DAUBECHIES_REGULARITY[vanishing_moments],
-        dyadic_table_level=table_level,
         _phi=phi,
-        _phi_cum=_cumulative(phi, table_level),
+        _phi_cum=_cumulative(phi, TABLE_LEVEL),
     )
 
 
 def cascade_evaluate(
-    basis: WaveletBasis, which: str, level: int, shift: int, t: np.ndarray | float,
-    table_level: int | None = None,
+    basis: WaveletBasis, which: str, level: int, shift: int, t: np.ndarray | float
 ) -> np.ndarray | float:
-    """``2**(j/2) * phi(2**j t - k)`` (resp. psi) via lookup in the table of ``table_level``."""
+    """``2**(j/2) * phi(2**j t - k)`` (resp. psi) via lookup in phi's tables."""
     scale = 2.0 ** (level / 2.0)
     t = np.asarray(t, dtype=float)
-    return scale * basis.evaluate(which, (1 << level) * t - shift, table_level)
+    return scale * basis.evaluate(which, (1 << level) * t - shift)
 
 
 def stencil(
@@ -307,22 +286,18 @@ def stencil(
     Entry ``[q, i]`` belongs to grid interval ``r = (q - c) s + i``: the
     midpoint sample ``cascade_evaluate(..., (r + 1/2) / 2**grid_level)``, or
     with ``cumulative`` the integral of the function over the interval (from
-    the cumulative table, whose end is pinned to the exact total, 1 for phi
-    and 0 for psi).  Shifting by k moves the table by ``k s`` intervals.  Both
-    read the basis tables at the dyadic level of their points (midpoints one
-    finer than the ends), in ``[1, dyadic_table_level]``.
+    its primitive, whose end is pinned to the exact total, 1 for phi and 0
+    for psi).  Shifting by k moves the table by ``k s`` intervals.
     """
     c = int(basis.support_radius)
     s = 1 << (grid_level - level)
-    top = basis.dyadic_table_level
     if cumulative:
-        ends = basis.integral(which, np.arange(-c * s, c * s + 1) / s,
-                              min(max(grid_level - level, 1), top))
+        ends = basis.integral(which, np.arange(-c * s, c * s + 1) / s)
         ends[-1] = 1.0 if which == "father" else 0.0
         vals = 2.0 ** (-level / 2.0) * np.diff(ends)
     else:
         mids = (np.arange(-c * s, c * s) + 0.5) / (1 << grid_level)
-        vals = cascade_evaluate(basis, which, level, 0, mids, min(grid_level - level + 1, top))
+        vals = cascade_evaluate(basis, which, level, 0, mids)
     return vals.reshape(2 * c, s)
 
 
@@ -374,15 +349,23 @@ class StieltjesMeasure:
             raise ValueError("StieltjesMeasure integrates a scalar component")
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: compared by identity
 class CoefficientTable:
-    """Wavelet coefficients of a measure: base-level phi row plus psi levels."""
+    """Wavelet coefficients of a measure: the phi row of ``index_set(base_level)``
+    and the psi rows of ``index_set(j)``, ``j = base_level .. max_level``, end to end."""
 
     base_level: int
     max_level: int
-    horizon: float
-    phi: dict[int, float]
-    psi: dict[tuple[int, int], float]
+    phi: np.ndarray
+    psi: np.ndarray
+
+    def psi_row(self, j: int) -> np.ndarray:
+        """The level-j psi row (a view)."""
+        if not self.base_level <= j <= self.max_level:
+            raise ValueError(f"level {j} outside {self.base_level} .. {self.max_level}")
+        pad = self.phi.size - (1 << self.base_level)  # 2 floor(c) + 1 indices past 2**j per row
+        start = (1 << j) - (1 << self.base_level) + (j - self.base_level) * pad
+        return self.psi[start : start + (1 << j) + pad]
 
 
 def wavelet_coefficients(
@@ -417,12 +400,8 @@ def wavelet_coefficients(
         )
     dz = xi.integrator.increments()[:, 0]
 
-    def row(which: str, j: int) -> zip:
-        coeffs = analyse(dz, stencil(basis, which, j, grid.level))
-        return zip(basis.index_set(j).tolist(), coeffs.tolist())
+    def row(which: str, j: int) -> np.ndarray:
+        return analyse(dz, stencil(basis, which, j, grid.level))
 
-    phi_row = dict(row("father", base_level))
-    psi = {
-        (j, k): v for j in range(base_level, max_level + 1) for k, v in row("mother", j)
-    }
-    return CoefficientTable(base_level, max_level, grid.horizon, phi_row, psi)
+    psi = np.concatenate([row("mother", j) for j in range(base_level, max_level + 1)])
+    return CoefficientTable(base_level, max_level, row("father", base_level), psi)

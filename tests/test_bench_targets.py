@@ -11,8 +11,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,3 +67,53 @@ def test_every_library_attribute_the_benchmark_uses_resolves(script):
     missing = [(module, attr, line) for module, attr, line in used
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == [], script
+
+
+
+def test_every_counter_counts_what_it_names(tmp_path, monkeypatch):
+    # a counter that counted another thing (a level count for the coefficient
+    # count, another file's bytes) would still resolve; each is compared with a
+    # count taken beside it: the files' sizes, the index sets, and the windows
+    # and Picard steps the solver ran
+    from roughstruct import grids, roughpath, solver, wavelets
+    from roughstruct.modelled import ControlledPath, builtin_descriptor, multiply_by_Wdot, to_modelled
+    from roughstruct.structure import RoughModel
+
+    windows, steps = [], []
+    solve_window, step_core = solver._solve_window, solver._step_core
+    monkeypatch.setattr(solver, "_solve_window", lambda *a: windows.append(1) or solve_window(*a))
+    monkeypatch.setattr(solver, "_step_core", lambda *a: steps.append(1) or step_core(*a))
+
+    path = grids.generate_path("fbm", grids.make_dyadic_grid(1.0, 8), hurst=0.45, seed=7)
+    rp = roughpath.lift_piecewise_smooth(path, "linear", 0.45)
+    csv, json_file = (str(tmp_path / name) for name in ("w.csv", "rp.json"))
+    grids.write_path_csv(path, csv)
+    roughpath.write_rough_path_json(rp, json_file, str(tmp_path / "rp_path.csv"))
+    out_csv, out_json = (str(tmp_path / name) for name in ("out.csv", "out.json"))
+    basis = wavelets.daubechies_basis(4)
+    base, top = basis.min_base_level(), 6
+    f = multiply_by_Wdot(to_modelled(
+        ControlledPath(path.values, np.ones((path.grid.num_nodes, 1, 1)), path), 0.45), 0)
+    calls = {  # attribute: (arguments, the counts expected once the call returned)
+        "write_path_csv": ((path, out_csv), lambda: {"grids.csv_bytes": os.path.getsize(out_csv)}),
+        "read_path_csv": ((csv,), lambda: {"grids.csv_bytes": os.path.getsize(csv)}),
+        "write_rough_path_json": ((rp, out_json, str(tmp_path / "out_path.csv")),
+                                  lambda: {"roughpath.json_bytes": os.path.getsize(out_json)}),
+        "read_rough_path_json": ((json_file,),
+                                 lambda: {"roughpath.json_bytes": os.path.getsize(json_file)}),
+        "wavelet_coefficients": (
+            (wavelets.StieltjesMeasure(path), basis, base, top),
+            lambda: {"wavelets.coefficients": basis.index_set(base).size
+                     + sum(basis.index_set(j).size for j in range(base, top + 1))}),
+        "reconstruct": ((f, RoughModel(rp), basis, top),
+                        lambda: {"reconstruction.scaling_coeffs": basis.index_set(top).size}),
+        "solve_rde": ((1.0, builtin_descriptor("tanh"), rp,
+                       solver.SolverConfig(alpha=0.45, beta=0.5)),
+                      lambda: {"solver.windows": len(windows), "solver.picard_iters": len(steps)}),
+    }
+    counted = [(module, attr, counter) for module, attr, _, counter in _targets() if counter]
+    assert sorted(attr for _, attr, _ in counted) == sorted(calls)
+    for module, attr, counter in counted:
+        args, want = calls[attr]
+        result = getattr(importlib.import_module(f"roughstruct.{module}"), attr)(*args)
+        assert counter(args, {}, result) == want(), attr

@@ -383,6 +383,17 @@ def test_rough_routes_refuse_y_csv_alone(tmp_path, capsys, route):
     assert not (tmp_path / "I.csv").exists()
 
 
+@pytest.mark.parametrize("route", ["rough-riemann", "rough-wavelet"])
+def test_rough_routes_refuse_y_prime_csv_alone(tmp_path, capsys, route):
+    # the default integrand was integrated and a --y-prime-csv that does not exist never opened
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "6", "--out", str(w), "gen", "--kind", "sin_cos")
+    code, err = _exit_and_error(capsys, "--out", str(tmp_path / "I.csv"), "integrate", str(w),
+                                "--route", route, "--y-prime-csv", str(tmp_path / "missing.csv"))
+    assert code == 1 and "error: --y-prime-csv requires --y-csv" in err
+    assert not (tmp_path / "I.csv").exists()
+
+
 _OFF_DRIVER = {  # --y-csv, --y-prime-csv, the file refused
     "y-on-0-2": ("long.csv", "w.csv", "long.csv"),
     "y-two-columns": ("y2.csv", "w.csv", "y2.csv"),

@@ -170,11 +170,11 @@ def test_wavelet_tables_match_per_coefficient_quadrature(horizon, moments):
                          for k in basis.index_set(j)])
 
     phi = row("father", table.base_level)
-    _close([table.phi[int(k)] for k in basis.index_set(table.base_level)], phi)
+    _close(table.phi, phi)
     z = _reference_primitive(basis, "father", table.base_level, phi, grid.num_intervals)
     for j in levels:
         psi = row("mother", j)
-        _close([table.psi[(j, int(k))] for k in basis.index_set(j)], psi)
+        _close(table.psi_row(j), psi)
         z = z + _reference_primitive(basis, "mother", j, psi, grid.num_intervals)
     assert len(table.psi) == sum(basis.index_set(j).size for j in levels)
     _close(antiderivative_from_distribution(xi, basis).values[:, 0], z)

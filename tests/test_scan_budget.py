@@ -191,16 +191,29 @@ def test_basis_build_memory_is_its_tables():
     # cascade peaks at 2.2 MiB (3.5 MiB while psi and its cumulative table were
     # built too); the uncached builder is called so the shared basis cache stays intact
     def build():
-        return wavelets._daubechies_basis.__wrapped__(4, 14).father_center_of_mass
+        return wavelets._daubechies_basis.__wrapped__(4).father_center_of_mass
 
     assert traced_peak(build) <= 3.6 * MIB
+
+
+def test_scalar_psi_reads_make_no_table():
+    # psi and its primitive at a point are read from phi's tables at the point;
+    # 1,345 KiB were traced while whole psi tables were made for these reads
+    basis = wavelets.daubechies_basis(4)
+    basis.evaluate("mother", 0.3)
+
+    def read():
+        basis.evaluate("mother", 0.3)
+        basis.integral("mother", [0.1, 0.7])
+
+    assert traced_peak(read) <= 64 * 1024
 
 
 def test_basis_keeps_the_phi_tables_only():
     # phi and its cumulative table, 2 tables of (taps - 1) * 2**14 + 1 = 114,689
     # floats at db4, level 14 (1.75 MiB), and 4 KiB for the objects around
-    # them, also after psi and its primitive were read: both are made from
-    # phi's tables at the level each caller reads, and kept by no one
+    # them, also after psi and its primitive were read: both are read from
+    # phi's tables at the point, and no table of them is made
     xi = wavelets.StieltjesMeasure(generate_path("fbm", make_dyadic_grid(1.0, 13), seed=5))
     t = np.linspace(-4.0, 4.0, 1001)
 
@@ -212,7 +225,7 @@ def test_basis_keeps_the_phi_tables_only():
     read_psi(wavelets.daubechies_basis(4))  # fills the interpreter's tuple free lists untraced
     tracemalloc.start()
     try:
-        basis = wavelets._daubechies_basis.__wrapped__(4, 14)
+        basis = wavelets._daubechies_basis.__wrapped__(4)
         kept = [tracemalloc.get_traced_memory()[0]]
         read_psi(basis)
         kept.append(tracemalloc.get_traced_memory()[0])

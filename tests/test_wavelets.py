@@ -14,7 +14,12 @@ from roughstruct import (
     make_dyadic_grid,
     wavelet_coefficients,
 )
-from roughstruct.wavelets import DAUBECHIES_FILTERS, DAUBECHIES_INTEGER_VALUES, _daubechies_basis
+from roughstruct.wavelets import (
+    DAUBECHIES_FILTERS,
+    DAUBECHIES_INTEGER_VALUES,
+    _daubechies_basis,
+    stencil,
+)
 
 
 def _masked_cascade(h: np.ndarray, levels: int) -> np.ndarray:
@@ -70,6 +75,28 @@ def test_sliced_cascade_tables_equal_masked_loop(moments):
     assert np.array_equal(psi, _masked_mother(basis.scaling_filter, phi, level))
 
 
+@pytest.mark.parametrize("moments", [2, 3, 4, 8])
+def test_psi_stencils_are_two_scale_sums_of_phi_stencils(moments):
+    # psi_{j,0} = sum_k g_k phi_{j+1, k - center_shift}: the level-j psi midpoint stencil
+    # is the g-weighted sum of the level-(j + 1) phi stencil, shifted by
+    # (k - center_shift + c) s / 2 intervals.  Read from a psi table of level <= 14,
+    # psi stencils of grids finer than the table missed this by up to 2.4e-2 (db2, J = 18)
+    basis = daubechies_basis(moments)
+    h = basis.scaling_filter
+    g = [(-1) ** k * h[basis.taps - 1 - k] for k in range(basis.taps)]
+    c = int(basis.support_radius)
+    for grid_level in (8, 13, 16, 18):
+        for j in range(basis.min_base_level(), basis.min_base_level() + 4):
+            psi = stencil(basis, "mother", j, grid_level).ravel()
+            phi = stencil(basis, "father", j + 1, grid_level).ravel()
+            half = 1 << (grid_level - j - 1)
+            want = np.zeros_like(psi)
+            for k, gk in enumerate(g):
+                at = (k - basis.center_shift + c) * half
+                want[at : at + phi.size] += gk * phi
+            assert np.abs(psi - want).max() <= 1e-13 * np.abs(psi).max(), (grid_level, j)
+
+
 def test_basis_build_calls_no_lapack(monkeypatch):
     # phi at the integers is stored beside the filters, not solved for by eig
     def no_lapack(*args, **kwargs):
@@ -78,7 +105,7 @@ def test_basis_build_calls_no_lapack(monkeypatch):
     for name in ("eig", "eigvals", "solve", "lstsq"):
         monkeypatch.setattr(np.linalg, name, no_lapack)
     for moments in sorted(DAUBECHIES_FILTERS):  # uncached, so every table is built here
-        basis = _daubechies_basis.__wrapped__(moments, 14)
+        basis = _daubechies_basis.__wrapped__(moments)
         assert basis._phi[:: 1 << 14].tolist() == [0.0, *DAUBECHIES_INTEGER_VALUES[moments], 0.0]
 
 
@@ -145,25 +172,20 @@ def test_cross_level_orthogonality(basis):
 
 def test_table_level_guard():
     with pytest.raises(ValueError):
-        daubechies_basis(4, table_level=4)
-    with pytest.raises(ValueError):
         daubechies_basis(17)
 
 
 def test_basis_is_memoised_and_read_only():
     basis = daubechies_basis(4)
     assert daubechies_basis(4) is basis
-    psi_tables = [basis._table("mother", cumulative, level)
-                  for cumulative in (False, True) for level in (None, 8, 1)]
-    for table in (basis.scaling_filter, basis._phi, basis._phi_cum, *psi_tables):
+    for table in (basis.scaling_filter, basis._phi, basis._phi_cum):
         with pytest.raises(ValueError):
             table[0] = 1.0
 
 
 def test_basis_is_memoised_however_spelled():
     basis = daubechies_basis()
-    for args, kwargs in [((4,), {}), ((4, 14), {}), ((), {"vanishing_moments": 4}),
-                         ((), {"table_level": 14})]:
+    for args, kwargs in [((4,), {}), ((), {"vanishing_moments": 4})]:
         assert daubechies_basis(*args, **kwargs) is basis
 
 
@@ -184,12 +206,32 @@ def test_index_set_matches_support(basis):
 # Stieltjes measures and coefficients
 
 
+def _psi_entries(table, basis):
+    """``((j, k), coefficient)`` for every psi coefficient of the table."""
+    for j in range(table.base_level, table.max_level + 1):
+        yield from zip(((j, int(k)) for k in basis.index_set(j)), table.psi_row(j))
+
+
 def test_constant_integrator_gives_zero_coefficients(basis):
     grid = make_dyadic_grid(1.0, 8)
     xi = StieltjesMeasure(SampledPath(grid, np.ones(grid.num_nodes)))
     table = wavelet_coefficients(xi, basis, max_level=5)
-    assert all(v == 0.0 for v in table.phi.values())
-    assert all(v == 0.0 for v in table.psi.values())
+    assert all(v == 0.0 for v in table.phi)
+    assert all(v == 0.0 for v in table.psi)
+
+
+def test_psi_rows_cover_the_table_and_refuse_other_levels(basis):
+    grid = make_dyadic_grid(1.0, 8)
+    table = wavelet_coefficients(StieltjesMeasure(generate_path("fbm", grid, seed=2)), basis,
+                                 max_level=6)
+    levels = range(table.base_level, table.max_level + 1)
+    assert table.phi.size == basis.index_set(table.base_level).size
+    assert np.array_equal(np.concatenate([table.psi_row(j) for j in levels]), table.psi)
+    assert [table.psi_row(j).size for j in levels] == [basis.index_set(j).size for j in levels]
+    for j in (table.base_level - 1, table.max_level + 1):
+        with pytest.raises(ValueError):
+            table.psi_row(j)
+    assert table == table  # a generated __eq__ over the array fields raised
 
 
 def test_lebesgue_interior_psi_coefficients_vanish(basis):
@@ -198,7 +240,7 @@ def test_lebesgue_interior_psi_coefficients_vanish(basis):
     xi = StieltjesMeasure(SampledPath(grid, grid.nodes))
     table = wavelet_coefficients(xi, basis, max_level=6)
     c = basis.support_radius
-    for (j, k), val in table.psi.items():
+    for (j, k), val in _psi_entries(table, basis):
         if k - c >= 0 and k + c <= (1 << j):  # support inside [0, 1]
             assert abs(val) < 1e-6
 
@@ -212,7 +254,7 @@ def test_quadratic_interior_psi_coefficients_vanish(basis):
     c = basis.support_radius
     fine = np.linspace(0.0, 1.0, (1 << 12) + 1)
     mid = 0.5 * (fine[:-1] + fine[1:])
-    for (j, k), val in table.psi.items():
+    for (j, k), val in _psi_entries(table, basis):
         if k - c >= 0 and k + c <= (1 << j):
             assert abs(val) < 1e-5
             oracle = float(
@@ -229,7 +271,7 @@ def test_coefficient_decay_for_fbm(basis):
     xi = StieltjesMeasure(path)
     table = wavelet_coefficients(xi, basis, max_level=8)
     constants = {}
-    for (j, k), val in table.psi.items():
+    for (j, k), val in _psi_entries(table, basis):
         bound = 2.0 ** (j / 2.0 - j * alpha)
         constants[j] = max(constants.get(j, 0.0), abs(val) / bound)
     values = [constants[j] for j in sorted(constants) if j >= 3]
