@@ -211,9 +211,9 @@ def _cmd_lift(args) -> dict:
         raise ValueError(f"--coeffs is for --mode polynomial, not {args.mode}")
     coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
     rp = _make_lift(args, read_path_csv(args.path_csv), args.mode, coeffs)
-    second_csv = write_rough_path_json(rp, out, csv_out)
+    second_npy = write_rough_path_json(rp, out, csv_out)
     first, second, total = rough_path_seminorm(rp)
-    return {"out": out, "path_csv": csv_out, "second_order_csv": second_csv, "alpha": rp.alpha,
+    return {"out": out, "path_csv": csv_out, "second_order_npy": second_npy, "alpha": rp.alpha,
             "seminorm_path": first, "seminorm_second": second, "seminorm": total}
 
 

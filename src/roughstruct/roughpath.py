@@ -13,6 +13,7 @@ They move ``pairs``, not the stored tensors the finest-mesh integrals read.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import SampledPath, TimeGrid, euclidean_norms, generate_path, pair_scan, scan_chunks
-from .grids import check_outputs, read_path_csv, read_table, write_output, write_path_csv, write_table
+from .grids import check_outputs, read_path_csv, write_output, write_path_csv
 
 
 @dataclass(frozen=True)
@@ -192,12 +193,8 @@ def _polynomial_interval_tensors(t: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     return out
 
 
-def lift_piecewise_smooth(
-    w: SampledPath,
-    mode: str = "linear",
-    alpha: float = 0.5,
-    coeffs: np.ndarray | None = None,
-) -> RoughPath:
+def lift_piecewise_smooth(w: SampledPath, mode: str = "linear", alpha: float = 0.5,
+                          coeffs: np.ndarray | None = None) -> RoughPath:
     """Exact rough-path lift of a piecewise-linear or closed-form path.
 
     ``linear`` treats the samples as a piecewise-linear path, for which the
@@ -257,22 +254,23 @@ def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float
 
 
 # ---------------------------------------------------------------------------
-# Files: a JSON {"alpha", "path_csv", "second_order_csv"} naming two tables,
-# the path CSV and the tensor CSV "k,ww11,...,wwnn" (row k: interval k's WW)
+# Files: a JSON {"alpha", "path_csv", "second_order_npy"} naming two tables,
+# the path CSV and the tensor table: the (N, n, n) "<f8" increments as .npy
+# (the v1.0 header, then the array's own buffer, as np.save writes them)
 
 
 def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> str:
-    """Write ``path_csv``, the tensor CSV ``<json stem>_second.csv`` and the
-    JSON naming both, all three names checked first; returns the tensor CSV's name."""
-    second_csv = os.path.splitext(json_file)[0] + "_second.csv"
-    check_outputs(json_file, path_csv, second_csv)
+    """Write ``path_csv``, the tensor table ``<json stem>_second.npy`` and the
+    JSON naming both, all three names checked first; returns the table's name."""
+    second_npy = os.path.splitext(json_file)[0] + "_second.npy"
+    check_outputs(json_file, path_csv, second_npy)
     write_path_csv(rp.path, path_csv)
-    cells = [f"ww{i + 1}{j + 1}" for i in range(rp.dim) for j in range(rp.dim)]
-    inc = rp.second.increments
-    write_table(second_csv, ",".join(["k", *cells]), range(len(inc)), inc.reshape(len(inc), -1))
-    payload = {"alpha": rp.alpha, "path_csv": path_csv, "second_order_csv": second_csv}
+    inc, header = np.ascontiguousarray(rp.second.increments, dtype="<f8"), io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(inc))
+    write_output(second_npy, [header.getvalue(), inc.data])
+    payload = {"alpha": rp.alpha, "path_csv": path_csv, "second_order_npy": second_npy}
     write_output(json_file, [json.dumps(payload).encode()])
-    return second_csv
+    return second_npy
 
 
 def _beside(json_file: str, name) -> str:
@@ -284,22 +282,24 @@ def _beside(json_file: str, name) -> str:
 def read_rough_path_json(json_file: str) -> RoughPath:
     """Bit-exact inverse of :func:`write_rough_path_json`.  ``ValueError``
     naming the file at fault unless the JSON has a numeric alpha in (1/3, 1/2]
-    and both names (older files with inline tensors are refused), and the
-    tensor CSV has the rows k = 0..N-1, in order, of n*n finite floats."""
+    and both names (older forms are refused), and the tensor table is an
+    (N, n, n) ``.npy`` of finite "<f8" cells."""
     with open(json_file) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or not {"alpha", "path_csv", "second_order_csv"} <= set(payload):
-        raise ValueError(f"{json_file}: needs the keys alpha, path_csv and second_order_csv")
+    if not isinstance(payload, dict) or not {"alpha", "path_csv", "second_order_npy"} <= set(payload):
+        raise ValueError(f"{json_file}: needs the keys alpha, path_csv and second_order_npy; re-run lift")
     alpha = payload["alpha"]
     if type(alpha) not in (int, float):  # a JSON number: not a string, a bool or null
         raise ValueError(f"{json_file}: alpha is not a number")
     if not 1 / 3 < alpha <= 0.5:
         raise ValueError(f"{json_file}: alpha must be in (1/3, 1/2], got {alpha}")
     path = read_path_csv(_beside(json_file, payload["path_csv"]))
-    second_csv = _beside(json_file, payload["second_order_csv"])
-    table, n, n_int = read_table(second_csv), path.dim, path.grid.num_intervals
-    if table.shape != (n_int, 1 + n * n) or not np.array_equal(table[:, 0], np.arange(n_int)):
-        raise ValueError(f"{second_csv}: needs the rows k = 0..{n_int - 1} in order, "
-                         f"each with {n * n} tensor cells")
-    inc = np.ascontiguousarray(table[:, 1:]).reshape(n_int, n, n)
-    return RoughPath(path, SecondOrderProcess(path.grid, inc), alpha)
+    second_npy = _beside(json_file, payload["second_order_npy"])
+    try:  # the shape is SecondOrderProcess's and RoughPath's to check
+        with open(second_npy, "rb") as fh:
+            inc = np.lib.format.read_array(fh, allow_pickle=False)
+        if inc.dtype != "<f8" or not np.isfinite(inc).all():
+            raise ValueError(f"needs finite cells of type '<f8', has '{inc.dtype.str}'")
+        return RoughPath(path, SecondOrderProcess(path.grid, inc), alpha)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a header's shape too large to allocate
+        raise ValueError(f"{second_npy}: {exc}") from None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 import roughstruct
 import roughstruct.cli as cli
+from roughstruct import grids, roughpath
 from roughstruct.cli import main
 from roughstruct.grids import read_path_csv
 from roughstruct.roughpath import read_rough_path_json
@@ -206,7 +208,7 @@ def test_convergence_rejects_non_positive_scale(tmp_path, capsys, scale):
 
 
 def _drop_key(key):
-    def corrupt(rp_json, second_csv):
+    def corrupt(rp_json, second_npy):
         payload = json.loads(rp_json.read_text())
         payload.pop(key)
         rp_json.write_text(json.dumps(payload))
@@ -214,35 +216,53 @@ def _drop_key(key):
     return corrupt
 
 
-def _edit_rows(edit):
-    """Corrupt the tensor CSV: ``edit`` changes its data rows (lists of cells) in place."""
-    def corrupt(rp_json, second_csv):
-        header, *rows = [line.split(",") for line in second_csv.read_text().splitlines()]
-        edit(rows)
-        second_csv.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
-        return second_csv
+def _write_bytes(make):
+    """Corrupt the tensor table: ``make`` maps its bytes to the bytes put at its name."""
+    def corrupt(rp_json, second_npy):
+        second_npy.write_bytes(make(second_npy.read_bytes()))
+        return second_npy
     return corrupt
 
 
-def _set_cell(k, column, cell):
-    return _edit_rows(lambda rows: rows[k].__setitem__(column, cell))
+def _save(edit, save=np.save, **kwargs):
+    """The tensor table rewritten by ``save`` (``np.save``) of ``edit(tensors)``."""
+    def make(raw):
+        out = io.BytesIO()
+        save(out, edit(np.load(io.BytesIO(raw))), **kwargs)
+        return out.getvalue()
+    return _write_bytes(make)
+
+
+def _set_cell(value):
+    return _save(lambda inc: np.where(np.arange(inc.size).reshape(inc.shape) == 5, value, inc))
 
 
 # each corruption of a J = 4 rough-path file (16 intervals, dim 2): the JSON
-# loses a key, or the tensor CSV ("k,ww11,ww12,ww21,ww22") a row or a cell
+# loses a key, or the tensor table ((16, 2, 2) "<f8" as .npy) is not one
 _JSON_DEFECTS = {
     "missing-alpha": _drop_key("alpha"),
     "missing-path_csv": _drop_key("path_csv"),
-    "missing-second_order": _drop_key("second_order_csv"),
-    "index-99": _set_cell(3, 0, "99"),
-    "index-negative": _set_cell(3, 0, "-1"),
-    "index-not-integer": _set_cell(3, 0, "2.5"),
-    "interval-duplicated": _set_cell(3, 0, "2"),
-    "intervals-missing": _edit_rows(lambda rows: rows.__delitem__(slice(3, None))),
-    "tensor-short": _edit_rows(lambda rows: rows[5].pop()),
-    "tensor-nan": _set_cell(5, 2, "nan"),
-    "tensor-text": _set_cell(5, 1, "a"),
+    "missing-second_order": _drop_key("second_order_npy"),
+    "npy-empty": _write_bytes(lambda raw: b""),
+    "tensor-short": _write_bytes(lambda raw: raw[:-8]),
+    "tensor-text": _write_bytes(lambda raw: b"k,ww11,ww12,ww21,ww22\n0,0,0,0,0\n"),
+    "npy-pickled": _save(lambda inc: inc.astype(object), allow_pickle=True),
+    "npz-archive": _save(lambda inc: inc, save=np.savez),
+    "tensor-float32": _save(lambda inc: inc.astype(np.float32)),
+    "tensor-big-endian": _save(lambda inc: inc.astype(">f8")),
+    "intervals-missing": _save(lambda inc: inc[1:]),
+    "tensor-flat": _save(lambda inc: inc.reshape(len(inc), -1)),
+    "tensor-wide": _save(lambda inc: np.zeros((len(inc), 3, 3))),
+    "tensor-nan": _set_cell(np.nan),
+    "tensor-inf": _set_cell(-np.inf),
+    "tensor-huge-header": _write_bytes(lambda raw: _npy_header((2**50,)) + raw[-64:]),
 }
+
+
+def _npy_header(shape) -> bytes:
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {"shape": shape, "fortran_order": False, "descr": "<f8"})
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("defect", list(_JSON_DEFECTS))
@@ -251,14 +271,27 @@ def test_malformed_rough_path_json_exits_one(tmp_path, capsys, defect):
     rp = tmp_path / "rp.json"
     _run(capsys, "--grid-level", "4", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
     _, out = _run(capsys, "--json", "--out", str(rp), "lift", str(w), "--mode", "linear")
-    second_csv = tmp_path / "rp_second.csv"
-    assert json.loads(out)["second_order_csv"] == str(second_csv)
+    second_npy = tmp_path / "rp_second.npy"
+    assert json.loads(out)["second_order_npy"] == str(second_npy)
     code, _ = _run(capsys, "--json", "chen", str(rp))
     assert code == 0
-    corrupted = _JSON_DEFECTS[defect](rp, second_csv)
+    corrupted = _JSON_DEFECTS[defect](rp, second_npy)
     code, out = _run(capsys, "--json", "chen", str(rp))
     assert code == 1
     assert str(corrupted) in json.loads(out)["error"]
+
+
+def test_tensor_csv_json_exits_one(tmp_path, capsys):
+    # the form lift wrote before the tensor table was .npy: "second_order_csv"
+    # names a CSV "k,ww11,...,wwnn" of one row per interval
+    w, rp, second_csv = tmp_path / "w.csv", tmp_path / "rp.json", tmp_path / "rp_second.csv"
+    _run(capsys, "--grid-level", "2", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "1")
+    second_csv.write_text("k,ww11\n" + "".join(f"{k},0\n" for k in range(4)))
+    rp.write_text(json.dumps({"alpha": 0.45, "path_csv": str(w), "second_order_csv": str(second_csv)}))
+    code, out = _run(capsys, "--json", "chen", str(rp))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert str(rp) in error and "re-run lift" in error
 
 
 def test_inline_second_order_json_exits_one(tmp_path, capsys):
@@ -273,6 +306,34 @@ def test_inline_second_order_json_exits_one(tmp_path, capsys):
     assert str(rp) in json.loads(out)["error"]
     with pytest.raises(ValueError, match=re.escape(str(rp))):
         read_rough_path_json(str(rp))
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the file name of every call of the ``grids`` function ``name``,
+    under each binding of it in the package."""
+    calls, original = [], getattr(grids, name)
+
+    def counted(filename, *args):
+        calls.append(os.path.basename(filename))
+        return original(filename, *args)
+
+    for module in (grids, roughpath, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_only_the_path_is_a_csv_table_of_a_rough_path(tmp_path, capsys, monkeypatch):
+    # the tensors are one .npy table: lift writes, and chen reads, the path
+    # CSV alone through the CSV functions
+    w, rp = tmp_path / "w.csv", tmp_path / "rp.json"
+    _run(capsys, "--grid-level", "5", "--out", str(w), "gen", "--kind", "fbm", "--dim", "2")
+    writes, reads = _count_calls(monkeypatch, "write_table"), _count_calls(monkeypatch, "read_table")
+    assert _run(capsys, "--out", str(rp), "lift", str(w))[0] == 0
+    assert writes == ["rp_path.csv"]
+    reads.clear()
+    assert _run(capsys, "chen", str(rp))[0] == 0
+    assert reads == ["rp_path.csv"]
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
@@ -558,7 +619,7 @@ def test_cached_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
     assert [code for code, *_ in cached] == [0, 0, 1, 0, 1, 0, 1, 0, 0]
 
 
-# sibling files: lift writes <stem>_path.csv and <stem>_second.csv beside its
+# sibling files: lift writes <stem>_path.csv and <stem>_second.npy beside its
 # JSON, solve <stem>_diag.json beside its solution, <stem> from os.path.splitext;
 # a stem cut at the last dot put them in the cwd for a dotted directory
 
@@ -579,9 +640,9 @@ def test_lift_writes_its_tables_beside_the_json(tmp_path, capsys, monkeypatch, o
     code, text = _run(capsys, "--json", "--out", out, "lift", "w.csv")
     assert code == 0
     payload = json.loads(text)
-    assert (payload["path_csv"], payload["second_order_csv"]) == (stem + "_path.csv",
-                                                                  stem + "_second.csv")
-    _assert_only_these_in_the_cwd(tmp_path, "w.csv", out, stem + "_path.csv", stem + "_second.csv")
+    assert (payload["path_csv"], payload["second_order_npy"]) == (stem + "_path.csv",
+                                                                  stem + "_second.npy")
+    _assert_only_these_in_the_cwd(tmp_path, "w.csv", out, stem + "_path.csv", stem + "_second.npy")
     back = read_rough_path_json(out)
     assert np.array_equal(back.path.values, read_path_csv("w.csv").values)
 

@@ -2,9 +2,10 @@
 
 The reference is the row-by-row ``f"{v:.17g}"`` formatter that the
 vectorised table writer replaced; every CSV must match it byte for byte,
-and the rough-path JSON must match ``json.dump`` of its three keys.  Every
-file goes through ``write_output``, which rewrites a file in place and cuts
-it to length, keeping what ``open(name, "wb")`` keeps.
+the rough-path JSON must match ``json.dump`` of its three keys, and its
+tensor table ``np.save`` of the tensors.  Every file goes through
+``write_output``, which rewrites a file in place and cuts it to length,
+keeping what ``open(name, "wb")`` keeps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import roughstruct.cli as cli
+import roughstruct.roughpath
 import roughstruct.solver
 from roughstruct import grids
 from roughstruct import (
@@ -51,16 +53,15 @@ def _reference_path_csv(path: SampledPath) -> bytes:
     return _reference_table(header, np.column_stack([path.grid.nodes, path.values]))
 
 
-def _reference_second_csv(rp: RoughPath) -> bytes:
-    n, n_int = rp.dim, rp.path.grid.num_intervals
-    header = "k," + ",".join(f"ww{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    return _reference_table(header, np.column_stack(
-        [np.arange(n_int), rp.second.increments.reshape(n_int, -1)]))
+def _reference_npy(a: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    np.save(out, a)
+    return out.getvalue()
 
 
-def _reference_json(rp: RoughPath, path_csv: str, second_csv: str) -> bytes:
+def _reference_json(rp: RoughPath, path_csv: str, second_npy: str) -> bytes:
     out = io.StringIO()
-    json.dump({"alpha": rp.alpha, "path_csv": path_csv, "second_order_csv": second_csv}, out)
+    json.dump({"alpha": rp.alpha, "path_csv": path_csv, "second_order_npy": second_npy}, out)
     return out.getvalue().encode()
 
 
@@ -117,11 +118,15 @@ def _extreme_rough_path(dim: int) -> RoughPath:
 def test_rough_path_json_matches_json_dump(tmp_path, dim):
     rp = _extreme_rough_path(dim)
     json_file, csv_file = tmp_path / "rp.json", tmp_path / "rp_path.csv"
-    second_csv = write_rough_path_json(rp, str(json_file), str(csv_file))
-    assert second_csv == str(tmp_path / "rp_second.csv")
-    assert json_file.read_bytes() == _reference_json(rp, str(csv_file), second_csv)
+    second_npy = write_rough_path_json(rp, str(json_file), str(csv_file))
+    assert second_npy == str(tmp_path / "rp_second.npy")
+    assert json_file.read_bytes() == _reference_json(rp, str(csv_file), second_npy)
     assert csv_file.read_bytes() == _reference_path_csv(rp.path)
-    assert (tmp_path / "rp_second.csv").read_bytes() == _reference_second_csv(rp)
+    # the tensor table is np.save's file, and holds the extremes unchanged
+    assert (tmp_path / "rp_second.npy").read_bytes() == _reference_npy(rp.second.increments)
+    back = read_rough_path_json(str(json_file)).second.increments
+    assert np.array_equal(back, rp.second.increments)
+    assert np.array_equal(np.signbit(back), np.signbit(rp.second.increments))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -132,6 +137,21 @@ def test_rough_path_round_trip_is_bit_exact(tmp_path, dim):
     assert back.alpha == rp.alpha
     assert back.path.values.tobytes() == rp.path.values.tobytes()
     assert back.second.increments.tobytes() == rp.second.increments.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [1.0, HORIZON])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cli_lift_to_chen_round_trip_is_bit_exact(tmp_path, monkeypatch, dim, horizon):
+    read = _spy(monkeypatch, roughstruct.roughpath, "read_rough_path_json")
+    w, rp_json = tmp_path / "w.csv", tmp_path / "rp.json"
+    _run("--grid-level", 7, "--horizon", horizon, "--seed", dim, "--out", w,
+         "gen", "--kind", "fbm", "--dim", dim)
+    _run("--out", rp_json, "lift", w)
+    _run("chen", rp_json)
+    (back,) = read
+    lifted = lift_piecewise_smooth(grids.read_path_csv(str(w)), "linear", 0.45)
+    assert back.second.increments.tobytes() == lifted.second.increments.tobytes()
+    assert back.path.values.tobytes() == lifted.path.values.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

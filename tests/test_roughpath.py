@@ -358,6 +358,16 @@ def test_rough_path_json_read_memory_is_linear(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_rough_path_read_memory_holds_the_tensors_once(tmp_path):
+    # at J = 18, dim 2 the tensors are 8 MiB and the path 6 MiB: parsing the
+    # tensors as CSV text with an index column peaked at 24.0 MiB
+    path = generate_path("fbm", make_dyadic_grid(1.0, 18), dim=2, hurst=0.5, seed=0)
+    write_rough_path_json(lift_piecewise_smooth(path, "linear", 0.45),
+                          str(tmp_path / "rp.json"), str(tmp_path / "rp_path.csv"))
+    peak = traced_peak(lambda: read_rough_path_json(str(tmp_path / "rp.json")))
+    assert peak < 18 * 2**20
+
+
 def test_rough_path_write_memory_is_blocked(tmp_path):
     # the writers stacked the whole table before blocking it: at J = 18,
     # dim 2 the path CSV peaked at 9.8 MiB and the rough path (which writes
@@ -375,7 +385,7 @@ def test_rough_path_files_read_after_a_move(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     write_rough_path_json(rp, str(tmp_path / "a" / "rp.json"), str(tmp_path / "a" / "rp_path.csv"))
-    for name in ("rp.json", "rp_path.csv", "rp_second.csv"):
+    for name in ("rp.json", "rp_path.csv", "rp_second.npy"):
         (tmp_path / "a" / name).rename(tmp_path / "b" / name)
     back = read_rough_path_json(str(tmp_path / "b" / "rp.json"))
     assert np.array_equal(back.path.values, rp.path.values)
