@@ -5,10 +5,9 @@ every coarser ``WW_{s,t}`` is assembled through Chen's relation
 
     ``WW_{s,t} = WW_{s,u} + WW_{u,t} + W_{s,u} (x) W_{u,t}``
 
-so the relation holds by construction.  Query-level pair overrides exist to
-represent (and detect) a second-order process that is *not* Chen-consistent:
-``chen_defect`` scans every triple touching one, and probes the rest in O(N).
-They move ``pairs``, not the stored tensors the finest-mesh integrals read.
+so the relation holds by construction, and ``chen_defect`` only probes
+round-off, in O(N).  Every reading of ``WW`` (pairs, seminorms, germs)
+goes through the stored tensors.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +30,6 @@ class SecondOrderProcess:
 
     grid: TimeGrid
     increments: np.ndarray  # (num_intervals, n, n)
-    pair_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         inc = np.asarray(self.increments, dtype=float)
@@ -42,14 +40,6 @@ class SecondOrderProcess:
     @property
     def dim(self) -> int:
         return self.increments.shape[1]
-
-    def with_pair_override(self, i: int, j: int, tensor: np.ndarray) -> "SecondOrderProcess":
-        """Copy with ``WW_{t_i, t_j}`` replaced at query level: it moves ``pairs``,
-        the Chen defect, the seminorms and the coarse germs (Chen's relation
-        genuinely breaks), not the stored ``increments`` the finest germs read."""
-        overrides = dict(self.pair_overrides)
-        overrides[(int(i), int(j))] = np.asarray(tensor, dtype=float)
-        return SecondOrderProcess(self.grid, self.increments, overrides)
 
 
 @dataclass(frozen=True)
@@ -93,59 +83,39 @@ class RoughPath:
         return self.pairs(np.array([i]), np.array([j]))[0]
 
     def pairs(self, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-        """Vectorized ``pair`` over index arrays; overrides applied afterwards."""
+        """Vectorized ``pair`` over index arrays."""
         w = self.path.values
         wi = np.take(w, i_idx, axis=0)
         out = np.take(self._prefix, j_idx, axis=0)
         out -= np.take(self._prefix, i_idx, axis=0)
         out -= np.einsum("ki,kj->kij", wi - w[0], np.take(w, j_idx, axis=0) - wi)
-        for (i, j), ov in self.second.pair_overrides.items():
-            out[(i_idx == i) & (j_idx == j)] = ov
         return out
 
     def restrict(self, start: int, level: int) -> "RoughPath":
         """Rough path on a dyadic window of ``2**level`` intervals from node
-        ``start``; pair overrides inside the window move with it, re-keyed
-        to window nodes, and those straddling its ends are dropped."""
+        ``start``: the path's and the stored tensors' slices, so every pair
+        of the window is the parent's pair of the same nodes."""
         sub_path = self.path.restrict(start, level)
-        n = 1 << level
-        inside = {(i - start, j - start): ov for (i, j), ov in self.second.pair_overrides.items()
-                  if start <= i < j <= start + n}
-        second = SecondOrderProcess(sub_path.grid, self.second.increments[start : start + n], inside)
+        second = SecondOrderProcess(sub_path.grid, self.second.increments[start : start + (1 << level)])
         return RoughPath(sub_path, second, self.alpha)
 
 
-def _chen_triples(rp: RoughPath):
-    """:func:`chen_defect`'s triples: per dyadic scale, adjacent, per override and role."""
-    n_int = rp.path.grid.num_intervals
-    for m in range(rp.path.grid.level):
-        s = np.arange(0, n_int, 2 << m)
-        yield s, s + (1 << m), s + (2 << m)
-    k = np.arange(n_int - 1)
-    yield k, k + 1, k + 2
-    for i, j in rp.second.pair_overrides:
-        if 0 <= i < j <= n_int:
-            yield np.broadcast_arrays(i, np.arange(i + 1, j), j)
-            yield np.broadcast_arrays(i, j, np.arange(j + 1, n_int + 1))
-            yield np.broadcast_arrays(np.arange(i), i, j)
-
-
 def chen_defect(rp: RoughPath) -> float:
-    """Max over scanned triples ``s < u < t`` of the Chen-relation defect
+    """Max over probed triples ``s < u < t`` of the Chen-relation defect
     ``|WW_{s,t} - WW_{s,u} - WW_{u,t} - W_{s,u} (x) W_{u,t}|`` (Frobenius).
 
-    Stored tensors satisfy Chen by construction, so only pair overrides can
-    break it: every triple touching an override ``(i, j)`` is scanned, in all
-    three roles, outer ``(i, u, j)``, left inner ``(i, j, t)`` and right inner
-    ``(s, i, j)``.  Round-off is probed on the aligned dyadic triples
-    ``(k 2^(m+1), k 2^(m+1) + 2^m, (k+1) 2^(m+1))`` of every scale m and the
-    adjacent ``(k, k+1, k+2)``: O((K + 1) N) triples for K overrides, chunked.
+    Every pair is assembled from the stored tensors, so Chen holds by
+    construction and the defect is round-off.  It is probed on the triples
+    ``(s, s + h, s + 2h)``: adjacent (``h = 1``, every ``s``), then aligned at
+    every dyadic scale ``h`` (``s`` a multiple of ``2h``): O(N) triples, chunked.
     """
-    w = rp.path.values
+    w, n_int = rp.path.values, rp.path.grid.num_intervals
     best = 0.0
-    for part in _chen_triples(rp):
-        for lo, hi in scan_chunks(len(part[0]), rp.dim**2):
-            s, u, t = (a[lo:hi] for a in part)
+    for h, stride in [(1, 1)] + [(1 << m, 2 << m) for m in range(rp.path.grid.level)]:
+        starts = np.arange(0, n_int - 2 * h + 1, stride)
+        for lo, hi in scan_chunks(len(starts), rp.dim**2):
+            s = starts[lo:hi]
+            u, t = s + h, s + 2 * h
             d = rp.pairs(s, t)
             d -= rp.pairs(s, u)
             d -= rp.pairs(u, t)
@@ -254,36 +224,34 @@ def rough_path_distance(a: RoughPath, b: RoughPath) -> tuple[float, float, float
 
 
 # ---------------------------------------------------------------------------
-# Files: a JSON {"alpha", "path_csv", "second_order_npy"} naming two tables,
-# the path CSV and the tensor table: the (N, n, n) "<f8" increments as .npy
-# (the v1.0 header, then the array's own buffer, as np.save writes them)
+# Files: a JSON {"alpha", "path_csv", "second_order_npy"} naming two tables
+# relative to the JSON's own directory, the path CSV and the tensor table: the
+# (N, n, n) "<f8" increments as .npy (the v1.0 header, then the array's own
+# buffer, as np.save writes them)
 
 
 def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> str:
     """Write ``path_csv``, the tensor table ``<json stem>_second.npy`` and the
-    JSON naming both, all three names checked first; returns the table's name."""
+    JSON naming both relative to its own directory, all three names checked
+    first; returns the table's name as a path like ``json_file``."""
     second_npy = os.path.splitext(json_file)[0] + "_second.npy"
     check_outputs(json_file, path_csv, second_npy)
     write_path_csv(rp.path, path_csv)
     inc, header = np.ascontiguousarray(rp.second.increments, dtype="<f8"), io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(inc))
     write_output(second_npy, [header.getvalue(), inc.data])
-    payload = {"alpha": rp.alpha, "path_csv": path_csv, "second_order_npy": second_npy}
+    home = os.path.dirname(json_file) or os.curdir
+    payload = {"alpha": rp.alpha, "path_csv": os.path.relpath(path_csv, home),
+               "second_order_npy": os.path.relpath(second_npy, home)}
     write_output(json_file, [json.dumps(payload).encode()])
     return second_npy
 
 
-def _beside(json_file: str, name) -> str:
-    """``name``, or the file of that name next to ``json_file`` if only that exists."""
-    here = os.path.join(os.path.dirname(os.path.abspath(json_file)), os.path.basename(str(name)))
-    return here if not os.path.exists(str(name)) and os.path.exists(here) else str(name)
-
-
 def read_rough_path_json(json_file: str) -> RoughPath:
-    """Bit-exact inverse of :func:`write_rough_path_json`.  ``ValueError``
-    naming the file at fault unless the JSON has a numeric alpha in (1/3, 1/2]
-    and both names (older forms are refused), and the tensor table is an
-    (N, n, n) ``.npy`` of finite "<f8" cells."""
+    """Bit-exact inverse of :func:`write_rough_path_json`, reading both tables
+    from the JSON's directory only.  ``ValueError`` naming the file at fault
+    unless the JSON has a numeric alpha in (1/3, 1/2] and both names as strings
+    (older forms are refused), and the tensor table is (N, n, n) finite "<f8"."""
     with open(json_file) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not {"alpha", "path_csv", "second_order_npy"} <= set(payload):
@@ -293,8 +261,11 @@ def read_rough_path_json(json_file: str) -> RoughPath:
         raise ValueError(f"{json_file}: alpha is not a number")
     if not 1 / 3 < alpha <= 0.5:
         raise ValueError(f"{json_file}: alpha must be in (1/3, 1/2], got {alpha}")
-    path = read_path_csv(_beside(json_file, payload["path_csv"]))
-    second_npy = _beside(json_file, payload["second_order_npy"])
+    names = payload["path_csv"], payload["second_order_npy"]
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{json_file}: path_csv and second_order_npy must be file names")
+    path_csv, second_npy = (os.path.join(os.path.dirname(json_file), name) for name in names)
+    path = read_path_csv(path_csv)
     try:  # the shape is SecondOrderProcess's and RoughPath's to check
         with open(second_npy, "rb") as fh:
             inc = np.lib.format.read_array(fh, allow_pickle=False)

@@ -22,8 +22,6 @@ def chen_extend(proc, w, s: int, t: int) -> np.ndarray:
     assembled left to right from the finest tensors."""
     if s > t:
         raise ValueError(f"need s <= t, got {s} > {t}")
-    if (s, t) in proc.pair_overrides:
-        return proc.pair_overrides[(s, t)].copy()
     n = proc.dim
     acc = np.zeros((n, n))
     for k in range(s, t):

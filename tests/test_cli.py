@@ -294,6 +294,34 @@ def test_tensor_csv_json_exits_one(tmp_path, capsys):
     assert str(rp) in error and "re-run lift" in error
 
 
+@pytest.mark.parametrize("names", [
+    {"path_csv": 5, "second_order_npy": None}, {"second_order_npy": 5},
+    {"path_csv": ["rp_path.csv"]},
+], ids=["number-and-null", "number", "list"])
+def test_non_string_table_names_exit_one(tmp_path, capsys, names):
+    w, rp = tmp_path / "w.csv", tmp_path / "rp.json"
+    _run(capsys, "--grid-level", "2", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "1")
+    _run(capsys, "--out", str(rp), "lift", str(w))
+    rp.write_text(json.dumps({**json.loads(rp.read_text()), **names}))
+    code, out = _run(capsys, "--json", "chen", str(rp))
+    assert code == 1
+    assert str(rp) in json.loads(out)["error"]
+
+
+def test_tables_named_from_another_directory_exit_one(tmp_path, capsys, monkeypatch):
+    # the names an older lift wrote were the paths it was given, relative to
+    # its cwd; read against the JSON's directory they name no file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    _run(capsys, "--grid-level", "2", "--out", "w.csv", "gen", "--kind", "sin_cos", "--dim", "1")
+    _run(capsys, "--out", "out/rp.json", "lift", "w.csv")
+    Path("out/rp.json").write_text(json.dumps(
+        {"alpha": 0.45, "path_csv": "out/rp_path.csv", "second_order_npy": "out/rp_second.npy"}))
+    code, out = _run(capsys, "--json", "chen", "out/rp.json")
+    assert code == 1
+    assert os.path.join("out", "out", "rp_path.csv") in json.loads(out)["error"]
+
+
 def test_inline_second_order_json_exits_one(tmp_path, capsys):
     # the older one-file form: the tensors inline as [[k, row-major n*n], ...]
     w = tmp_path / "w.csv"

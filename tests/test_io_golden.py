@@ -120,7 +120,7 @@ def test_rough_path_json_matches_json_dump(tmp_path, dim):
     json_file, csv_file = tmp_path / "rp.json", tmp_path / "rp_path.csv"
     second_npy = write_rough_path_json(rp, str(json_file), str(csv_file))
     assert second_npy == str(tmp_path / "rp_second.npy")
-    assert json_file.read_bytes() == _reference_json(rp, str(csv_file), second_npy)
+    assert json_file.read_bytes() == _reference_json(rp, "rp_path.csv", "rp_second.npy")
     assert csv_file.read_bytes() == _reference_path_csv(rp.path)
     # the tensor table is np.save's file, and holds the extremes unchanged
     assert (tmp_path / "rp_second.npy").read_bytes() == _reference_npy(rp.second.increments)

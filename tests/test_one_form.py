@@ -18,7 +18,6 @@ from roughstruct import (
     FunctionDescriptor,
     ModelledDistribution,
     RoughModel,
-    RoughPath,
     SolverConfig,
     W,
     Wdot,
@@ -31,7 +30,6 @@ from roughstruct import (
     picard_step,
     reconstruct,
     rough_integral_path,
-    rough_integral_sum,
     solve_rde,
     three_point_defect,
     to_modelled,
@@ -265,19 +263,3 @@ def test_finest_sum_reads_the_stored_tensors(n, horizon):
     for i in range(n):
         for j in range(n):
             assert np.array_equal(got[1:, i * n + j], np.cumsum(rp.second.increments[:, i, j]))
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_finest_sums_ignore_a_pair_override(n):
-    # overrides are query-level: the finest Riemann sums read the stored
-    # tensors, the compensated sum over the finest pairs reads the override
-    rp = _rough(n, level=6)
-    k = 17
-    second = rp.second.with_pair_override(k, k + 1, rp.pair(k, k + 1) + 0.25)
-    bumped = RoughPath(rp.path, second, rp.alpha)
-    cp = ControlledPath(np.cos(rp.path.values[:, 0]), np.ones((rp.path.grid.num_nodes, 1, n)), rp.path)
-    assert np.array_equal(rough_integral_path(cp, bumped), rough_integral_path(cp, rp))
-    g, dg = np.ones((len(cp.y), 1, n)), np.ones((len(cp.y), 1, n, n))
-    assert np.array_equal(rough_integral(g, dg, bumped), rough_integral(g, dg, rp))
-    moved = rough_integral_sum(cp, bumped) - rough_integral_sum(cp, rp)
-    assert np.allclose(moved, 0.25 * n)

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import itertools
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from roughstruct import (
-    RoughPath,
     SampledPath,
     chen_defect,
     generate_path,
@@ -19,6 +18,8 @@ from roughstruct import (
     write_path_csv,
     write_rough_path_json,
 )
+from roughstruct import roughpath
+from roughstruct.cli import main
 from roughstruct.grids import TestFunction
 
 from conftest import traced_peak
@@ -89,106 +90,27 @@ def test_defect_of_exact_lift_is_roundoff():
     assert chen_defect(rp) <= 1e-12
 
 
-def test_defect_detects_single_interval_perturbation():
-    path = generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.5, seed=4)
-    rp = lift_piecewise_smooth(path, "linear", 0.45)
-    k = 7
-    bumped = rp.pair(k, k + 1)
-    bumped[0, 0] += 1.0
-    broken = rp.second.with_pair_override(k, k + 1, bumped)
-    from roughstruct import RoughPath
-
-    assert chen_defect(RoughPath(path, broken, 0.45)) >= 1.0 - 1e-12
-
-
-def _with_overrides(rp, shifts):
-    second = rp.second
-    for (i, j), delta in shifts.items():
-        second = second.with_pair_override(i, j, rp.pair(i, j) + delta)
-    return RoughPath(rp.path, second, rp.alpha)
-
-
-def _all_triples_defect(rp):
-    w = rp.path.values
-    best = 0.0
-    for s, u, t in itertools.combinations(range(rp.path.grid.num_nodes), 3):
-        d = rp.pair(s, t) - rp.pair(s, u) - rp.pair(u, t) - np.outer(w[u] - w[s], w[t] - w[u])
-        best = max(best, float(np.linalg.norm(d)))
-    return best
-
-
-def test_pairs_match_pair_with_overrides():
+def test_pairs_match_pair():
     path = generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.45, seed=2)
-    rng = np.random.default_rng(2)
-    keys = [(0, 1), (4, 30), (7, 8), (0, 32)]
-    rp = _with_overrides(
-        lift_piecewise_smooth(path, "linear", 0.45),
-        {key: rng.standard_normal((2, 2)) for key in keys},
-    )
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
     s, t = np.triu_indices(path.grid.num_nodes)
     s = np.concatenate([s, [4, 7, 4]])
     t = np.concatenate([t, [30, 8, 30]])
     got = rp.pairs(s, t)
     assert np.array_equal(got, np.stack([rp.pair(int(i), int(j)) for i, j in zip(s, t)]))
-    assert all(np.array_equal(rp.pair(i, j), rp.second.pair_overrides[(i, j)]) for i, j in keys)
 
 
-# Overrides whose broken triples sit in given roles of the override pair:
-# (0, N) outer only, (0, 1) left inner only, (N-1, N) right inner only,
-# boundary-anchored long pairs in two roles, interior pairs in all three,
-# and pairs of overrides that meet in one triple.
-_N4 = 16
-
-
-@pytest.mark.parametrize("keys", [
-    [(0, _N4)], [(0, 1)], [(_N4 - 1, _N4)], [(0, 11)], [(5, _N4)],
-    [(7, 8)], [(3, 13)], [(2, 6), (6, 11)], [(2, 6), (2, 11)], [(2, 11), (6, 11)],
-])
-def test_defect_matches_all_triples_with_overrides(keys):
-    path = generate_path("fbm", make_dyadic_grid(1.0, 4), dim=2, hurst=0.45, seed=3)
-    rng = np.random.default_rng(len(keys) + keys[0][0])
-    rp = _with_overrides(
-        lift_piecewise_smooth(path, "linear", 0.45),
-        {key: rng.standard_normal((2, 2)) for key in keys},
-    )
-    assert chen_defect(rp) == pytest.approx(_all_triples_defect(rp), rel=1e-12)
-
-
-_N10 = 1024
-
-
-@pytest.mark.parametrize("shifts", [
-    {(0, _N10): 1.0, (0, _N10 // 2): 0.5},         # outer: (0, u, N), u != N/2
-    {(0, 1): 1.0, (0, 2): 0.5},                     # left inner: (0, 1, t), t > 2
-    {(_N10 - 1, _N10): 1.0, (_N10 - 2, _N10): 0.5},  # right inner: (s, N-1, N), s < N-2
-], ids=["outer", "left_inner", "right_inner"])
-def test_override_detected_in_each_role_at_j10(shifts):
-    # the full shift shows only in triples where the first override plays
-    # the named role; in the probed triples that hold it, the second
-    # override cancels half of it
-    path = generate_path("fbm", make_dyadic_grid(1.0, 10), dim=2, hurst=0.45, seed=4)
+@pytest.mark.parametrize("horizon", [1.0, 1.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_restrict_is_the_parents_window(dim, horizon):
+    path = generate_path("fbm", make_dyadic_grid(horizon, 6), dim=dim, hurst=0.45, seed=dim)
     rp = lift_piecewise_smooth(path, "linear", 0.45)
-    delta = np.array([[0.3, -0.2], [0.1, 0.4]])
-    broken = _with_overrides(rp, {key: scale * delta for key, scale in shifts.items()})
-    assert chen_defect(rp) <= 1e-12
-    assert chen_defect(broken) == pytest.approx(np.linalg.norm(delta), rel=1e-12)
-
-
-def test_restrict_keeps_overrides_inside_the_window():
-    path = generate_path("fbm", make_dyadic_grid(1.0, 6), dim=2, hurst=0.5, seed=0)
-    rp = lift_piecewise_smooth(path, "linear", 0.45)
-    delta = np.array([[0.3, -0.2], [0.1, 0.4]])
-    broken = _with_overrides(rp, {(0, 8): delta})
-    window = broken.restrict(0, 4)
-    assert chen_defect(window) == pytest.approx(chen_defect(broken), rel=1e-12)
-    assert chen_defect(window) == pytest.approx(np.linalg.norm(delta), rel=1e-12)
-    # re-keyed to window nodes, the ends included; straddling ones dropped
-    shifted = _with_overrides(rp, {(18, 24): delta, (16, 32): delta, (14, 20): delta,
-                                   (30, 40): delta})
-    sub = shifted.restrict(16, 4)
-    assert set(sub.second.pair_overrides) == {(2, 8), (0, 16)}
-    assert np.array_equal(sub.pair(2, 8), shifted.pair(18, 24))
-    assert chen_defect(_with_overrides(rp, {(2, 20): delta}).restrict(0, 4)) <= 1e-12
+    for start, level in [(0, 6), (16, 4), (40, 3), (63, 0)]:
+        window = rp.restrict(start, level)
+        n = 1 << level
+        assert np.array_equal(window.second.increments, rp.second.increments[start : start + n])
+        a, b = np.triu_indices(n + 1)  # every window pair, a == b included
+        assert np.allclose(window.pairs(a, b), rp.pairs(start + a, start + b), rtol=0, atol=1e-12)
 
 
 def test_defect_of_analytic_sincos_lift():
@@ -379,17 +301,28 @@ def test_rough_path_write_memory_is_blocked(tmp_path):
     assert peak < 8 * 2**20
 
 
-def test_rough_path_files_read_after_a_move(tmp_path):
+def test_rough_path_files_read_after_a_move(tmp_path, monkeypatch):
+    # lifted in the cwd, the three files moved into b/, then a decoy lift on
+    # the same grid written under the same names in the cwd
     path = generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.5, seed=21)
     rp = lift_piecewise_smooth(path, "linear", 0.45)
-    (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "b").mkdir()
-    write_rough_path_json(rp, str(tmp_path / "a" / "rp.json"), str(tmp_path / "a" / "rp_path.csv"))
+    write_rough_path_json(rp, "rp.json", "rp_path.csv")
     for name in ("rp.json", "rp_path.csv", "rp_second.npy"):
-        (tmp_path / "a" / name).rename(tmp_path / "b" / name)
-    back = read_rough_path_json(str(tmp_path / "b" / "rp.json"))
-    assert np.array_equal(back.path.values, rp.path.values)
-    assert np.array_equal(back.second.increments, rp.second.increments)
+        os.rename(name, os.path.join("b", name))
+    decoy = lift_piecewise_smooth(
+        generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.5, seed=22), "linear", 0.45)
+    write_rough_path_json(decoy, "rp.json", "rp_path.csv")
+    read = []
+    monkeypatch.setattr(roughpath, "read_rough_path_json",
+                        lambda name: read.append(read_rough_path_json(name)) or read[-1])
+    assert main(["chen", "b/rp.json"]) == 0  # the CLI reads through the module
+    for back in (read_rough_path_json(str(tmp_path / "b" / "rp.json")),
+                 read_rough_path_json("b/rp.json"), *read):
+        assert np.array_equal(back.path.values, rp.path.values)
+        assert np.array_equal(back.second.increments, rp.second.increments)
+    assert len(read) == 1
 
 
 def test_alpha_range_enforced():

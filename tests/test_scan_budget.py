@@ -67,7 +67,7 @@ def _fbm_lift(level: int, dim: int, horizon: float, seed: int) -> RoughPath:
 
 def _fresh(rp: RoughPath) -> RoughPath:
     """The same rough path with empty caches, so a call builds its own."""
-    second = SecondOrderProcess(rp.path.grid, rp.second.increments, rp.second.pair_overrides)
+    second = SecondOrderProcess(rp.path.grid, rp.second.increments)
     return RoughPath(rp.path, second, rp.alpha)
 
 
@@ -79,15 +79,6 @@ def _controlled(rp: RoughPath) -> ControlledPath:
     return ControlledPath(y, yp, w)
 
 
-def _with_overrides(rp: RoughPath) -> RoughPath:
-    """Overrides that put one pair in each of Chen's three roles."""
-    n_int, n = rp.path.grid.num_intervals, rp.dim
-    second = rp.second
-    for i, j in [(3, n_int // 2 + 1), (0, 5), (n_int // 3, n_int)]:
-        second = second.with_pair_override(i, j, rp.pair(i, j) + 1e-3 * np.eye(n))
-    return RoughPath(rp.path, second, rp.alpha)
-
-
 # name: (floats per row the scan declares, the call); the pair scans run at
 # levels 5 and 9, their all-pairs and dyadic regimes, the others at level 5
 def _cases(dim: int, horizon: float) -> dict:
@@ -97,7 +88,6 @@ def _cases(dim: int, horizon: float) -> dict:
     integral = rough_integral_path(cp, small)
     return {
         "chen": (dim**2, lambda: chen_defect(_fresh(small))),
-        "chen-overrides": (dim**2, lambda: chen_defect(_fresh(_with_overrides(small)))),
         "seminorm-all-pairs": (dim**2, lambda: rough_path_seminorm(_fresh(small))),
         "seminorm-dyadic": (dim**2, lambda: rough_path_seminorm(_fresh(large))),
         "distance": (dim**2, lambda: rough_path_distance(_fresh(large), _fresh(other))),
