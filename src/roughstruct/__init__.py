@@ -34,7 +34,7 @@ _EXPORTS = {
         "reconstruct", "wavelet_lift", "wavelet_rough_integral",
     ),
     "roughpath": (
-        "RoughPath", "SecondOrderProcess", "chen_defect",
+        "RoughPath", "chen_defect",
         "lift_piecewise_smooth", "read_rough_path_json", "rough_path_distance",
         "rough_path_seminorm", "write_rough_path_json",
     ),

@@ -328,6 +328,8 @@ def generate_path(
             raise ValueError("piecewise_linear kind needs knots")
         kt = np.array([k[0] for k in knots], dtype=float)
         kv = np.atleast_2d(np.array([np.atleast_1d(k[1]) for k in knots], dtype=float))
+        if not (np.diff(kt) > 0).all():
+            raise ValueError(f"knot times must strictly increase, got {kt.tolist()}")
         if kt[0] > 0 or kt[-1] < grid.horizon:
             raise ValueError("knots must cover [0, horizon]")
         vals = np.stack([np.interp(t, kt, kv[:, i]) for i in range(kv.shape[1])], axis=1)

@@ -50,7 +50,7 @@ def one_form_germs(g: np.ndarray, dg: np.ndarray, rp: RoughPath, u: np.ndarray |
     ``u = lo:hi``, ``v = lo+1:hi+1`` read views of the path and of the stored
     fine tensors; index arrays take ``WW`` from :meth:`RoughPath.pairs`."""
     dw = rp.path.values[v] - rp.path.values[u]
-    ww = rp.second.increments[u] if isinstance(u, slice) else rp.pairs(u, v)
+    ww = rp.second[u] if isinstance(u, slice) else rp.pairs(u, v)
     germs = np.einsum("pdj,pj->pd", g, dw)
     germs += np.einsum("pdji,pij->pd", dg, ww)
     return germs
@@ -112,8 +112,8 @@ def rough_integral_sum(
         raise ValueError("controlled path and rough path must share the grid")
     if t is None:
         t = grid.num_intervals
-    if s > t:
-        raise ValueError(f"need s <= t, got {s} > {t}")
+    if not 0 <= s <= t <= grid.num_intervals:
+        raise ValueError(f"need 0 <= s <= t <= {grid.num_intervals}, got ({s}, {t})")
     if mesh_level is None:
         mesh_level = grid.level
     if mesh_level > grid.level:
@@ -156,9 +156,9 @@ def convergence_order_fit(
     """Least-squares slope of log|error| against log(scale > 0), with R^2.
 
     The coarsest ``drop_coarsest`` scales are pre-asymptotic and excluded
-    by default; at least two must remain.  Exact zeros cannot be fitted:
-    all-zero errors report an infinite slope (machine-exact convergence),
-    isolated zeros are dropped.
+    by default; at least two must remain.  Every sample must be finite.  Exact
+    zeros cannot be fitted: all-zero errors report an infinite slope
+    (machine-exact convergence), isolated zeros are dropped.
     """
     if len(samples) < 4:
         raise ValueError("need at least 4 (scale, error) samples")
@@ -166,6 +166,9 @@ def convergence_order_fit(
         raise ValueError(f"drop_coarsest must be in [0, {len(samples) - 2}], got {drop_coarsest}")
     scales = np.array([s for s, _ in samples], dtype=float)
     errors = np.abs(np.array([e for _, e in samples], dtype=float))
+    finite = np.isfinite(scales) & np.isfinite(errors)
+    if not finite.all():
+        raise ValueError(f"samples must be finite, got {[samples[k] for k in np.flatnonzero(~finite)]}")
     if not (scales > 0.0).all():
         raise ValueError(f"scales must be positive, got {scales[~(scales > 0.0)].tolist()}")
     if scales.max() / scales.min() < 4.0:

@@ -49,7 +49,7 @@ import numpy as np
 from .grids import SampledPath, TestFunction
 from .integration import scalar_one_form
 from .modelled import ControlledPath, ModelledDistribution
-from .roughpath import RoughPath, SecondOrderProcess, rough_path_distance
+from .roughpath import RoughPath, rough_path_distance
 from .structure import ModelSpaceVector, ReducedModel, RoughModel, Wdot, WWdot
 from .structure import gamma_apply, pi_pairings
 from .wavelets import (
@@ -292,8 +292,6 @@ def wavelet_lift(
     reduced structure (gamma = 2 alpha - 1 <= 0: the canonical partial-sum
     representative is taken; no uniqueness holds there).
     """
-    if not 1 / 3 < alpha <= 0.5:
-        raise ValueError(f"alpha must be in (1/3, 1/2], got {alpha}")
     model = ReducedModel(w, alpha)
     grid = w.grid
     n = w.dim
@@ -305,7 +303,7 @@ def wavelet_lift(
     f = ModelledDistribution(2 * alpha - 1.0, coeffs, grid, model.structure, w)
     z = reconstruct(f, model, basis, trunc_level).antiderivative.values.reshape(-1, n, n)
     increments = np.diff(z, axis=0) - np.einsum("ki,kj->kij", w.values[:-1], w.increments())
-    return RoughPath(w, SecondOrderProcess(grid, increments), alpha)
+    return RoughPath(w, increments, alpha)
 
 
 def lift_continuity_gap(

@@ -1,7 +1,9 @@
 """Rough paths: the pair (W, WW) with Chen's relation.
 
-Only the finest-interval tensors of the second-order process are stored;
-every coarser ``WW_{s,t}`` is assembled through Chen's relation
+A :class:`RoughPath` is ``(path, second, alpha)``: the sampled path W, its
+finest-interval tensors ``second[k] = WW_{t_k, t_{k+1}}`` as a float
+(num_intervals, n, n) array, and the Hölder exponent.  Every coarser
+``WW_{s,t}`` is assembled through Chen's relation
 
     ``WW_{s,t} = WW_{s,u} + WW_{u,t} + W_{s,u} (x) W_{u,t}``
 
@@ -25,39 +27,20 @@ from .grids import check_outputs, read_path_csv, write_output, write_path_csv
 
 
 @dataclass(frozen=True)
-class SecondOrderProcess:
-    """Per-interval tensors ``WW_{t_k, t_{k+1}}`` at the finest grid level."""
-
-    grid: TimeGrid
-    increments: np.ndarray  # (num_intervals, n, n)
-
-    def __post_init__(self) -> None:
-        inc = np.asarray(self.increments, dtype=float)
-        if inc.ndim != 3 or inc.shape[0] != self.grid.num_intervals or inc.shape[1] != inc.shape[2]:
-            raise ValueError(f"increments must be (num_intervals, n, n), got {inc.shape}")
-        object.__setattr__(self, "increments", inc)
-
-    @property
-    def dim(self) -> int:
-        return self.increments.shape[1]
-
-
-@dataclass(frozen=True)
 class RoughPath:
-    """An alpha-Hölder rough path: path, second-order process, exponent."""
+    """An alpha-Hölder rough path: the path, its finest-interval tensors
+    ``WW_{t_k, t_{k+1}}`` as a float (num_intervals, n, n) array, and alpha."""
 
     path: SampledPath
-    second: SecondOrderProcess
+    second: np.ndarray
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.second.grid is not self.path.grid and (
-            self.second.grid.level != self.path.grid.level
-            or self.second.grid.horizon != self.path.grid.horizon
-        ):
-            raise ValueError("path and second-order process live on different grids")
-        if self.second.dim != self.path.dim:
-            raise ValueError("dimension mismatch between path and second-order process")
+        second = np.asarray(self.second, dtype=float)
+        want = (self.path.grid.num_intervals, self.path.dim, self.path.dim)
+        if second.shape != want:
+            raise ValueError(f"second must be (num_intervals, n, n) = {want}, got {second.shape}")
+        object.__setattr__(self, "second", second)
         if not 1 / 3 < self.alpha <= 0.5:
             raise ValueError(f"alpha must be in (1/3, 1/2], got {self.alpha}")
 
@@ -72,14 +55,14 @@ class RoughPath:
         w = self.path.values
         out = np.zeros((self.path.grid.num_nodes, self.dim, self.dim))
         np.einsum("ki,kj->kij", w[:-1] - w[0], np.diff(w, axis=0), out=out[1:])
-        out[1:] += self.second.increments
+        out[1:] += self.second
         np.cumsum(out[1:], axis=0, out=out[1:])
         return out
 
     def pair(self, i: int, j: int) -> np.ndarray:
         """``WW_{t_i, t_j}``: :meth:`pairs` at one pair (Chen-equivalent)."""
-        if i > j:
-            raise ValueError(f"need i <= j, got {i} > {j}")
+        if not 0 <= i <= j <= self.path.grid.num_intervals:
+            raise ValueError(f"need 0 <= i <= j <= {self.path.grid.num_intervals}, got ({i}, {j})")
         return self.pairs(np.array([i]), np.array([j]))[0]
 
     def pairs(self, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
@@ -95,9 +78,8 @@ class RoughPath:
         """Rough path on a dyadic window of ``2**level`` intervals from node
         ``start``: the path's and the stored tensors' slices, so every pair
         of the window is the parent's pair of the same nodes."""
-        sub_path = self.path.restrict(start, level)
-        second = SecondOrderProcess(sub_path.grid, self.second.increments[start : start + (1 << level)])
-        return RoughPath(sub_path, second, self.alpha)
+        second = self.second[start : start + (1 << level)]
+        return RoughPath(self.path.restrict(start, level), second, self.alpha)
 
 
 def chen_defect(rp: RoughPath) -> float:
@@ -189,7 +171,7 @@ def lift_piecewise_smooth(w: SampledPath, mode: str = "linear", alpha: float = 0
         inc = _sin_cos_interval_tensors(w.grid.nodes, w.dim)
     else:
         inc = _polynomial_interval_tensors(w.grid.nodes, coeffs)
-    return RoughPath(w, SecondOrderProcess(w.grid, inc), alpha)
+    return RoughPath(w, inc, alpha)
 
 
 def _two_level_quotients(values, pairs, grid: TimeGrid, alpha: float) -> tuple[float, float, float]:
@@ -237,7 +219,7 @@ def write_rough_path_json(rp: RoughPath, json_file: str, path_csv: str) -> str:
     second_npy = os.path.splitext(json_file)[0] + "_second.npy"
     check_outputs(json_file, path_csv, second_npy)
     write_path_csv(rp.path, path_csv)
-    inc, header = np.ascontiguousarray(rp.second.increments, dtype="<f8"), io.BytesIO()
+    inc, header = np.ascontiguousarray(rp.second, dtype="<f8"), io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(inc))
     write_output(second_npy, [header.getvalue(), inc.data])
     home = os.path.dirname(json_file) or os.curdir
@@ -266,11 +248,11 @@ def read_rough_path_json(json_file: str) -> RoughPath:
         raise ValueError(f"{json_file}: path_csv and second_order_npy must be file names")
     path_csv, second_npy = (os.path.join(os.path.dirname(json_file), name) for name in names)
     path = read_path_csv(path_csv)
-    try:  # the shape is SecondOrderProcess's and RoughPath's to check
+    try:  # the shape is RoughPath's to check
         with open(second_npy, "rb") as fh:
             inc = np.lib.format.read_array(fh, allow_pickle=False)
         if inc.dtype != "<f8" or not np.isfinite(inc).all():
             raise ValueError(f"needs finite cells of type '<f8', has '{inc.dtype.str}'")
-        return RoughPath(path, SecondOrderProcess(path.grid, inc), alpha)
+        return RoughPath(path, inc, alpha)
     except (ValueError, MemoryError) as exc:  # MemoryError: a header's shape too large to allocate
         raise ValueError(f"{second_npy}: {exc}") from None

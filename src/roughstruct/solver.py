@@ -109,8 +109,7 @@ def _solve_window(
     y = np.tile(xi, (nodes, 1))
     g0, _ = compose_one_form(F, y[:1], np.zeros((1, d, n)))
     yp = np.tile(g0[0], (nodes, 1, 1))
-    inc = rp.second.increments
-    wmass = float(np.sqrt(np.einsum("kij,kij->k", inc, inc)).sum())
+    wmass = float(np.sqrt(np.einsum("kij,kij->k", rp.second, rp.second)).sum())
     prev_diff = None
     prev_wdiff = None
     worst_ratio = 0.0

@@ -294,7 +294,7 @@ class RoughModel:
             i, j = sym.index
             w = self.rough_path.path.values
             rel = w[:-1, i] - w[s_idx, i]
-            return self.rough_path.second.increments[:, i, j] + rel * dw[:, j]
+            return self.rough_path.second[:, i, j] + rel * dw[:, j]
         raise KeyError(f"{sym!r} is not measure-valued")
 
     def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> StructureGroupElement:

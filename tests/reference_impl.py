@@ -18,14 +18,14 @@ from roughstruct.wavelets import analyse, daubechies_basis, stencil, synthesise
 
 
 def chen_extend(proc, w, s: int, t: int) -> np.ndarray:
-    """``WW_{t_s, t_t}`` of a second-order process over a sampled path,
-    assembled left to right from the finest tensors."""
+    """``WW_{t_s, t_t}`` of the finest-interval tensors ``proc``, shape
+    (num_intervals, n, n), over a sampled path, assembled left to right."""
     if s > t:
         raise ValueError(f"need s <= t, got {s} > {t}")
-    n = proc.dim
+    n = proc.shape[1]
     acc = np.zeros((n, n))
     for k in range(s, t):
-        acc += proc.increments[k] + np.outer(w.increment(s, k), w.increment(k, k + 1))
+        acc += proc[k] + np.outer(w.increment(s, k), w.increment(k, k + 1))
     return acc
 
 

@@ -69,6 +69,19 @@ def test_every_library_attribute_the_benchmark_uses_resolves(script):
     assert missing == [], script
 
 
+def test_every_sweep_case_runs_once(tmp_path, monkeypatch):
+    # resolving the names misses a changed field type or signature, such as
+    # the positional RoughPath(path, second, alpha) the sweep builds
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # the sweep imports run
+    monkeypatch.chdir(tmp_path)  # where its file round trips write
+    spec = importlib.util.spec_from_file_location("perfbench_sweep", PERFBENCH / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    for name, make in sweep._cases(seed=1).items():
+        call = make(8)
+        assert callable(call), (name, call)
+        call()
+
 
 def test_every_counter_counts_what_it_names(tmp_path, monkeypatch):
     # a counter that counted another thing (a level count for the coefficient

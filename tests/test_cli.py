@@ -170,6 +170,10 @@ _USAGE_ERRORS = {
     "polynomial-without-coeffs": (["gen", "--kind", "polynomial"], "polynomial kind needs coeffs"),
     "piecewise-linear-without-knots": (["gen", "--kind", "piecewise_linear"],
                                        "piecewise_linear kind needs knots"),
+    "knots-out-of-order": (["gen", "--kind", "piecewise_linear", "--knots", "0:0;0.7:3;0.3:1;1:1"],
+                           "knot times must strictly increase, got [0.0, 0.7, 0.3, 1.0]"),
+    "knots-repeated": (["gen", "--kind", "piecewise_linear", "--knots", "0:0;0.5:3;0.5:1;1:1"],
+                       "knot times must strictly increase, got [0.0, 0.5, 0.5, 1.0]"),
     "y-csv-without-y-prime": (["integrate", "{w1}", "--y-csv", "{w1}"],
                               "--y-csv requires --y-prime-csv"),
     "young-certificate": (["integrate", "{w1}", "--route", "young", "--certificate", "{cert}"],

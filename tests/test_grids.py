@@ -258,6 +258,16 @@ def test_piecewise_linear_generator():
     assert np.allclose(path.values, [[0, 0], [1, 0], [1, 1]])
 
 
+@pytest.mark.parametrize("times", [(0.0, 0.7, 0.3, 1.0), (0.0, 0.5, 0.5, 1.0)],
+                         ids=["out-of-order", "repeated"])
+def test_piecewise_linear_refuses_knot_times_that_do_not_increase(times):
+    # np.interp needs sorted times: out of order, the path missed a knot and
+    # never reached 3; repeated, one of the two values was silently taken
+    knots = [(t, np.array([v])) for t, v in zip(times, (0.0, 3.0, 1.0, 1.0))]
+    with pytest.raises(ValueError, match="knot times must strictly increase"):
+        generate_path("piecewise_linear", make_dyadic_grid(1.0, 3), knots=knots)
+
+
 def test_fbm_quadratic_variation_half():
     # H = 1/2 is standard Brownian covariance min(s, t): QV over [0,1] -> 1
     grid = make_dyadic_grid(1.0, 12)
@@ -430,9 +440,9 @@ def test_table_straddling_sub_block_and_block_matches_row_formatter(tmp_path, wi
 def test_fast_path_leaves_no_workload_cell_to_python():
     # ties and cells outside [1e-250, 1e250] go to %; none is in these tables
     path = generate_path("fbm", make_dyadic_grid(1.0, 12), dim=2, hurst=0.5, seed=0)
-    linear = lift_piecewise_smooth(path, "linear", 0.45).second.increments
+    linear = lift_piecewise_smooth(path, "linear", 0.45).second
     smooth = generate_path("sin_cos", make_dyadic_grid(1.0, 13), dim=2)
-    wavelet = wavelet_lift(smooth, 0.45).second.increments
+    wavelet = wavelet_lift(smooth, 0.45).second
     for table in (np.column_stack([path.grid.nodes, path.values]),
                   np.column_stack([np.arange(len(linear)), linear.reshape(len(linear), -1)]),
                   np.column_stack([np.arange(len(wavelet)), wavelet.reshape(len(wavelet), -1)])):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ def test_rough_sum_guards():
         rough_integral_sum(cp, rp, mesh_level=9)
 
 
+@pytest.mark.parametrize("s, t", [(-4, 8), (0, 33), (-1, 32), (10, 5)])
+def test_rough_sum_refuses_nodes_off_the_grid(s, t):
+    # (-4, 8) returned a number: negative nodes were read from the end
+    grid = make_dyadic_grid(1.0, 5)
+    w = generate_path("fbm", grid, hurst=0.5, seed=2)
+    rp = lift_piecewise_smooth(w, "linear", 0.45)
+    cp = ControlledPath(w.values[:, 0], np.ones(grid.num_nodes), w)
+    with pytest.raises(ValueError, match=rf"need 0 <= s <= t <= 32, got \({s}, {t}\)"):
+        rough_integral_sum(cp, rp, s, t)
+
+
 def _nonlinear_cp(w):
     wv = w.values[:, 0]
     return ControlledPath(np.sin(wv), np.cos(wv), w)
@@ -153,6 +166,19 @@ def test_fit_zero_errors_sentinel():
     rows = [(2.0**-k, 0.0) for k in range(8)]
     slope, _ = convergence_order_fit(rows)
     assert slope == float("inf")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_fit_refuses_non_finite_samples(bad):
+    # all-nan errors gave (inf, 1.0), read as machine-exact convergence; inf
+    # errors gave (nan, nan) with a RuntimeWarning
+    rows = [(2.0**-k, 2.0**-k) for k in range(8)]
+    for where in ([3], list(range(8))):
+        samples = [(s, bad if k in where else e) for k, (s, e) in enumerate(rows)]
+        with pytest.raises(ValueError, match=re.escape(f"got {[samples[k] for k in where]}")):
+            convergence_order_fit(samples)
+    with pytest.raises(ValueError, match=re.escape(f"got {[(bad, 0.1)]}")):
+        convergence_order_fit(rows[:5] + [(bad, 0.1)])
 
 
 def test_fit_preconditions():

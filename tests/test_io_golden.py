@@ -34,7 +34,6 @@ from roughstruct import (
 )
 from roughstruct.grids import TABLE_BLOCK_ROWS, write_output, write_table
 from roughstruct.reconstruction import ReconstructionResult
-from roughstruct.roughpath import SecondOrderProcess
 
 HORIZON = 1.13
 EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324)
@@ -110,8 +109,8 @@ def test_path_csv_longer_than_one_block_matches_row_formatter(tmp_path):
 def _extreme_rough_path(dim: int) -> RoughPath:
     grid = make_dyadic_grid(HORIZON, 6)
     path = generate_path("fbm", grid, dim=dim, hurst=0.5, seed=dim)
-    inc = _with_extremes(lift_piecewise_smooth(path, "linear", 0.45).second.increments)
-    return RoughPath(path, SecondOrderProcess(grid, inc), 0.45)
+    inc = _with_extremes(lift_piecewise_smooth(path, "linear", 0.45).second)
+    return RoughPath(path, inc, 0.45)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -123,10 +122,10 @@ def test_rough_path_json_matches_json_dump(tmp_path, dim):
     assert json_file.read_bytes() == _reference_json(rp, "rp_path.csv", "rp_second.npy")
     assert csv_file.read_bytes() == _reference_path_csv(rp.path)
     # the tensor table is np.save's file, and holds the extremes unchanged
-    assert (tmp_path / "rp_second.npy").read_bytes() == _reference_npy(rp.second.increments)
-    back = read_rough_path_json(str(json_file)).second.increments
-    assert np.array_equal(back, rp.second.increments)
-    assert np.array_equal(np.signbit(back), np.signbit(rp.second.increments))
+    assert (tmp_path / "rp_second.npy").read_bytes() == _reference_npy(rp.second)
+    back = read_rough_path_json(str(json_file)).second
+    assert np.array_equal(back, rp.second)
+    assert np.array_equal(np.signbit(back), np.signbit(rp.second))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -136,7 +135,7 @@ def test_rough_path_round_trip_is_bit_exact(tmp_path, dim):
     back = read_rough_path_json(str(tmp_path / "rp.json"))
     assert back.alpha == rp.alpha
     assert back.path.values.tobytes() == rp.path.values.tobytes()
-    assert back.second.increments.tobytes() == rp.second.increments.tobytes()
+    assert back.second.tobytes() == rp.second.tobytes()
 
 
 @pytest.mark.parametrize("horizon", [1.0, HORIZON])
@@ -150,7 +149,7 @@ def test_cli_lift_to_chen_round_trip_is_bit_exact(tmp_path, monkeypatch, dim, ho
     _run("chen", rp_json)
     (back,) = read
     lifted = lift_piecewise_smooth(grids.read_path_csv(str(w)), "linear", 0.45)
-    assert back.second.increments.tobytes() == lifted.second.increments.tobytes()
+    assert back.second.tobytes() == lifted.second.tobytes()
     assert back.path.values.tobytes() == lifted.path.values.tobytes()
 
 

@@ -50,7 +50,7 @@ def ref_germ(cp, rp, u, v, ww=None):
 def ref_rough_integral_path(cp, rp):
     k = np.arange(rp.path.grid.num_intervals)
     out = np.zeros((rp.path.grid.num_nodes, rp.dim))
-    out[1:] = np.cumsum(ref_germ(cp, rp, k, k + 1, rp.second.increments), axis=0)
+    out[1:] = np.cumsum(ref_germ(cp, rp, k, k + 1, rp.second), axis=0)
     return out
 
 
@@ -78,7 +78,7 @@ def ref_integrate(g, dg, rp, route):
     grid = rp.path.grid
     if route == "riemann":
         steps = np.einsum("tpj,tj->tp", g[:-1], rp.path.increments())
-        steps += np.einsum("tpji,tij->tp", dg[:-1], rp.second.increments)
+        steps += np.einsum("tpji,tij->tp", dg[:-1], rp.second)
         out = np.zeros((grid.num_nodes, g.shape[1]))
         out[1:] = np.cumsum(steps, axis=0)
         return out
@@ -262,4 +262,4 @@ def test_finest_sum_reads_the_stored_tensors(n, horizon):
     assert not got[0].any()
     for i in range(n):
         for j in range(n):
-            assert np.array_equal(got[1:, i * n + j], np.cumsum(rp.second.increments[:, i, j]))
+            assert np.array_equal(got[1:, i * n + j], np.cumsum(rp.second[:, i, j]))

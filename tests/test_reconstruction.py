@@ -361,7 +361,7 @@ def _rel_close(got, want, tol=1e-12) -> None:
 def test_wavelet_lift_matches_per_component_loop(basis, reconstruct_calls, dim):
     grid = make_dyadic_grid(1.13, 9)
     w = generate_path("fbm", grid, dim=dim, hurst=ALPHA, seed=21)
-    got = wavelet_lift(w, ALPHA, basis).second.increments
+    got = wavelet_lift(w, ALPHA, basis).second
     assert len(reconstruct_calls) == 1
     # one reconstruction per (i, j) with the scalar jet W^i on Wdot^j
     model = ReducedModel(w, ALPHA)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 from roughstruct import (
+    RoughPath,
     SampledPath,
     chen_defect,
     generate_path,
@@ -44,7 +45,7 @@ def test_chen_extend_empty_interval():
 def test_chen_extend_single_interval():
     rp = lift_piecewise_smooth(_two_segment_path(), "linear", 0.45)
     got = chen_extend(rp.second, rp.path, 0, 1)
-    assert np.allclose(got, rp.second.increments[0])
+    assert np.allclose(got, rp.second[0])
 
 
 def test_chen_extend_two_unit_segments():
@@ -100,6 +101,28 @@ def test_pairs_match_pair():
     assert np.array_equal(got, np.stack([rp.pair(int(i), int(j)) for i, j in zip(s, t)]))
 
 
+@pytest.mark.parametrize("i, j", [(-1, 3), (0, 33), (-4, 40), (5, 4)])
+def test_pair_refuses_nodes_off_the_grid(i, j):
+    # node -1 was read as node N, and j = N + 1 raised IndexError
+    path = generate_path("fbm", make_dyadic_grid(1.0, 5), dim=2, hurst=0.45, seed=2)
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
+    with pytest.raises(ValueError, match=rf"need 0 <= i <= j <= 32, got \({i}, {j}\)"):
+        rp.pair(i, j)
+    assert np.array_equal(rp.pair(0, 32), rp.pairs(np.array([0]), np.array([32]))[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rough_path_refuses_tensors_of_another_shape(dim):
+    path = generate_path("fbm", make_dyadic_grid(1.0, 4), dim=dim, hurst=0.45, seed=dim)
+    n_int, inc = 16, lift_piecewise_smooth(path, "linear", 0.45).second
+    assert inc.shape == (n_int, dim, dim)
+    for shape in [(n_int - 1, dim, dim), (n_int, dim, dim + 1), (n_int, dim * dim),
+                  (n_int, dim + 1, dim + 1)]:
+        with pytest.raises(ValueError, match=r"second must be \(num_intervals, n, n\)"):
+            RoughPath(path, np.zeros(shape), 0.45)
+    assert RoughPath(path, inc, 0.45).second is inc
+
+
 @pytest.mark.parametrize("horizon", [1.0, 1.3])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_restrict_is_the_parents_window(dim, horizon):
@@ -108,7 +131,7 @@ def test_restrict_is_the_parents_window(dim, horizon):
     for start, level in [(0, 6), (16, 4), (40, 3), (63, 0)]:
         window = rp.restrict(start, level)
         n = 1 << level
-        assert np.array_equal(window.second.increments, rp.second.increments[start : start + n])
+        assert np.array_equal(window.second, rp.second[start : start + n])
         a, b = np.triu_indices(n + 1)  # every window pair, a == b included
         assert np.allclose(window.pairs(a, b), rp.pairs(start + a, start + b), rtol=0, atol=1e-12)
 
@@ -127,10 +150,8 @@ def test_perturbation_closure_with_smooth_bump():
     rp = lift_piecewise_smooth(path, "linear", 0.45)
     bump = TestFunction(0.5, 0.4)
     f_vals = np.array([bump(t) for t in path.grid.nodes])
-    pert = rp.second.increments + np.diff(f_vals)[:, None, None] * np.ones((2, 2))
-    from roughstruct import RoughPath, SecondOrderProcess
-
-    rp2 = RoughPath(path, SecondOrderProcess(path.grid, pert), 0.45)
+    pert = rp.second + np.diff(f_vals)[:, None, None] * np.ones((2, 2))
+    rp2 = RoughPath(path, pert, 0.45)
     assert chen_defect(rp2) <= 1e-10
 
 
@@ -146,7 +167,7 @@ def test_linear_lift_direction_one_one():
     grid = make_dyadic_grid(1.0, 0)
     path = SampledPath(grid, np.array([[0.0, 0.0], [1.0, 1.0]]))
     rp = lift_piecewise_smooth(path, "linear", 0.5)
-    assert np.allclose(rp.second.increments[0], 0.5 * np.ones((2, 2)))
+    assert np.allclose(rp.second[0], 0.5 * np.ones((2, 2)))
 
 
 def test_sincos_levy_area_quarter_period():
@@ -202,8 +223,8 @@ def test_closed_form_lift_accepts_its_generator_after_a_csv_round_trip(tmp_path)
     write_path_csv(w, str(tmp_path / "w.csv"))
     back = read_path_csv(str(tmp_path / "w.csv"))
     rp = lift_piecewise_smooth(back, "sin_cos", 0.45)
-    want = lift_piecewise_smooth(w, "sin_cos", 0.45).second.increments
-    assert np.array_equal(rp.second.increments, want)
+    want = lift_piecewise_smooth(w, "sin_cos", 0.45).second
+    assert np.array_equal(rp.second, want)
     assert chen_defect(rp) <= 1e-12
 
 
@@ -247,7 +268,7 @@ def test_rough_path_json_round_trip(tmp_path):
     back = read_rough_path_json(str(json_file))
     assert back.alpha == rp.alpha
     assert np.array_equal(back.path.values, rp.path.values)
-    assert np.array_equal(back.second.increments, rp.second.increments)
+    assert np.array_equal(back.second, rp.second)
 
 
 def test_rough_path_json_write_memory_is_blocked(tmp_path):
@@ -321,7 +342,7 @@ def test_rough_path_files_read_after_a_move(tmp_path, monkeypatch):
     for back in (read_rough_path_json(str(tmp_path / "b" / "rp.json")),
                  read_rough_path_json("b/rp.json"), *read):
         assert np.array_equal(back.path.values, rp.path.values)
-        assert np.array_equal(back.second.increments, rp.second.increments)
+        assert np.array_equal(back.second, rp.second)
     assert len(read) == 1
 
 

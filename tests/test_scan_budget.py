@@ -18,7 +18,6 @@ import pytest
 from roughstruct import (
     ControlledPath,
     RoughPath,
-    SecondOrderProcess,
     chen_defect,
     controlled_seminorm,
     generate_path,
@@ -67,8 +66,7 @@ def _fbm_lift(level: int, dim: int, horizon: float, seed: int) -> RoughPath:
 
 def _fresh(rp: RoughPath) -> RoughPath:
     """The same rough path with empty caches, so a call builds its own."""
-    second = SecondOrderProcess(rp.path.grid, rp.second.increments)
-    return RoughPath(rp.path, second, rp.alpha)
+    return RoughPath(rp.path, rp.second, rp.alpha)
 
 
 def _controlled(rp: RoughPath) -> ControlledPath:
