@@ -111,8 +111,8 @@ class SampledPath:
     def restrict(self, start: int, level: int) -> "SampledPath":
         """Sub-path on a window of ``2**level`` intervals starting at node ``start``."""
         n = 1 << level
-        if start + n > self.grid.num_intervals:
-            raise ValueError("window exceeds grid")
+        if not 0 <= start <= self.grid.num_intervals - n:
+            raise ValueError(f"window [{start}, {start + n}] exceeds grid [0, {self.grid.num_intervals}]")
         sub = TimeGrid(self.grid.step * n, level)
         return SampledPath(sub, self.values[start : start + n + 1])
 

@@ -85,8 +85,8 @@ def young_integral(y: SampledPath, w: SampledPath, s: int = 0, t: int | None = N
         raise ValueError("integrand and integrator must share the grid")
     if t is None:
         t = w.grid.num_intervals
-    if s > t:
-        raise ValueError(f"need s <= t, got {s} > {t}")
+    if not 0 <= s <= t <= w.grid.num_intervals:
+        raise ValueError(f"need 0 <= s <= t <= {w.grid.num_intervals}, got ({s}, {t})")
     ys, ws = y.values[s], w.values[s + 1 : t + 1]
     out = np.zeros((t - s + 1, w.dim))
     np.cumsum((y.values[s:t] - ys) * (ws - w.values[s:t]), axis=0, out=out[1:])

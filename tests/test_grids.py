@@ -426,7 +426,7 @@ def test_table_matches_row_formatter_on_every_float_class(tmp_path):
     assert _table_bytes(tmp_path, "a,b,c", cells) == _reference_table("a,b,c", cells)
 
 
-@pytest.mark.parametrize("width", [2, 3, 5])
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 7])  # 4: a dim-3 path; 7: a d = 3 solve table
 def test_table_straddling_sub_block_and_block_matches_row_formatter(tmp_path, width):
     sub_rows, block_rows = 2**12 // width, TABLE_BLOCK_ROWS // width  # 2^12-cell sub-blocks
     data = np.random.default_rng(width).standard_normal((block_rows + sub_rows + 3, width - 1))
@@ -437,16 +437,56 @@ def test_table_straddling_sub_block_and_block_matches_row_formatter(tmp_path, wi
     assert _table_bytes(tmp_path, header, range(len(data)), data) == expected
 
 
-def test_fast_path_leaves_no_workload_cell_to_python():
-    # ties and cells outside [1e-250, 1e250] go to %; none is in these tables
-    path = generate_path("fbm", make_dyadic_grid(1.0, 12), dim=2, hurst=0.5, seed=0)
-    linear = lift_piecewise_smooth(path, "linear", 0.45).second
-    smooth = generate_path("sin_cos", make_dyadic_grid(1.0, 13), dim=2)
-    wavelet = wavelet_lift(smooth, 0.45).second
-    for table in (np.column_stack([path.grid.nodes, path.values]),
-                  np.column_stack([np.arange(len(linear)), linear.reshape(len(linear), -1)]),
-                  np.column_stack([np.arange(len(wavelet)), wavelet.reshape(len(wavelet), -1)])):
-        assert not _fmt17._digits(table.ravel())[3].any()
+def _one_digit_cells(rng) -> np.ndarray:
+    """Cells whose 17 digits are d0 and 16 zeros, as 0.5, 100 and 1e+20."""
+    cells = [v for v in np.outer(np.arange(1, 10), 10.0 ** np.arange(-30, 40)).ravel().tolist()
+             if f"{v:.16e}"[1:].startswith(".0000000000000000e")]
+    return rng.choice(cells + [0.0], 12000)
+
+
+_CELL_KINDS = {  # cells of one kind, and the kind's test on _digits' (q, rem, X)
+    "point-inside": (lambda r: np.concatenate([10 ** r.uniform(1, 16.99, 6000),
+                                               np.round(10 ** r.uniform(1, 16.99, 6000))]),
+                     lambda q, rem, x: (x >= 1) & (x <= 16)),
+    "exponent-2-digits": (lambda r: 10 ** np.concatenate([r.uniform(-99, -5.01, 6000), r.uniform(17.01, 99.9, 6000)]),
+                          lambda q, rem, x: ((x < -4) | (x > 16)) & (np.abs(x) < 100)),
+    "exponent-3-digits": (lambda r: 10 ** np.concatenate([r.uniform(-249, -100.01, 6000), r.uniform(100.01, 249, 6000)]),
+                          lambda q, rem, x: np.abs(x) >= 100),
+    "fixed-point-x-at-most-0": (lambda r: 10 ** r.uniform(-3.99, 0.99, 12000),
+                                lambda q, rem, x: (x >= -4) & (x <= 0)),
+    "one-digit": (_one_digit_cells, lambda q, rem, x: (q % 10**8 == 0) & (rem == 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CELL_KINDS))
+def test_chunks_of_one_cell_kind_match_row_formatter(tmp_path, kind):
+    # each kind has its own assembly: fixed point with X <= 0, exponent form,
+    # the point inside the digits (1 <= X <= 16), every fraction digit stripped
+    rng = np.random.default_rng(len(kind))
+    make, is_kind = _CELL_KINDS[kind]
+    cells = (make(rng) * rng.choice([-1.0, 1.0], 12000)).reshape(-1, 3)
+    q, rem, x, undecided = _fmt17._digits(cells.ravel())
+    assert undecided.mean() < 0.1 and is_kind(q, rem, x)[~undecided].all()  # near-ties go to %
+    assert _table_bytes(tmp_path, "a,b,c", cells) == _reference_table("a,b,c", cells)
+
+
+def test_fast_path_leaves_no_workload_cell_to_python(tmp_path, monkeypatch):
+    # ties, cells outside [1e-250, 1e250] (both to %) and cells with the point
+    # inside the digits (permuted by class): none is in the tables the CLI writes
+    from roughstruct.cli import main
+    from roughstruct.grids import read_table
+
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--grid-level", "12", "--seed", "5", "--out", "w.csv", "gen", "--kind", "fbm",
+                  "--hurst", "0.5", "--dim", "2"],
+                 ["--out", "I.csv", "integrate", "w.csv", "--route", "rough-riemann"],
+                 ["--grid-level", "13", "--out", "s.csv", "gen", "--kind", "sin_cos", "--dim", "2"],
+                 ["--grid-level", "12", "--horizon", "1.2", "--out", "s1.csv", "gen", "--kind", "sin_cos"],
+                 ["--out", "sol.csv", "solve", "s1.csv", "--F", "tanh", "--lift-mode", "sin_cos"]):
+        assert main(argv) == 0
+    for name in ("w.csv", "I.csv", "s.csv", "sol.csv"):
+        _, _, x, undecided = _fmt17._digits(read_table(name).ravel())
+        assert not undecided.any() and not ((x >= 1) & (x <= 16)).any(), name
 
 
 def test_formatter_tables_are_built_on_first_write_only(tmp_path):

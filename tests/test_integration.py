@@ -45,10 +45,12 @@ def test_young_w_dw_smooth_closed_form():
 
 
 def test_young_rejects_reversed_window():
+    # nodes off the grid, (0, 17), (-4, 16) and (3, 20), failed in numpy broadcasting
     grid = make_dyadic_grid(1.0, 4)
     w = SampledPath(grid, grid.nodes)
-    with pytest.raises(ValueError):
-        young_integral(w, w, 5, 2)
+    for s, t in [(5, 2), (0, 17), (-4, 16), (3, 20)]:
+        with pytest.raises(ValueError, match=rf"need 0 <= s <= t <= 16, got \({s}, {t}\)"):
+            young_integral(w, w, s, t)
 
 
 def test_rough_sum_constant_integrand_every_mesh():

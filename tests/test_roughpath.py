@@ -136,6 +136,17 @@ def test_restrict_is_the_parents_window(dim, horizon):
         assert np.allclose(window.pairs(a, b), rp.pairs(start + a, start + b), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("start, level", [(-4, 1), (-1, 0), (15, 1), (16, 0), (0, 5)])
+def test_restrict_refuses_a_window_off_the_grid(start, level):
+    # a negative start was read from the end: (-4, 1) gave nodes 13-15
+    path = generate_path("fbm", make_dyadic_grid(1.0, 4), dim=2, hurst=0.45, seed=4)
+    rp = lift_piecewise_smooth(path, "linear", 0.45)
+    for whole in (path, rp):
+        with pytest.raises(ValueError, match=rf"window \[{start}, {start + (1 << level)}\] exceeds grid \[0, 16\]"):
+            whole.restrict(start, level)
+    assert rp.restrict(0, 4).second.shape == rp.second.shape
+
+
 def test_defect_of_analytic_sincos_lift():
     grid = make_dyadic_grid(np.pi / 2, 8)
     w = generate_path("sin_cos", grid, dim=2)
