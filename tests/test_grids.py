@@ -26,8 +26,6 @@ from roughstruct.grids import (
     fgn_from_normals,
     write_table,
 )
-from roughstruct.reconstruction import wavelet_lift
-from roughstruct.roughpath import lift_piecewise_smooth
 
 from conftest import traced_peak
 from reference_impl import fbm_covariance, holder_lag_scan
