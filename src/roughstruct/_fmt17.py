@@ -2,7 +2,8 @@
 
 The 17 digits ``round(|v| * 10**(16 - X))``, ``X = floor(log10 |v|)``, come
 from a double-double product (Dekker 1971) exact to 1e-13, so they are
-correctly rounded (Gay 1990) unless within 1e-9 of a tie.  Those cells, nan,
+correctly rounded (Gay 1990) unless within 1e-9 of a tie that is not exact
+(an exact one, with -6 <= X <= 16, rounds half to even).  Those cells, nan,
 inf and ``|v|`` outside ``[1e-250, 1e250]`` (0 excepted) go to ``%``.
 
 Every other cell gets a 32-byte slot in output order, a 0 byte wherever
@@ -67,7 +68,8 @@ def _digits(v: np.ndarray) -> tuple:
         x[fix] += ((h[fix] - 1e17) + l[fix] >= 0) * 1 - ((h[fix] - 1e16) + l[fix] < 0)
         h[fix], l[fix] = _times_pow10(a[fix], x[fix])
     r = np.rint(l)
-    undecided |= np.abs(l - r) >= 0.5 - 1e-9
+    off = np.abs(l - r)  # an exact tie (h + l is the product for -6 <= X <= 16) rounds to even h + r
+    undecided |= (off >= 0.5 - 1e-9) & ((off != 0.5) | (x < -6) | (x > 16))
     q = np.floor(h / 1e8)  # exact: h - q * 1e8 is an integer below 2**27
     rem = (h - q * 1e8) + r
     carry = np.flatnonzero((rem < 0) | (rem >= 1e8))

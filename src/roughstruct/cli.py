@@ -261,6 +261,8 @@ def _cmd_integrate(args) -> dict:
     out = args.out or "integral.csv"
     check_outputs(out, args.certificate)
     path = read_path_csv(args.path_csv)
+    if args.certificate is not None and path.grid.level < 2:
+        raise ValueError(f"--certificate: three-point defects need grid level >= 2, got {path.grid.level}")
     if args.route == "young":  # y' plays no part in a Young sum
         y = _read_integrand(args.y_csv, path, 1) if args.y_csv is not None else path
         integral = SampledPath(path.grid, young_integral(y.component(0), path))

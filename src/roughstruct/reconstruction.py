@@ -50,8 +50,8 @@ from .grids import SampledPath, TestFunction
 from .integration import scalar_one_form
 from .modelled import ControlledPath, ModelledDistribution
 from .roughpath import RoughPath, rough_path_distance
-from .structure import ModelSpaceVector, ReducedModel, RoughModel, Wdot, WWdot
-from .structure import gamma_apply, pi_pairings
+from .structure import ReducedModel, RoughModel, Wdot, WWdot
+from .structure import gamma_accumulate, gamma_terms, pi_pairings
 from .wavelets import (
     StieltjesMeasure,
     WaveletBasis,
@@ -131,8 +131,9 @@ class ReconstructionResult:
 class ReconstructionPlan:
     """What :func:`reconstruct` does before it sees a jet: anchors, the batched
     ``Gamma_{0,anchor}``, both stencils and, on first use, each symbol's pairing
-    of ``Pi_0 tau`` with the stencil.  ``trunc_level`` defaults to grid level - 2
-    (every coefficient resolvable by the grid); needs ``r > |alpha_*|``."""
+    of ``Pi_0 tau`` with the stencil and each jet layout's Gamma terms.
+    ``trunc_level`` defaults to grid level - 2 (every coefficient resolvable by
+    the grid); needs ``r > |alpha_*|``."""
 
     def __init__(self, model, grid, basis: WaveletBasis | None = None,
                  trunc_level: int | None = None):
@@ -159,7 +160,7 @@ class ReconstructionPlan:
         self.gamma = model.gamma_of(0, self.anchors)
         self.father = stencil(basis, "father", trunc_level, grid.level)
         self.cumulative = stencil(basis, "father", trunc_level, grid.level, cumulative=True)
-        self._pairings: dict = {}
+        self._pairings, self._layouts = {}, {}  # per symbol; per jet layout
 
     @cached_property
     def _function_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,30 +191,35 @@ class ReconstructionPlan:
         return self._pairings[sym]
 
     def apply(self, f: ModelledDistribution) -> ReconstructionResult:
-        """Partial-sum reconstruction of ``f``, a jet ``(num_nodes, *value_shape)``
-        on the plan's grid and model; needs ``gamma > min(A)`` (for ``gamma
-        <= 0`` the partial sum is returned without any uniqueness claim)."""
+        """Partial-sum reconstruction of ``f``, a jet ``(num_nodes, *value_shape)`` on the plan's
+        grid and model; needs ``gamma > min(A)`` (for ``gamma <= 0`` the partial sum is returned
+        without any uniqueness claim).  Per jet: the anchor gathers, the sum of the Gamma terms,
+        the pairings' sum, one einsum synthesis and the cumulative sum, in place."""
         if f.gamma <= self.alpha_star:
             raise ValueError(f"gamma = {f.gamma} must exceed min homogeneity {self.alpha_star}")
-        kinds = {self.model.pi_kind(s) for s in f.coeffs}
-        if len(kinds) != 1:
-            raise ValueError("mixed function/measure support is not reconstructible here")
-        grid = self.grid
-        jets = ModelSpaceVector({sym: np.asarray(c)[self.anchors] for sym, c in f.coeffs.items()})
-        moved = gamma_apply(self.gamma, jets, self.model.structure).coeffs
+        layout = tuple((s, np.ndim(c)) for s, c in f.coeffs.items())
+        if layout not in self._layouts:
+            kinds = {self.model.pi_kind(s) for s, _ in layout}
+            if len(kinds) != 1:
+                raise ValueError("mixed function/measure support is not reconstructible here")
+            terms = gamma_terms(self.model.structure, layout, self.gamma.h)
+            # (K,) pairings against (K, *value_shape) coefficients
+            pairings = {t: self._pairing(t).reshape((-1,) + (1,) * (layout[0][1] - 1))
+                        for t, _, _ in terms}
+            self._layouts[layout] = terms, pairings, kinds.pop()
+        terms, pairings, kind = self._layouts[layout]
+        moved = gamma_accumulate(terms, [np.asarray(c)[self.anchors] for c in f.coeffs.values()])
         value_shape = np.shape(next(iter(moved.values())))[1:]
         coeffs = np.zeros((self.ks.size,) + value_shape)
         for sym, c in moved.items():
-            # a (K,) pairing against (K, *value_shape) coefficients
-            coeffs += c * self._pairing(sym).reshape((-1,) + (1,) * len(value_shape))
-        z = np.zeros((grid.num_nodes,) + value_shape)
-        z[1:] = np.cumsum(synthesise(coeffs, self.cumulative), axis=0)
-        kind = kinds.pop()
+            coeffs += c * pairings[sym]
+        z = np.zeros((self.grid.num_nodes,) + value_shape)
+        np.add.accumulate(synthesise(coeffs, self.cumulative), axis=0, out=z[1:])  # cumsum, less its wrapper
         if kind == "function":
-            z *= grid.horizon
+            z *= self.grid.horizon
         return ReconstructionResult(
             self.base_level, self.trunc_level, f.gamma, self.basis, coeffs,
-            SampledPath(grid, z.reshape(grid.num_nodes, -1)), kind, self.model, f)
+            SampledPath(self.grid, z.reshape(len(z), -1)), kind, self.model, f)
 
 
 def reconstruct(f: ModelledDistribution, model, basis: WaveletBasis | None = None,

@@ -233,20 +233,31 @@ class PolynomialStructure:
         return X(k)
 
 
-def gamma_apply(g: StructureGroupElement, v: ModelSpaceVector, structure) -> ModelSpaceVector:
-    """Linear extension of the symbol shift rules; with a batch of K shifts
-    each coefficient has K leading rows, ``(K,)``, ``(K, d)`` or ``(K, d, n)``."""
-    out = ModelSpaceVector()
-    for sym, c in v.coeffs.items():
-        shifted = structure.gamma_symbol(sym, g.h)
-        for tgt, w_ in shifted.coeffs.items():
-            cur = out.coeffs.get(tgt)
-            if np.ndim(w_) and np.ndim(c) > np.ndim(w_):
-                # a batch of K weights scales the leading axis of (K, ...) coefficients
-                w_ = np.reshape(w_, np.shape(w_) + (1,) * (np.ndim(c) - np.ndim(w_)))
-            add = c * w_
-            out.coeffs[tgt] = add if cur is None else cur + add
+def gamma_terms(structure, layout, h: np.ndarray) -> list[tuple]:
+    """``Gamma_h``'s terms ``(target, source index, weight)`` on coefficients laid
+    out as ``(symbol, ndim)`` pairs; K batched weights scale the leading axis."""
+    terms = []
+    for src, (sym, nd) in enumerate(layout):
+        for tgt, w_ in structure.gamma_symbol(sym, h).coeffs.items():
+            if np.ndim(w_) and nd > np.ndim(w_):
+                w_ = np.reshape(w_, np.shape(w_) + (1,) * (nd - np.ndim(w_)))
+            terms.append((tgt, src, w_))
+    return terms
+
+
+def gamma_accumulate(terms: list[tuple], coeffs) -> dict:
+    """``{target: sum of coeffs[source] * weight}`` over the terms, in order."""
+    out = {}
+    for tgt, src, w_ in terms:
+        out[tgt] = out[tgt] + coeffs[src] * w_ if tgt in out else coeffs[src] * w_
     return out
+
+
+def gamma_apply(g: StructureGroupElement, v: ModelSpaceVector, structure) -> ModelSpaceVector:
+    """Linear extension of the symbol shift rules (:func:`gamma_terms`, summed); with a
+    batch of K shifts each coefficient has K leading rows, ``(K,)``, ``(K, d)`` or ``(K, d, n)``."""
+    terms = gamma_terms(structure, [(s, np.ndim(c)) for s, c in v.coeffs.items()], g.h)
+    return ModelSpaceVector(gamma_accumulate(terms, list(v.coeffs.values())))
 
 
 def multiply(v: ModelSpaceVector, w_vec: ModelSpaceVector, structure) -> ModelSpaceVector:

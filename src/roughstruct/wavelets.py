@@ -321,15 +321,17 @@ def synthesise(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     ``coeffs`` has shape ``(K, *value_shape)``, one row per index of
     ``index_set(level)``; the result has shape ``(2**grid_level, *value_shape)``.
+    One einsum over the view ``win[v, b, q] = coeffs[2c - q + b, v]`` of one contiguous row per
+    value component (inner loop along b) sums each cell over q = 0 .. 2c - 1 from zero, as a loop
+    over the stencil rows does, and with no BLAS, so at any thread count.
     """
     two_c, s = table.shape
-    n = coeffs.shape[0] - two_c - 1
-    value_shape = coeffs.shape[1:]
-    out = np.zeros((n, s) + value_shape)
-    for q in range(two_c):
-        row = table[q].reshape((s,) + (1,) * len(value_shape))
-        out += coeffs[two_c - q : two_c - q + n, None] * row
-    return out.reshape((n * s,) + value_shape)
+    n = len(coeffs) - two_c - 1
+    rows = np.ascontiguousarray(np.reshape(coeffs, (len(coeffs), -1)).T, dtype=float)
+    win = np.ndarray((len(rows), n, two_c), float, rows, two_c * 8, (rows.shape[1] * 8, 8, -8))
+    out = np.empty((n, s, len(rows)))
+    np.einsum("vbq,qi->ivb", win, table, out=out.transpose(1, 2, 0))
+    return out.reshape((n * s,) + coeffs.shape[1:])
 
 
 # ---------------------------------------------------------------------------

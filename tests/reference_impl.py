@@ -2,8 +2,9 @@
 
 They are the slow, obvious forms of what the library computes another way:
 Chen's relation folded interval by interval, the dense fBm covariance, the
-Hölder quotient of every node pair, and a wavelet-route Picard solve that
-rebuilds its whole reconstruction on every iteration.
+Hölder quotient of every node pair, the wavelet synthesis as a loop over
+stencil rows, and a wavelet-route Picard solve that rebuilds its whole
+reconstruction on every iteration.
 """
 
 from __future__ import annotations
@@ -60,6 +61,19 @@ def holder_lag_scan(path, alpha: float) -> float:
     return best
 
 
+def synthesise_loop(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``wavelets.synthesise`` as a loop over the 2c stencil rows: each row q
+    adds its shifted coefficients times ``table[q]`` into a zeroed output."""
+    two_c, s = table.shape
+    n = coeffs.shape[0] - two_c - 1
+    value_shape = coeffs.shape[1:]
+    out = np.zeros((n, s) + value_shape)
+    for q in range(two_c):
+        row = table[q].reshape((s,) + (1,) * len(value_shape))
+        out += coeffs[two_c - q : two_c - q + n, None] * row
+    return out.reshape((n * s,) + value_shape)
+
+
 def wavelet_integral_per_call(g: np.ndarray, dg: np.ndarray, rp) -> np.ndarray:
     """``int_0^t g dW`` of the one-form ``(g, g')`` on every node by the
     partial-sum reconstruction of its ``(d,)``-valued measure jet
@@ -88,6 +102,24 @@ def wavelet_integral_per_call(g: np.ndarray, dg: np.ndarray, rp) -> np.ndarray:
     z[1:] = np.cumsum(synthesise(coeffs, stencil(basis, "father", level, grid.level,
                                                  cumulative=True)), axis=0)
     return z
+
+
+def plan_apply_by_gamma_apply(plan, f) -> tuple[np.ndarray, np.ndarray]:
+    """Scaling coefficients and antiderivative values of
+    ``ReconstructionPlan.apply(f)``, with the jet moved to node 0 by a fresh
+    ``gamma_apply`` of the plan's batched Gamma on every call, the pairings
+    read from the plan and the synthesis by :func:`synthesise_loop`."""
+    jets = ModelSpaceVector({sym: np.asarray(c)[plan.anchors] for sym, c in f.coeffs.items()})
+    moved = gamma_apply(plan.gamma, jets, plan.model.structure).coeffs
+    value_shape = np.shape(next(iter(moved.values())))[1:]
+    coeffs = np.zeros((plan.ks.size,) + value_shape)
+    for sym, c in moved.items():
+        coeffs += c * plan._pairing(sym).reshape((-1,) + (1,) * len(value_shape))
+    z = np.zeros((plan.grid.num_nodes,) + value_shape)
+    z[1:] = np.cumsum(synthesise_loop(coeffs, plan.cumulative), axis=0)
+    if plan.model.pi_kind(next(iter(f.coeffs))) == "function":
+        z *= plan.grid.horizon
+    return coeffs, z.reshape(plan.grid.num_nodes, -1)
 
 
 def wavelet_picard_per_call(xi: np.ndarray, F, rp, window_level: int, tol: float,

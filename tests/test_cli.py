@@ -621,6 +621,19 @@ def test_three_point_defect_only_with_certificate(tmp_path, capsys, monkeypatch,
     assert calls == [route] and cert.read_text().startswith("scale,error\n")
 
 
+@pytest.mark.parametrize("route", ["rough-riemann", "rough-wavelet"])
+@pytest.mark.parametrize("level", ["0", "1"])
+def test_certificate_refused_below_grid_level_two(tmp_path, capsys, level, route):
+    # such a grid has no aligned pair of length >= 2 intervals: the certificate
+    # was a header-only table, which `convergence` refused ("needs data rows")
+    w, out, cert = (tmp_path / f for f in ("w.csv", "I.csv", "cert.csv"))
+    _run(capsys, "--grid-level", level, "--out", str(w), "gen", "--kind", "sin_cos")
+    code, err = _exit_and_error(capsys, "--out", str(out), "integrate", str(w), "--route", route,
+                                "--certificate", str(cert))
+    assert code == 1 and f"--certificate: three-point defects need grid level >= 2, got {level}" in err
+    assert not out.exists() and not cert.exists()
+
+
 def test_cached_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     w, samples = tmp_path / "w.csv", tmp_path / "s.csv"

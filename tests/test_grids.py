@@ -468,8 +468,19 @@ def test_chunks_of_one_cell_kind_match_row_formatter(tmp_path, kind):
     assert _table_bytes(tmp_path, "a,b,c", cells) == _reference_table("a,b,c", cells)
 
 
+@pytest.mark.parametrize("level", [18, 19])
+def test_exact_ties_of_dyadic_nodes_are_rounded_in_numpy(tmp_path, level):
+    # an odd k/2^J >= 0.1 (J >= 18) has 18 or more significant digits ending
+    # in 5: an exact tie at 17 digits, which % rounds half to even; these
+    # cells, a third of the nodes at J = 18, went to % one by one
+    nodes = np.arange(1, 1 << level, 2) / 2.0**level
+    assert not _fmt17._digits(nodes)[3].any()
+    cells = nodes.reshape(-1, 2)
+    assert _table_bytes(tmp_path, "a,b", cells) == _reference_table("a,b", cells)
+
+
 def test_fast_path_leaves_no_workload_cell_to_python(tmp_path, monkeypatch):
-    # ties, cells outside [1e-250, 1e250] (both to %) and cells with the point
+    # near-ties, cells outside [1e-250, 1e250] (both to %) and cells with the point
     # inside the digits (permuted by class): none is in the tables the CLI writes
     from roughstruct.cli import main
     from roughstruct.grids import read_table

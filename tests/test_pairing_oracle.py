@@ -27,7 +27,9 @@ from roughstruct import (
     RoughModel,
     StieltjesMeasure,
     TestFunction,
+    W,
     Wdot,
+    WWdot,
     X,
     antiderivative_from_distribution,
     cascade_evaluate,
@@ -40,6 +42,7 @@ from roughstruct import (
     to_modelled,
     wavelet_coefficients,
 )
+from reference_impl import plan_apply_by_gamma_apply
 from roughstruct.reconstruction import ReconstructionPlan
 
 ALPHA = 0.45
@@ -244,6 +247,60 @@ def test_plan_realizes_each_symbol_once_across_jets():
     assert {s for s, _ in calls} == {0}
     for g, h in zip(got, want):
         assert np.array_equal(g, h)
+
+
+def _plan_jets(name: str):
+    """A model and two jets of one layout: the solver's one-form jet on the
+    rough measure symbols, ``(N, d)``; ``wavelet_lift``'s ``(N, n, n)`` jet on
+    the reduced structure; a controlled path's ``(N, d)`` function-kind jet;
+    a scalar polynomial jet, whose Gamma is a batch of binomial shifts."""
+    grid = make_dyadic_grid(1.13, GRID_LEVEL)
+    w = generate_path("fbm", grid, dim=2, hurst=ALPHA, seed=21)
+    wv, t = w.values, grid.nodes
+    if name == "polynomial":
+        model = PolynomialModel(grid)
+        jets = [{ONE: np.sin(a * t), X(1): a * np.cos(a * t), X(2): -0.5 * a * a * np.sin(a * t)}
+                for a in (3.0, 5.0)]
+        return model, [ModelledDistribution(3.0, c, grid, model.structure, None) for c in jets]
+    if name == "reduced":
+        model = ReducedModel(w, ALPHA)
+        jets = []
+        for a in (1.0, -0.5):
+            jet = {Wdot(j): np.zeros((grid.num_nodes, 2, 2)) for j in range(2)}
+            for j in range(2):
+                jet[Wdot(j)][:, :, j] = a * wv
+            jets.append(jet)
+        return model, [ModelledDistribution(2 * ALPHA - 1, c, grid, model.structure, w) for c in jets]
+    model = RoughModel(lift_piecewise_smooth(w, "linear", ALPHA))
+    if name == "rough-function":
+        jets = [{ONE: np.column_stack([np.sin(a * wv[:, 0]), np.cos(wv[:, 1])]),
+                 W(0): np.column_stack([a * np.cos(a * wv[:, 0]), 0 * t]),
+                 W(1): np.column_stack([0 * t, -np.sin(wv[:, 1])])} for a in (1.0, 2.0)]
+        return model, [ModelledDistribution(ALPHA, c, grid, model.structure, w) for c in jets]
+    jets = []
+    for a in (1.0, 0.3):
+        g = np.stack([np.tanh(a * wv), np.sin(wv[:, ::-1])], axis=1)  # (N, d, n)
+        dg = a * np.stack([g, -g], axis=3)  # (N, d, n, n)
+        jet = {}
+        for j in range(2):
+            jet[Wdot(j)] = g[:, :, j]
+            for i in range(2):
+                jet[WWdot(i, j)] = dg[:, :, j, i]
+        jets.append(jet)
+    return model, [ModelledDistribution(3 * ALPHA - 1, c, grid, model.structure, w) for c in jets]
+
+
+@pytest.mark.parametrize("name", ["rough-measure", "reduced", "rough-function", "polynomial"])
+def test_plan_apply_equals_gamma_apply_transport(name):
+    # the plan resolves its Gamma's terms on a layout's first apply and sums
+    # them on every apply; the reference moves each jet by gamma_apply anew
+    model, jets = _plan_jets(name)
+    plan = ReconstructionPlan(model, jets[0].grid)
+    for f in jets:
+        rr = plan.apply(f)
+        coeffs, z = plan_apply_by_gamma_apply(plan, f)
+        assert np.array_equal(rr.scaling_coeffs, coeffs)
+        assert np.array_equal(rr.antiderivative.values, z)
 
 
 @pytest.mark.parametrize("horizon", [1.0, 1.13])

@@ -10,6 +10,7 @@ from roughstruct import (
     ModelledDistribution,
     RoughModel,
     RoughPath,
+    RoughStructure,
     SampledPath,
     SolverConfig,
     SolverError,
@@ -251,6 +252,23 @@ def test_wavelet_solve_realizes_symbols_once_per_window(monkeypatch):
         assert len(realized) == 2 * len(attempts)
         assert {repr(s) for s in realized} == {repr(Wdot(0)), repr(WWdot(0, 0))}
     assert iters[0] != iters[1]
+
+
+def test_wavelet_solve_resolves_gamma_once_per_window(monkeypatch):
+    # the plan's Gamma is fixed: its shift rules are read on a window's first
+    # apply only (Wdot and WWdot, d = n = 1), not on every Picard iterate
+    rp = _fbm_driver(10)
+    shifted, attempts = [], []
+    gamma_symbol, restrict = RoughStructure.gamma_symbol, RoughPath.restrict
+    monkeypatch.setattr(RoughStructure, "gamma_symbol",
+                        lambda st, sym, h: shifted.append(sym) or gamma_symbol(st, sym, h))
+    monkeypatch.setattr(RoughPath, "restrict",
+                        lambda r, s, lv: attempts.append(s) or restrict(r, s, lv))
+    cfg = SolverConfig(alpha=0.4, beta=0.45, fixed_point_tol=1e-9, integral_route="wavelet")
+    _, diag = solve_rde(0.3, builtin_descriptor("tanh"), rp, cfg)
+    assert sum(w["iters"] for w in diag["windows"]) > len(attempts)
+    assert len(shifted) == 2 * len(attempts)
+    assert {repr(s) for s in shifted} == {repr(Wdot(0)), repr(WWdot(0, 0))}
 
 
 def _linear_field(d: int, n: int) -> FunctionDescriptor:

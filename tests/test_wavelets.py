@@ -14,11 +14,13 @@ from roughstruct import (
     make_dyadic_grid,
     wavelet_coefficients,
 )
+from reference_impl import synthesise_loop
 from roughstruct.wavelets import (
     DAUBECHIES_FILTERS,
     DAUBECHIES_INTEGER_VALUES,
     _daubechies_basis,
     stencil,
+    synthesise,
 )
 
 
@@ -95,6 +97,29 @@ def test_psi_stencils_are_two_scale_sums_of_phi_stencils(moments):
                 at = (k - basis.center_shift + c) * half
                 want[at : at + phi.size] += gk * phi
             assert np.abs(psi - want).max() <= 1e-13 * np.abs(psi).max(), (grid_level, j)
+
+
+@pytest.mark.parametrize("cumulative", [False, True], ids=["midpoint", "cumulative"])
+@pytest.mark.parametrize("moments", [2, 3, 4, 6, 8])
+def test_synthesise_equals_row_loop_bit_for_bit(moments, cumulative):
+    # the einsum sums each cell over the stencil rows q = 0 .. 2c - 1 from
+    # zero, as the loop does: equal values and sign bits (a tenth of the
+    # coefficients are -0.0), magnitudes 1e-12 .. 1e12; levels above 14 take
+    # two value shapes, to keep the loop's time down
+    basis = daubechies_basis(moments)
+    rng = np.random.default_rng(moments + 10 * cumulative)
+    for grid_level in range(6, 19):
+        level = max(basis.min_base_level(), grid_level - 2)
+        table = stencil(basis, "father", level, grid_level, cumulative=cumulative)
+        k = basis.index_set(level).size
+        shapes = [(), (1,), (4,), (2, 2), (3, 3)] if grid_level <= 14 else [(), (2, 2)]
+        for shape in shapes:
+            coeffs = rng.normal(size=(k, *shape)) * 10.0 ** rng.uniform(-12, 12, (k, *shape))
+            coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+            got, want = synthesise(coeffs, table), synthesise_loop(coeffs, table)
+            assert got.shape == want.shape == ((1 << grid_level), *shape)
+            assert np.array_equal(got, want), (grid_level, shape)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (grid_level, shape)
 
 
 def test_basis_build_calls_no_lapack(monkeypatch):
