@@ -41,8 +41,8 @@ _EXPORTS = {
     "solver": ("SolverConfig", "SolverError", "picard_step", "solution_residual", "solve_rde"),
     "structure": (
         "ONE", "ModelSpaceVector", "PolynomialModel", "PolynomialStructure", "ReducedModel",
-        "RoughModel", "RoughStructure", "StructureGroupElement", "Symbol", "W", "Wdot",
-        "WWdot", "X", "gamma_apply", "multiply", "pi_pair",
+        "RoughModel", "RoughStructure", "Symbol", "W", "Wdot", "WWdot", "X", "gamma_apply",
+        "multiply", "pi_pair",
     ),
     "wavelets": (
         "CoefficientTable", "StieltjesMeasure", "WaveletBasis", "cascade_evaluate",

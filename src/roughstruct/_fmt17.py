@@ -154,9 +154,14 @@ def format_g17(v: np.ndarray, width: int) -> bytes:
 
 
 def check_outputs(*names) -> None:  # every output name, before the first file is written
+    seen = {}
     for name in filter(None, names):
         if os.path.isdir(name) or not os.path.isdir(os.path.dirname(name) or "."):
             raise ValueError(f"cannot write {name!r}: a directory, or its directory is missing")
+        real = os.path.realpath(name)
+        if real in seen:
+            raise ValueError(f"{seen[real]!r} and {name!r} name one output file")
+        seen[real] = name
 
 
 def write_output(filename: str, chunks) -> None:

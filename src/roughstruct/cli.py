@@ -242,7 +242,7 @@ def _load_controlled(args, path: SampledPath) -> ControlledPath:
         raise ValueError("--y-csv requires --y-prime-csv")
     y = _read_integrand(args.y_csv, path, 1)
     yp = _read_integrand(args.y_prime_csv, path, path.dim)
-    return ControlledPath(y.values[:, 0], yp.values, path)
+    return ControlledPath(y.values[:, 0], yp.values[:, None, :], path)
 
 
 def _read_integrand(filename: str, path: SampledPath, width: int) -> SampledPath:

@@ -385,9 +385,9 @@ TABLE_BLOCK_ROWS = 2**16
 
 def write_table(filename: str, header: str, *columns) -> None:
     """The one CSV writer: ``header``, then one ``%.17g`` row per row of the
-    ``(N,)`` or ``(N, k)`` columns side by side (a ``range`` column too),
-    stacked in blocks of ``TABLE_BLOCK_ROWS // width`` rows, formatted by numpy
-    in rows of about 2**12 cells (:func:`format_g17`) and written one by one."""
+    ``(N,)`` or ``(N, k)`` array columns side by side, stacked in blocks of
+    ``TABLE_BLOCK_ROWS // width`` rows, formatted by numpy in rows of about
+    2**12 cells (:func:`format_g17`) and written one by one."""
     width = np.column_stack([c[:1] for c in columns]).shape[1]
     rows = max(1, TABLE_BLOCK_ROWS // width)
     cells = max(1, 2**12 // width) * width
@@ -432,7 +432,10 @@ def read_path_csv(filename: str) -> SampledPath:
     n_int = len(data) - 1
     if n_int < 1 or n_int & (n_int - 1):
         raise ValueError(f"{filename}: {n_int} intervals is not a power of two")
-    grid = TimeGrid(float(data[-1, 0]), n_int.bit_length() - 1)
+    try:  # a last t <= 0, or more than 2**MAX_GRID_LEVEL intervals
+        grid = TimeGrid(float(data[-1, 0]), n_int.bit_length() - 1)
+    except ValueError as exc:
+        raise ValueError(f"{filename}: {exc}") from None
     if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, grid.horizon)):
         raise ValueError(f"{filename}: nodes are not a uniform dyadic grid")
     return SampledPath(grid, data[:, 1:])

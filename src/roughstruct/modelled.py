@@ -37,22 +37,14 @@ def _canonical_y(y: np.ndarray) -> np.ndarray:
     return y[:, None] if y.ndim == 1 else y
 
 
-def _canonical_yprime(yp: np.ndarray, d: int) -> np.ndarray:
-    yp = np.asarray(yp, dtype=float)
-    if yp.ndim == 1:  # scalar y against scalar driver
-        yp = yp[:, None, None]
-    elif yp.ndim == 2:
-        # ambiguous (nodes, n) for d == 1 vs (nodes, d) for n == 1
-        yp = yp[:, None, :] if d == 1 else yp[:, :, None]
-    return yp
-
-
 @dataclass(frozen=True)
 class ControlledPath:
     """A path y with Gubinelli derivative y' relative to a reference driver.
 
     Shapes are canonicalized to ``y: (nodes, d)`` and
-    ``y_prime: (nodes, d, n)``; 1-D inputs are promoted.
+    ``y_prime: (nodes, d, n)``: a 1-D y is ``(nodes, 1)``, and a 1-D y' (scalar
+    y against a scalar driver) is ``(nodes, 1, 1)``; any other y' is taken as
+    ``(nodes, d, n)`` and checked.
     """
 
     y: np.ndarray
@@ -61,7 +53,8 @@ class ControlledPath:
 
     def __post_init__(self) -> None:
         y = _canonical_y(self.y)
-        yp = _canonical_yprime(self.y_prime, y.shape[1])
+        yp = np.asarray(self.y_prime, dtype=float)
+        yp = yp[:, None, None] if yp.ndim == 1 else yp
         n = self.reference.dim
         if y.shape[0] != self.reference.grid.num_nodes:
             raise ValueError("y must be sampled on the reference grid")
@@ -182,8 +175,8 @@ def md_seminorm(f: ModelledDistribution, model) -> float:
     """Grid max over pairs and grades of
     ``|f(t) - Gamma_{t,s} f(s)|_beta / |t-s|**(gamma-beta)``.
 
-    ``Gamma_{t,s}`` is the model's own ``gamma_of(t, s)`` over index arrays,
-    applied by :func:`gamma_apply`; pairs from :func:`pair_scan`.
+    ``Gamma_{t,s}`` is the model's own ``gamma_of(t, s)`` over index arrays, a
+    batch of shifts applied by :func:`gamma_apply`; pairs from :func:`pair_scan`.
     """
     st = f.structure
     # Gamma's image has the same symbols at every shift

@@ -202,7 +202,7 @@ class ReconstructionPlan:
             kinds = {self.model.pi_kind(s) for s, _ in layout}
             if len(kinds) != 1:
                 raise ValueError("mixed function/measure support is not reconstructible here")
-            terms = gamma_terms(self.model.structure, layout, self.gamma.h)
+            terms = gamma_terms(self.model.structure, layout, self.gamma)
             # (K,) pairings against (K, *value_shape) coefficients
             pairings = {t: self._pairing(t).reshape((-1,) + (1,) * (layout[0][1] - 1))
                         for t, _, _ in terms}

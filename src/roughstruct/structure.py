@@ -103,23 +103,6 @@ def _coeff_norm(c) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-@dataclass(frozen=True)
-class StructureGroupElement:
-    """Shift parameter h in R^n; acts on symbols through the structure's rules.
-
-    ``h`` of shape ``(n, K)`` is a batch of K shifts: the shifted
-    coefficients come out as length-K arrays.
-    """
-
-    h: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", np.atleast_1d(np.asarray(self.h, dtype=float)))
-
-    def compose(self, other: "StructureGroupElement") -> "StructureGroupElement":
-        return StructureGroupElement(self.h + other.h)
-
-
 class RoughStructure:
     """Index set {alpha-1, 2alpha-1, 0, alpha} over an n-dimensional driver.
 
@@ -253,10 +236,12 @@ def gamma_accumulate(terms: list[tuple], coeffs) -> dict:
     return out
 
 
-def gamma_apply(g: StructureGroupElement, v: ModelSpaceVector, structure) -> ModelSpaceVector:
-    """Linear extension of the symbol shift rules (:func:`gamma_terms`, summed); with a
-    batch of K shifts each coefficient has K leading rows, ``(K,)``, ``(K, d)`` or ``(K, d, n)``."""
-    terms = gamma_terms(structure, [(s, np.ndim(c)) for s, c in v.coeffs.items()], g.h)
+def gamma_apply(h, v: ModelSpaceVector, structure) -> ModelSpaceVector:
+    """``Gamma_h v``: the linear extension of the symbol shift rules (:func:`gamma_terms`,
+    summed).  ``h`` of shape ``(n, K)`` is a batch of K shifts; the coefficients come out
+    with K leading rows, ``(K,)``, ``(K, d)`` or ``(K, d, n)``."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    terms = gamma_terms(structure, [(s, np.ndim(c)) for s, c in v.coeffs.items()], h)
     return ModelSpaceVector(gamma_accumulate(terms, list(v.coeffs.values())))
 
 
@@ -308,11 +293,12 @@ class RoughModel:
             return self.rough_path.second[:, i, j] + rel * dw[:, j]
         raise KeyError(f"{sym!r} is not measure-valued")
 
-    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> StructureGroupElement:
-        """``Gamma_{s,t}``; index arrays for s, t or both (of one shape)
-        give the batch over them."""
+    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> np.ndarray:
+        """``Gamma_{s,t}`` as its shift ``h = W_s - W_t``, shape ``(n,)``; index arrays
+        for s, t or both (of one shape) give ``h`` of shape ``(n, K)``, a batch of K
+        shifts; the coefficients come out with K leading rows."""
         w = self.rough_path.path.values
-        return StructureGroupElement((w[s_idx] - w[t_idx]).T)
+        return (w[s_idx] - w[t_idx]).T
 
 
 class ReducedModel:
@@ -336,9 +322,9 @@ class ReducedModel:
             return self.path.increments()[:, sym.index[0]]
         raise KeyError(f"{sym!r} is not measure-valued in the reduced model")
 
-    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> StructureGroupElement:
-        """Shift ``W_s - W_t``; both arguments may be index arrays."""
-        return StructureGroupElement((self.path.values[s_idx] - self.path.values[t_idx]).T)
+    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> np.ndarray:
+        """Shift ``W_s - W_t``; index arrays batch it as in :meth:`RoughModel.gamma_of`."""
+        return (self.path.values[s_idx] - self.path.values[t_idx]).T
 
 
 class PolynomialModel:
@@ -360,10 +346,10 @@ class PolynomialModel:
     def pi_measure(self, s_idx: int, sym: Symbol) -> np.ndarray:
         raise KeyError("polynomial model has no measure-valued symbols")
 
-    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> StructureGroupElement:
-        """Shift ``t_s - t_t``; both arguments may be index arrays."""
+    def gamma_of(self, s_idx: int | np.ndarray, t_idx: int | np.ndarray) -> np.ndarray:
+        """Shift ``t_s - t_t``; index arrays batch it as in :meth:`RoughModel.gamma_of`."""
         t = self.grid.nodes
-        return StructureGroupElement(np.array([t[s_idx] - t[t_idx]]))
+        return np.array([t[s_idx] - t[t_idx]])
 
 
 def pi_pairings(model, s_idx, v: ModelSpaceVector, samples, cell: float) -> np.ndarray:

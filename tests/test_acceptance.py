@@ -20,7 +20,6 @@ from roughstruct import (
     RoughStructure,
     SampledPath,
     SolverConfig,
-    StructureGroupElement,
     X,
     builtin_descriptor,
     chen_defect,
@@ -287,12 +286,8 @@ def test_c12_group_law():
         h1, h2 = rng.standard_normal(2), rng.standard_normal(2)
         for sym in rough.symbols():
             v = ModelSpaceVector({sym: 1.0})
-            nested = gamma_apply(
-                StructureGroupElement(h1),
-                gamma_apply(StructureGroupElement(h2), v, rough),
-                rough,
-            )
-            direct = gamma_apply(StructureGroupElement(h1 + h2), v, rough)
+            nested = gamma_apply(h1, gamma_apply(h2, v, rough), rough)
+            direct = gamma_apply(h1 + h2, v, rough)
             delta = nested - direct
             worst = max(
                 worst,
@@ -301,12 +296,8 @@ def test_c12_group_law():
         g1, g2 = rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)
         for sym in poly_syms:
             v = ModelSpaceVector({sym: 1.0})
-            nested = gamma_apply(
-                StructureGroupElement(g1),
-                gamma_apply(StructureGroupElement(g2), v, poly),
-                poly,
-            )
-            direct = gamma_apply(StructureGroupElement(g1 + g2), v, poly)
+            nested = gamma_apply(g1, gamma_apply(g2, v, poly), poly)
+            direct = gamma_apply(g1 + g2, v, poly)
             delta = nested - direct
             worst = max(
                 worst,

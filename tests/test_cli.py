@@ -401,6 +401,26 @@ def test_malformed_table_exits_one(tmp_path, capsys, command, defect):
     assert str(w) in json.loads(out)["error"]
 
 
+# grid defects: TimeGrid's own refusal (a last t <= 0) came out without the file name
+_GRID_DEFECTS = {
+    "zero-horizon": lambda lines: lines[:-1] + [",".join(["0"] + lines[-1].split(",")[1:])],
+    "negative-horizon": lambda lines: lines[:-1] + [",".join(["-1"] + lines[-1].split(",")[1:])],
+    "15-intervals": lambda lines: lines[:-1],
+    "moved-node": lambda lines: lines[:5] + [",".join(["0.3"] + lines[5].split(",")[1:])] + lines[6:],
+}
+
+
+@pytest.mark.parametrize("defect", list(_GRID_DEFECTS))
+def test_path_table_off_a_dyadic_grid_exits_one(tmp_path, capsys, defect):
+    w = tmp_path / "w.csv"
+    _run(capsys, "--grid-level", "4", "--out", str(w), "gen", "--kind", "sin_cos", "--dim", "2")
+    lines = _GRID_DEFECTS[defect](w.read_text().splitlines())
+    w.write_text("".join(line + "\n" for line in lines))
+    code, out = _run(capsys, "--json", "--alpha", "0.5", "holder", str(w))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(f"{w}: ")
+
+
 @pytest.mark.parametrize("cell", ["abc", ""])
 def test_convergence_unparsable_sample_exits_one(tmp_path, capsys, cell):
     samples = tmp_path / "samples.csv"
@@ -485,6 +505,31 @@ def test_rough_routes_refuse_y_prime_csv_alone(tmp_path, capsys, route):
                                 "--route", route, "--y-prime-csv", str(tmp_path / "missing.csv"))
     assert code == 1 and "error: --y-prime-csv requires --y-csv" in err
     assert not (tmp_path / "I.csv").exists()
+
+
+@pytest.mark.parametrize("route", ["rough-riemann", "rough-wavelet"])
+def test_integrate_a_user_integrand_on_the_rough_routes(tmp_path, capsys, monkeypatch, route):
+    # --y-csv with --y-prime-csv against a dim-2 driver: the CLI writes the
+    # library's integral of the same controlled path on the linear lift
+    from roughstruct import (ControlledPath, lift_piecewise_smooth, rough_integral_path,
+                             wavelet_rough_integral)
+
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "--grid-level", "8", "--seed", "4", "--out", "w.csv",
+         "gen", "--kind", "fbm", "--dim", "2", "--hurst", "0.45")
+    w = read_path_csv("w.csv")
+    w1 = w.values[:, 0]
+    grids.write_path_csv(grids.SampledPath(w.grid, np.sin(w1)), "y.csv")
+    grids.write_path_csv(grids.SampledPath(w.grid, np.column_stack([np.cos(w1), 0.5 * w1])), "yp.csv")
+    code, _ = _run(capsys, "--out", "I.csv", "integrate", "w.csv", "--route", route,
+                   "--y-csv", "y.csv", "--y-prime-csv", "yp.csv")
+    assert code == 0
+    yp = read_path_csv("yp.csv").values[:, None, :]
+    cp = ControlledPath(read_path_csv("y.csv").values[:, 0], yp, w)
+    rp = lift_piecewise_smooth(w, "linear", 0.45)
+    expected = (rough_integral_path(cp, rp) if route == "rough-riemann"
+                else wavelet_rough_integral(cp, rp).values)
+    assert np.array_equal(read_path_csv("I.csv").values, expected)
 
 
 _OFF_DRIVER = {  # --y-csv, --y-prime-csv, the file refused
@@ -727,6 +772,23 @@ def test_output_naming_a_directory_exits_one(tmp_path, capsys, monkeypatch, argv
     before = _files_under(tmp_path)
     code, err = _exit_and_error(capsys, "--grid-level", "4", *argv)
     assert code == 1 and err.startswith("error: ") and f"'{bad}'" in err
+    assert _files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "I.csv", "integrate", "w.csv", "--certificate", "I.csv"],
+    ["--out", "I.csv", "integrate", "w.csv", "--certificate", "./I.csv"],
+    ["--out", "s.csv", "solve", "w.csv", "--diagnostics", "s.csv"],
+    ["--out", "s.csv", "solve", "w.csv", "--diagnostics", "./s.csv"],
+], ids=["integrate", "integrate-dot-slash", "solve", "solve-dot-slash"])
+def test_two_outputs_naming_one_file_exit_one(tmp_path, capsys, monkeypatch, argv):
+    # the second write replaced the first: I.csv held the certificate table,
+    # s.csv the diagnostics JSON, and the payload reported both
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "--grid-level", "4", "--out", "w.csv", "gen", "--kind", "polynomial", "--coeffs=0,1")
+    before = _files_under(tmp_path)
+    code, err = _exit_and_error(capsys, "--grid-level", "4", *argv)
+    assert code == 1 and err.startswith("error: ") and "name one output file" in err
     assert _files_under(tmp_path) == before
 
 

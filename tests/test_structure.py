@@ -13,7 +13,6 @@ from roughstruct import (
     ReducedModel,
     RoughModel,
     RoughStructure,
-    StructureGroupElement,
     W,
     Wdot,
     WWdot,
@@ -44,7 +43,7 @@ def test_homogeneities():
 
 def test_gamma_identity_at_zero_shift():
     st = RoughStructure(0.4, 2)
-    g0 = StructureGroupElement(np.zeros(2))
+    g0 = np.zeros(2)
     for sym in st.symbols():
         out = gamma_apply(g0, ModelSpaceVector({sym: 1.0}), st)
         assert out.coeffs[sym] == 1.0
@@ -54,7 +53,7 @@ def test_gamma_identity_at_zero_shift():
 def test_gamma_wwdot_rule():
     # the second-order symbol picks up h^i times the matching noise symbol
     st = RoughStructure(0.45, 2)
-    g = StructureGroupElement(np.array([1.0, 0.0]))
+    g = np.array([1.0, 0.0])
     out = gamma_apply(g, ModelSpaceVector({WWdot(0, 1): 1.0}), st)
     assert out.coeffs[WWdot(0, 1)] == 1.0
     assert out.coeffs[Wdot(1)] == 1.0
@@ -63,7 +62,7 @@ def test_gamma_wwdot_rule():
 
 def test_gamma_polynomial_binomial():
     ps = PolynomialStructure(dim=1)
-    g = StructureGroupElement(np.array([0.5]))
+    g = np.array([0.5])
     out = gamma_apply(g, ModelSpaceVector({X(2): 1.0}), ps)
     assert out.coeffs[X(2)] == pytest.approx(1.0)
     assert out.coeffs[X(1)] == pytest.approx(1.0)  # 2 * 0.5
@@ -72,7 +71,7 @@ def test_gamma_polynomial_binomial():
 
 def test_gamma_dimension_mismatch():
     ps = PolynomialStructure(dim=2)
-    g = StructureGroupElement(np.array([0.5]))
+    g = np.array([0.5])
     with pytest.raises(ValueError):
         gamma_apply(g, ModelSpaceVector({X((1, 1)): 1.0}), ps)
 
@@ -83,12 +82,8 @@ def test_group_law_rough(rng):
         h1, h2 = rng.standard_normal(2), rng.standard_normal(2)
         for sym in st.symbols():
             v = ModelSpaceVector({sym: 1.0})
-            nested = gamma_apply(
-                StructureGroupElement(h1),
-                gamma_apply(StructureGroupElement(h2), v, st),
-                st,
-            )
-            direct = gamma_apply(StructureGroupElement(h1 + h2), v, st)
+            nested = gamma_apply(h1, gamma_apply(h2, v, st), st)
+            direct = gamma_apply(h1 + h2, v, st)
             assert _coeff_err(nested - direct) <= 1e-14
 
 
@@ -98,19 +93,15 @@ def test_group_law_polynomial(rng):
         h1, h2 = rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)
         for sym in [ONE, X(1), X(2), X(3)]:
             v = ModelSpaceVector({sym: 1.0})
-            nested = gamma_apply(
-                StructureGroupElement(h1),
-                gamma_apply(StructureGroupElement(h2), v, ps),
-                ps,
-            )
-            direct = gamma_apply(StructureGroupElement(h1 + h2), v, ps)
+            nested = gamma_apply(h1, gamma_apply(h2, v, ps), ps)
+            direct = gamma_apply(h1 + h2, v, ps)
             assert _coeff_err(nested - direct) <= 1e-14
 
 
 def test_triangularity(rng):
     # Gamma tau - tau is supported strictly below tau's homogeneity
     st = RoughStructure(0.45, 2)
-    g = StructureGroupElement(rng.standard_normal(2))
+    g = rng.standard_normal(2)
     for sym in st.symbols():
         hom = st.homogeneity(sym)
         moved = gamma_apply(g, ModelSpaceVector({sym: 1.0}), st)
@@ -174,7 +165,7 @@ def test_model_cocycle(smooth_rough_model):
     g1 = m.gamma_of(10, 100)
     g2 = m.gamma_of(100, 200)
     g12 = m.gamma_of(10, 200)
-    assert np.allclose(g1.compose(g2).h, g12.h, atol=1e-15)
+    assert np.allclose(g1 + g2, g12, atol=1e-15)
 
 
 def test_model_algebraic_identity(smooth_rough_model):
@@ -319,6 +310,26 @@ def test_batched_gamma_of_index_pairs_on_vector_jets(name, value_shape, pairs):
         for sym, c in scalar.coeffs.items():
             assert np.shape(batched.coeffs[sym]) == (len(pairs), *value_shape)
             np.testing.assert_allclose(batched.coeffs[sym][q], c, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(_REEXPANSION_MODELS))
+def test_gamma_of_is_its_float_shift_array(name):
+    # Gamma_{s,t} is h itself: (n,) for one pair, (n, K) for K pairs
+    model = _REEXPANSION_MODELS[name]
+    n = 1 if name == "polynomial" else 2
+    one = model.gamma_of(3, 40)
+    batch = model.gamma_of(np.array([3, 5, 7]), np.array([40, 0, 7]))
+    for h, shape in ((one, (n,)), (batch, (n, 3))):
+        assert isinstance(h, np.ndarray) and h.dtype == np.float64 and h.shape == shape
+    np.testing.assert_array_equal(batch[:, 0], one)
+
+
+def test_gamma_apply_takes_a_list_or_a_one_element_shift():
+    ps = PolynomialStructure(dim=1)
+    v = ModelSpaceVector({X(2): 1.0})
+    ref = gamma_apply(np.array([0.5]), v, ps).coeffs
+    for h in ([0.5], 0.5):
+        assert gamma_apply(h, v, ps).coeffs == ref
 
 
 # ---------------------------------------------------------------------------
